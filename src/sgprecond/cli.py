@@ -12,10 +12,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import experiments
 from .basis import assemble_G, assemble_G_tilde
@@ -43,7 +46,7 @@ def _add_common(p):
     p.add_argument("--format", choices=("csv", "md", "raw"), default="csv")
     p.add_argument("--seed", type=int, help="override the configured random seed")
     p.add_argument("--tol", type=float, help="override the configured tolerance")
-    p.add_argument("--threads", type=int, help="thread count hint (SGP_THREADS fallback)")
+    p.add_argument("--threads", type=int, help="BLAS thread count (SGP_THREADS fallback)")
 
 
 def _build_parser():
@@ -80,9 +83,28 @@ def _resolve_threads(args):
     if n is not None:
         if n < 1:
             raise ConfigError("--threads must be >= 1")
-        # hint only: results are reduction-order deterministic regardless
-        os.environ.setdefault("OMP_NUM_THREADS", str(n))
+        libs = bundled_openblas()
+        if not libs:
+            print("sgp: --threads has no effect: no bundled OpenBLAS found", file=sys.stderr)
+        for lib, suffix in libs:
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(n)
     return n
+
+
+def bundled_openblas():
+    """(library, symbol suffix) for each OpenBLAS copy bundled with the numpy
+    and scipy wheels.  The BLAS is already loaded by the time a flag is read,
+    so OPENBLAS_NUM_THREADS would come too late; its own setter does not."""
+    found = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        paths = sorted(libs.glob("libscipy_openblas*.so"))
+        if paths:
+            found.append((ctypes.CDLL(str(paths[0])), suffix))
+    return found
 
 
 def _emit(text: str, out_path):

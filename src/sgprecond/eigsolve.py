@@ -9,6 +9,7 @@ reorthogonalization keeps desk-scale runs clean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +194,7 @@ def pcg(a, m, b, tol: float = 1e-8, max_iter: int = 1000, callback=None):
     op = _Op(a)
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
-    norm_b = float(np.linalg.norm(b))
+    norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return x, 0, [0.0]
     r = b.copy()
@@ -212,7 +213,7 @@ def pcg(a, m, b, tol: float = 1e-8, max_iter: int = 1000, callback=None):
         r -= step * ap
         if callback is not None:
             callback(x.copy())
-        rel = float(np.linalg.norm(r)) / norm_b
+        rel = math.sqrt(r @ r) / norm_b
         history.append(rel)
         if rel <= tol:
             return x, it, history

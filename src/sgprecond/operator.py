@@ -54,6 +54,14 @@ PRECONDITIONER_KINDS = (
 DENSE_CAP = 6000
 
 
+def _vector(v, n: int) -> np.ndarray:
+    """v as a float array, checked to be a length-n vector or (n, 1) column."""
+    v = np.asarray(v, dtype=float)
+    if v.shape not in ((n,), (n, 1)):
+        raise ValueError(f"expected shape ({n},) or ({n}, 1), got {v.shape}")
+    return v
+
+
 class GalerkinOperator:
     """sum_k G_k (x) F_k applied without forming the global matrix."""
 
@@ -78,14 +86,13 @@ class GalerkinOperator:
         return (n, n)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n_p * self.n_fe,):
-            raise ValueError(f"vector of length {v.size}, operator of size {self.shape[0]}")
+        """A v for a vector or an (n, 1) column; the result has v's shape."""
+        v = _vector(v, self.shape[0])
         w = v.reshape(self.n_p, self.n_fe)
         out = np.zeros_like(w)
         for g, f in zip(self.gs, self.fs):
             out += f.dot((g.dot(w)).T).T
-        return out.ravel()
+        return out.reshape(v.shape)
 
     def assemble_sparse(self) -> sp.csr_matrix:
         total = sp.csr_matrix(self.shape)
@@ -192,9 +199,11 @@ class Preconditioner:
         return cut if cut else None
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if r.shape != (self.n_p * self.n_fe,):
-            raise ValueError("right-hand side has the wrong length")
+        """M^-1 r for a vector or an (n, 1) column; the result has r's shape."""
+        r = _vector(r, self.shape[0])
+        return self._solve(r.ravel()).reshape(r.shape)
+
+    def _solve(self, r: np.ndarray) -> np.ndarray:
         d = self._d
         if self.kind == MEAN_BASED:
             w = r.reshape(self.n_p, self.n_fe)

@@ -9,6 +9,10 @@ polynomial; together with the squared last components of its eigenvectors they
 form the quadrature rule that evaluates corner entries of resolvent-like
 matrix functions.  The pivot sequence d_1..d_s of I + mu*J drives the
 splitting-preconditioner bounds.
+
+Every tridiagonal eigenproblem of the package, these Jacobi matrices and the
+Lanczos Ritz matrices of ``eigsolve`` alike, is solved by LAPACK through
+``_tridiag_eig`` (``scipy.linalg.eigh_tridiagonal``).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DominanceError, ParameterDomainError
 
@@ -180,89 +185,37 @@ def jacobi_matrix(family: RecurrenceFamily, s: int) -> JacobiMatrix:
     return JacobiMatrix(np.zeros(s), np.asarray(off, dtype=float))
 
 
-def _tridiag_eig(diag, offdiag, vectors=False, tol=0.0, sweep_cap_factor=50):
-    """Eigen decomposition of a symmetric tridiagonal matrix by the implicit
-    shift QL iteration with Wilkinson shifts.
+def _tridiag_eig(diag, offdiag, vectors=False):
+    """Eigen decomposition of a symmetric tridiagonal matrix by LAPACK
+    (``scipy.linalg.eigh_tridiagonal``).
 
     Returns eigenvalues in ascending order and, when ``vectors`` is set, the
-    matrix whose columns are the matching orthonormal eigenvectors.  Raises
-    ConvergenceError after ``sweep_cap_factor * n`` QL sweeps.
+    matrix whose columns are the matching orthonormal eigenvectors (None
+    otherwise).  A LAPACK failure or a NaN/inf entry raises ConvergenceError.
     """
-    d = np.array(diag, dtype=float, copy=True)
-    n = d.size
-    if n == 0:
+    d = np.asarray(diag, dtype=float)
+    if d.size == 0:
         raise ParameterDomainError("empty matrix")
-    e = np.zeros(n)
-    if n > 1:
-        e[: n - 1] = np.asarray(offdiag, dtype=float)
-    z = np.eye(n) if vectors else None
-    if n == 1:
-        return d, z
-    eps = np.finfo(float).eps
-    scale = float(np.max(np.abs(d)) + np.max(np.abs(e)))
-    floor = tol * scale if tol > 0.0 else 0.0
-    cap = sweep_cap_factor * n
-    sweeps = 0
-    for low in range(n):
-        while True:
-            m = low
-            while m < n - 1:
-                neighborhood = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * neighborhood + floor:
-                    break
-                m += 1
-            if m == low:
-                break
-            sweeps += 1
-            if sweeps > cap:
-                raise ConvergenceError(
-                    f"tridiagonal QL iteration exceeded {cap} sweeps (n={n})"
-                )
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[low] + e[low] / (g + math.copysign(r, g))
-            s_rot = 1.0
-            c_rot = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, low - 1, -1):
-                f = s_rot * e[i]
-                b = c_rot * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s_rot = f / r
-                c_rot = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s_rot + 2.0 * c_rot * b
-                p = s_rot * r
-                d[i + 1] = g + p
-                g = c_rot * r - b
-                if z is not None:
-                    col = z[:, i + 1].copy()
-                    z[:, i + 1] = s_rot * z[:, i] + c_rot * col
-                    z[:, i] = c_rot * z[:, i] - s_rot * col
-            if underflow:
-                continue
-            d[low] -= p
-            e[low] = g
-            e[m] = 0.0
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    if z is not None:
-        z = z[:, order]
-    return d, z
+    e = np.asarray(offdiag, dtype=float)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ConvergenceError(f"tridiagonal matrix (n={d.size}) has a NaN or inf entry")
+    try:
+        if vectors:
+            return eigh_tridiagonal(d, e)
+        return eigh_tridiagonal(d, e, eigvals_only=True), None
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigensolve failed (n={d.size}): {exc}") from exc
 
 
 def tridiag_eigenvalues(matrix: JacobiMatrix, tol: float = 1e-14) -> np.ndarray:
-    """All eigenvalues of a Jacobi matrix, sorted ascending."""
+    """All eigenvalues of a Jacobi matrix, sorted ascending.
+
+    ``tol`` must be positive but is otherwise unused: LAPACK solves to
+    working precision with its own deflation criterion.
+    """
     if tol <= 0.0:
         raise ParameterDomainError("tolerance must be positive")
-    values, _ = _tridiag_eig(matrix.diagonal, matrix.offdiagonal, tol=tol)
+    values, _ = _tridiag_eig(matrix.diagonal, matrix.offdiagonal)
     return values
 
 

@@ -1,7 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 
-from sgprecond.cli import main
+from sgprecond.cli import bundled_openblas, main
 
 SMALL = """sgp-config v1
 
@@ -27,6 +29,28 @@ max_iter = 200
 mu_refine = 16
 seed = 42
 """
+
+
+def _blas_thread_counts():
+    counts = []
+    for lib, suffix in bundled_openblas():
+        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return counts
+
+
+@pytest.fixture()
+def blas_threads():
+    """Read the bundled OpenBLAS thread counts; restore them afterwards."""
+    before = _blas_thread_counts()
+    yield _blas_thread_counts
+    for (lib, suffix), n in zip(bundled_openblas(), before):
+        setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(n)
 
 
 @pytest.fixture()
@@ -182,8 +206,17 @@ class TestExitCodes:
         assert main(["verify", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, small_cfg, monkeypatch):
+    def test_threads_env_fallback(self, small_cfg, monkeypatch, blas_threads):
         monkeypatch.setenv("SGP_THREADS", "2")
         assert main(["bounds", "--config", str(small_cfg), "--out", "/dev/null"]) == 0
         monkeypatch.setenv("SGP_THREADS", "zebra")
         assert main(["bounds", "--config", str(small_cfg), "--out", "/dev/null"]) == 2
+
+    def test_threads_flag_sets_bundled_openblas(self, small_cfg, monkeypatch, blas_threads):
+        monkeypatch.delenv("SGP_THREADS", raising=False)
+        assert len(bundled_openblas()) == 2  # numpy's and scipy's copies
+        argv = ["bounds", "--config", str(small_cfg), "--out", "/dev/null", "--threads"]
+        assert main(argv + ["1"]) == 0
+        assert blas_threads() == [1, 1]
+        assert main(argv + ["2"]) == 0
+        assert blas_threads() == [2, 2]

@@ -91,6 +91,12 @@ class TestGeneralizedLanczos:
         assert err.value.estimate is not None
         assert err.value.estimate.iterations == 4
 
+    def test_nan_operator_is_a_convergence_failure(self):
+        a = np.eye(30)
+        a[3, 7] = np.nan
+        with pytest.raises(ConvergenceError):
+            extreme_eigs_generalized(_DenseOp(a), None, tol=1e-8)
+
 
 class TestExtremeEigs:
     def test_small_dense_fallback(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
 from helpers import dense_preconditioner_matrix, random_instance
 from sgprecond.basis import MultiIndexSet, assemble_G
@@ -75,8 +76,22 @@ class TestMatvec:
 
     def test_dimension_mismatch(self):
         prob = small_problem()
-        with pytest.raises(ValueError):
-            prob.operator.matvec(np.zeros(5))
+        n = prob.operator.shape[0]
+        for bad in (np.zeros(5), np.zeros((n, 2)), np.zeros((1, n))):
+            with pytest.raises(ValueError):
+                prob.operator.matvec(bad)
+
+    def test_linear_operator_matmat_matches_sparse(self):
+        # scipy's LinearOperator hands matvec (n, 1) columns
+        rng = np.random.default_rng(31)
+        prob = small_problem(exprs=("1", "0.4", "0.3"), n=5, order=3)
+        x = rng.standard_normal((prob.operator.shape[0], 2))
+        expect = prob.operator.assemble_sparse() @ x
+        lin = aslinearoperator(prob.operator)
+        assert np.allclose(lin.matmat(x), expect, rtol=0, atol=1e-13)
+        column = prob.operator.matvec(x[:, :1])
+        assert column.shape == (x.shape[0], 1)
+        assert np.array_equal(column[:, 0], prob.operator.matvec(x[:, 0]))
 
     def test_dense_cap(self):
         prob = small_problem(n=30, order=8)
@@ -117,6 +132,19 @@ class TestPreconditioners:
                 v = rng.standard_normal(prob.operator.shape[0])
                 assert np.allclose(m.solve(m.matvec(v)), v, rtol=1e-10, atol=1e-10)
                 assert np.allclose(m.matvec(m.solve(v)), v, rtol=1e-10, atol=1e-10)
+
+    def test_solve_accepts_a_column(self):
+        rng = np.random.default_rng(37)
+        for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
+            prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
+            v = rng.standard_normal(prob.operator.shape[0])
+            for kind in kinds:
+                m = build_preconditioner(prob, kind)
+                column = m.solve(v[:, None])
+                assert column.shape == (v.size, 1)
+                assert np.array_equal(column[:, 0], m.solve(v))
+                with pytest.raises(ValueError):
+                    m.solve(np.zeros((v.size, 2)))
 
     def test_solve_is_self_adjoint(self):
         rng = np.random.default_rng(29)

@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
-from sgprecond.errors import DominanceError, ParameterDomainError
+from sgprecond.errors import ConvergenceError, DominanceError, ParameterDomainError
 from sgprecond.orthopoly import (
     chebyshev_u,
     d_last_via_quadrature,
@@ -90,14 +89,34 @@ class TestTridiagEigenvalues:
         w = tridiag_eigenvalues(jacobi_matrix(hermite(), 2))
         assert np.allclose(w, [-math.sqrt(0.5), math.sqrt(0.5)], atol=1e-14)
 
-    def test_against_lapack(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 3, 7, 25, 60):
-            d = rng.standard_normal(n)
-            e = rng.uniform(0.1, 1.0, size=n - 1)
-            mine, _ = _tridiag_eig(d, e)
-            ref = eigh_tridiagonal(d, e, eigvals_only=True)
-            assert np.allclose(mine, ref, atol=1e-12 * max(1.0, np.abs(ref).max()))
+    def test_legendre_nodes_against_numpy(self):
+        # Golub-Welsch nodes against numpy's independent Legendre rule
+        for s in range(1, 101):
+            ref, _ = np.polynomial.legendre.leggauss(s)
+            assert np.allclose(gauss_rule(legendre(), s).nodes, ref, rtol=0, atol=1e-14)
+
+    def test_hermite_nodes_against_numpy(self):
+        # beta_n = n/2 is the physicists' Hermite family of hermgauss
+        for s in range(1, 61):
+            ref, _ = np.polynomial.hermite.hermgauss(s)
+            nodes = gauss_rule(hermite(), s).nodes
+            assert np.allclose(nodes, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
+
+    def test_chebyshev_u_closed_form(self):
+        # J = tridiag(1/2, 0, 1/2): eigenvalues cos(j pi/(s+1)), eigenvectors
+        # sqrt(2/(s+1)) sin(j k pi/(s+1)), so the squared last components are
+        # 2/(s+1) sin^2(j pi/(s+1))
+        for s in (1, 2, 3, 10, 57, 100):
+            theta = np.arange(s, 0, -1) * math.pi / (s + 1)
+            rule = gauss_rule(chebyshev_u(), s)
+            assert np.allclose(rule.nodes, np.cos(theta), rtol=0, atol=1e-14)
+            assert np.allclose(rule.weights, 2.0 / (s + 1) * np.sin(theta) ** 2, rtol=0, atol=1e-14)
+
+    def test_nonfinite_entry_is_a_convergence_failure(self):
+        with pytest.raises(ConvergenceError):
+            _tridiag_eig([math.nan, 1.0], [1.0])
+        with pytest.raises(ConvergenceError):
+            _tridiag_eig([0.0, 1.0], [math.inf], vectors=True)
 
     def test_eigenvectors_against_lapack(self):
         rng = np.random.default_rng(8)

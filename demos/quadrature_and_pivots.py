@@ -13,12 +13,12 @@ from sgprecond import (
     d_sequence,
     gauss_rule,
     gegenbauer,
-    h_extreme_eigs,
     hermite,
     jacobi_matrix,
     legendre,
     mu_bar,
     recurrence_coeffs,
+    splitting_bounds_tp,
     tridiag_eigenvalues,
 )
 
@@ -50,7 +50,8 @@ for fam, mu in ((legendre(), 1.0), (legendre(), 0.83), (hermite(), 0.3)):
 
 print("\nextreme eigenvalues 1 -/+ sqrt(1 - d_s) of the coarse/detail block:")
 for mu in (0.5, 0.83, 0.95):
-    lo, hi = h_extreme_eigs(legendre(), mu, 3)
+    b = splitting_bounds_tp(legendre(), 3, mu)
+    lo, hi = b.c_lower, b.c_upper
     print(f"  legendre, order 3, mu={mu}: ({lo:.6f}, {hi:.6f}), ratio {hi/lo:.4f}")
 
 print("\ndominance thresholds that keep the assembled operator definite:")

@@ -4,7 +4,6 @@ two-sided bounds for the spectra of the preconditioned operators."""
 
 from .basis import MultiIndexSet, StochasticMatrix, assemble_G, assemble_G_tilde, make_index_set
 from .bounds import (
-    ClassicalBounds,
     SpectralBounds,
     cbs_and_gs2,
     classical_bounds,
@@ -51,10 +50,7 @@ from .operator import (
     DiscreteProblem,
     GalerkinOperator,
     Preconditioner,
-    apply_inverse,
-    assemble_dense,
     build_preconditioner,
-    matvec,
 )
 from .orthopoly import (
     DSequence,
@@ -67,7 +63,6 @@ from .orthopoly import (
     family_from_name,
     gauss_rule,
     gegenbauer,
-    h_extreme_eigs,
     hermite,
     jacobi_matrix,
     legendre,

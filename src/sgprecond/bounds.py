@@ -31,7 +31,6 @@ from .orthopoly import RecurrenceFamily, d_sequence, max_root
 
 __all__ = [
     "SpectralBounds",
-    "ClassicalBounds",
     "mean_based_bounds",
     "classical_bounds",
     "truncated_bounds",
@@ -68,14 +67,6 @@ class SpectralBounds:
     t_arg: int | None = None
 
 
-@dataclass(frozen=True)
-class ClassicalBounds:
-    c_lower: float
-    c_upper: float
-    vacuous: bool
-    kappa_bound: float
-
-
 def _symmetric_bounds(kind: str, reach: float) -> SpectralBounds:
     c_lo = 1.0 - reach
     c_hi = 1.0 + reach
@@ -92,15 +83,11 @@ def mean_based_bounds(family: RecurrenceFamily, index_set: MultiIndexSet, mu: fl
     return _symmetric_bounds(MEAN_BASED, mu * max_root(family, index_set.max_order))
 
 
-def classical_bounds(family: RecurrenceFamily, index_set: MultiIndexSet, mu_class: float) -> ClassicalBounds:
+def classical_bounds(family: RecurrenceFamily, index_set: MultiIndexSet, mu_class: float) -> SpectralBounds:
     """Counterpart bounds from the global-norm dominance ratio."""
     if mu_class < 0.0:
         raise ParameterDomainError("mu_class must be nonnegative")
-    reach = mu_class * max_root(family, index_set.max_order)
-    c_lo = 1.0 - reach
-    c_hi = 1.0 + reach
-    vacuous = not c_lo > 0.0
-    return ClassicalBounds(c_lo, c_hi, vacuous, math.inf if vacuous else c_hi / c_lo)
+    return _symmetric_bounds("classical", mu_class * max_root(family, index_set.max_order))
 
 
 def truncated_bounds(family: RecurrenceFamily, s_last: int, mu: float) -> SpectralBounds:
@@ -154,36 +141,24 @@ def splitting_bounds_complete(family: RecurrenceFamily, order: int, mu: float) -
     return cbs_and_gs2(b)
 
 
-def _tilde_terms(family, index_set, values, kind):
-    """Dense (coefficient, matrix) pairs of the preconditioner side of the
-    per-element comparison, for one element's coefficients ``values``."""
+def _comparison_terms(family, index_set, gs, kind):
+    """Dense matrices whose combination with one element's coefficients is
+    the preconditioner side of the per-element comparison; ``gs`` holds the
+    dense G_0..G_K of the operator side, G_0 the identity."""
     nvars = index_set.nvars
-    n = index_set.size
-    eye = np.eye(n)
     if kind == MEAN_BASED:
-        return values[0] * eye
-    if kind == TRUNCATED_TP:
-        if index_set.kind != TENSOR:
-            raise UsageError("truncated comparison requires a tensor-product basis")
-        out = values[0] * eye
-        for k in range(1, nvars):
-            out += values[k] * assemble_G(family, index_set, k).toarray()
-        return out
-    if kind == SPLITTING_TP:
-        if index_set.kind != TENSOR:
-            raise UsageError("tensor splitting comparison requires a tensor-product basis")
-        out = values[0] * eye
-        for k in range(1, nvars):
-            out += values[k] * assemble_G(family, index_set, k).toarray()
-        out += values[nvars] * assemble_G_tilde(family, index_set, nvars, TENSOR).toarray()
-        return out
+        return gs[:1]
     if kind == SPLITTING_COMPLETE:
         if index_set.kind != COMPLETE:
             raise UsageError("complete splitting comparison requires a complete basis")
-        out = values[0] * eye
-        for k in range(1, nvars + 1):
-            out += values[k] * assemble_G_tilde(family, index_set, k, COMPLETE).toarray()
-        return out
+        return gs[:1] + [assemble_G_tilde(family, index_set, k, COMPLETE).toarray()
+                         for k in range(1, nvars + 1)]
+    if kind in (TRUNCATED_TP, SPLITTING_TP):
+        if index_set.kind != TENSOR:
+            raise UsageError(f"{kind} comparison requires a tensor-product basis")
+        if kind == TRUNCATED_TP:
+            return gs[:nvars]
+        return gs[:nvars] + [assemble_G_tilde(family, index_set, nvars, TENSOR).toarray()]
     raise UsageError(f"no per-element comparison for preconditioner kind {kind!r}")
 
 
@@ -209,12 +184,13 @@ def element_equivalence_oracle(
     if field.nterms != index_set.nvars:
         raise UsageError("field and basis disagree on the number of variables")
     gs = [assemble_G(family, index_set, k).toarray() for k in range(index_set.nvars + 1)]
+    terms = _comparison_terms(family, index_set, gs, kind)
     lo = math.inf
     hi = -math.inf
     for j in range(field.n_elements):
         values = field.values[:, j]
         lhs = sum(values[k] * gs[k] for k in range(len(gs)))
-        rhs = _tilde_terms(family, index_set, values, kind)
+        rhs = sum(values[k] * terms[k] for k in range(len(terms)))
         try:
             np.linalg.cholesky(rhs)
         except np.linalg.LinAlgError:

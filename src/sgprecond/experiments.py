@@ -243,11 +243,8 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
         problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
         cells["N"] = Cell(float(problem.operator.shape[0]))
-        mean_m = None
         for kind in cfg.preconditioners:
             m = operator.build_preconditioner(problem, kind)
-            if kind == MEAN_BASED:
-                mean_m = m
             est = eigsolve.extreme_eigs_generalized(
                 problem.operator, m, tol=min(cfg.tol, 1e-6), max_iter=cfg.max_iter, seed=cfg.seed
             )
@@ -284,7 +281,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
                 cells["oracle_min"] = Cell(lo, DENSE)
                 cells["oracle_max"] = Cell(hi, DENSE)
         if cfg.kappa_a:
-            accel = mean_m or operator.build_preconditioner(problem, MEAN_BASED)
+            accel = operator.build_preconditioner(problem, MEAN_BASED)
             est_a = eigsolve.extreme_eigs(
                 problem.operator, tol=cfg.tol, max_iter=cfg.max_iter, accel=accel, seed=cfg.seed
             )

@@ -3,11 +3,25 @@ block preconditioners obtained by modifying the stochastic couplings.
 
 With basis functions numbered so that the finite-element index changes
 fastest, the global matrix is sum_k G_k (x) F_k and a product with a vector
-v reshaped into an (N_P, N_FE) array W is sum_k G_k @ W @ F_k.  All
-preconditioners here are block-diagonal restrictions of the operator to
-groups of stochastic indices (plus, for the two-block Gauss-Seidel variant,
-the coupling between the two groups), so their blocks coincide with diagonal
-blocks of the operator itself.
+v reshaped into an (N_P, N_FE) array W is sum_k G_k @ W @ F_k.
+
+Every preconditioner is M = diag(A11, I_count (x) T): an optional coarse
+block A11 (the operator restricted to the leading stochastic indices)
+followed by one block T repeated along the diagonal.  The two-block
+Gauss-Seidel variant also keeps the coupling B between the two groups.
+
+    kind                coarse  repeated block T                coupling B
+    mean_based          none    F0, N_P copies                  no
+    truncated_tp        none    truncated block, s_last copies  no
+    splitting_tp        A11     truncated block, one copy       no
+    splitting_complete  A11     F0, one copy per top index      no
+    gs2                 A11     as for the splitting            yes
+
+The truncated block is the operator of the leading variables without the
+last expansion term.  Because every recurrence has alpha_n = 0, the detail
+block of each splitting equals its repeated block exactly.  A problem
+factors each of F0, the truncated block and A11 at most once, whichever
+preconditioner asks for it first.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
+from .basis import TENSOR, MultiIndexSet, assemble_G
 from .errors import FactorizationError, SizeError, UsageError
 from .fem import CoefficientField, Mesh, assemble_F
 from .orthopoly import RecurrenceFamily
@@ -26,9 +40,6 @@ __all__ = [
     "DiscreteProblem",
     "Preconditioner",
     "build_preconditioner",
-    "matvec",
-    "apply_inverse",
-    "assemble_dense",
     "MEAN_BASED",
     "TRUNCATED_TP",
     "SPLITTING_TP",
@@ -108,14 +119,6 @@ class GalerkinOperator:
         return self.assemble_sparse().toarray()
 
 
-def matvec(op: GalerkinOperator, v: np.ndarray) -> np.ndarray:
-    return op.matvec(v)
-
-
-def assemble_dense(op: GalerkinOperator, cap: int = DENSE_CAP) -> np.ndarray:
-    return op.assemble_dense(cap)
-
-
 class DiscreteProblem:
     """A mesh, a coefficient field and a basis, with all matrices assembled."""
 
@@ -128,6 +131,7 @@ class DiscreteProblem:
         self.fs = fs
         self.operator = GalerkinOperator(gs, fs)
         self._sparse = None
+        self._factors = {}  # block name -> (block, LU factors)
 
     @classmethod
     def build(
@@ -167,6 +171,33 @@ def _factor(block: sp.spmatrix, what: str):
     return lu
 
 
+def _factored(problem: DiscreteProblem, key: str, what: str, make):
+    """(block, LU factors) of one preconditioner block, made and factored
+    the first time any preconditioner of the problem asks for it."""
+    if key not in problem._factors:
+        block = make().tocsr()
+        problem._factors[key] = (block, _factor(block, what))
+    return problem._factors[key]
+
+
+def _mean_block(problem: DiscreteProblem):
+    return _factored(problem, "mean", "the mean block", lambda: problem.fs[0])
+
+
+def _truncated_block(problem: DiscreteProblem):
+    """sum_{k<K} G_k (x) F_k over the tensor basis without its last variable."""
+    iset = problem.index_set
+    if iset.nvars == 1:
+        return _mean_block(problem)
+
+    def make():
+        sub = MultiIndexSet.tensor(iset.orders[:-1])
+        gs = [assemble_G(problem.family, sub, k) for k in range(iset.nvars)]
+        return GalerkinOperator(gs, problem.fs[: iset.nvars]).assemble_sparse()
+
+    return _factored(problem, "truncated", "the truncated leading block", make)
+
+
 def _splitting_cut(index_set: MultiIndexSet) -> int:
     """Number of leading indices in the coarse group of the two-block
     splitting (all remaining indices form the detail group)."""
@@ -177,26 +208,34 @@ def _splitting_cut(index_set: MultiIndexSet) -> int:
 
 
 class Preconditioner:
-    """Factorized block preconditioner; supports exact solves with M and
-    products with M."""
+    """M = diag(A11, I_count (x) T) with exact solves and products.
 
-    def __init__(self, kind, n_p, n_fe, data):
+    T is ``block``, repeated ``count`` times along the diagonal; the optional
+    coarse block A11 = A[:cut, :cut] comes first.  With the ``coupling``
+    B = A[cut:, :cut], M is the symmetric two-block Gauss-Seidel sweep
+    L D^-1 L^T with L = [[A11, 0], [B, I (x) T]] and D = diag(A11, I (x) T).
+    """
+
+    def __init__(self, kind, block, count, coarse=None, coupling=None):
         self.kind = kind
-        self.n_p = n_p
-        self.n_fe = n_fe
-        self._d = data
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.n_p * self.n_fe
-        return (n, n)
+        self.block, self._lu = block
+        self.count = count
+        self.coarse, self._lu11 = coarse or (None, None)
+        self.coupling = coupling
 
     @property
     def split_index(self) -> int | None:
-        """First degree of freedom of the detail block for the two-block
-        kinds, None for the other kinds."""
-        cut = self._d.get("cut")
-        return cut if cut else None
+        """First degree of freedom after the coarse block, None without one."""
+        return None if self.coarse is None else self.coarse.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = (self.split_index or 0) + self.count * self.block.shape[0]
+        return (n, n)
+
+    def _repeated(self, apply, v: np.ndarray) -> np.ndarray:
+        """``apply`` (T or T^-1) on each of the count segments of v."""
+        return apply(v.reshape(self.count, -1).T).T.ravel()
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """M^-1 r for a vector or an (n, 1) column; the result has r's shape."""
@@ -204,118 +243,56 @@ class Preconditioner:
         return self._solve(r.ravel()).reshape(r.shape)
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
-        d = self._d
-        if self.kind == MEAN_BASED:
-            w = r.reshape(self.n_p, self.n_fe)
-            return d["lu"].solve(w.T).T.ravel()
-        if self.kind == TRUNCATED_TP:
-            w = r.reshape(d["nblocks"], d["block_n"])
-            return d["lu"].solve(w.T).T.ravel()
-        cut = d["cut"]
-        if self.kind in (SPLITTING_TP, SPLITTING_COMPLETE):
-            out = np.empty_like(r)
-            if cut > 0:
-                out[:cut] = d["lu1"].solve(r[:cut])
-            if cut < r.size:
-                out[cut:] = d["lu2"].solve(r[cut:])
-            return out
-        # symmetric two-block Gauss-Seidel sweep
-        r1, r2 = r[:cut], r[cut:]
-        u1 = d["lu1"].solve(r1)
-        x2 = d["lu2"].solve(r2 - d["B"].dot(u1))
-        x1 = u1 - d["lu1"].solve(d["Bt"].dot(x2))
+        cut = self.split_index or 0
+        r2 = r[cut:]
+        if self.coarse is not None:
+            x1 = self._lu11.solve(r[:cut])
+            if self.coupling is not None:
+                r2 = r2 - self.coupling.dot(x1)
+        x2 = self._repeated(self._lu.solve, r2)
+        if self.coarse is None:
+            return x2
+        if self.coupling is not None:
+            x1 = x1 - self._lu11.solve(self.coupling.T.dot(x2))
         return np.concatenate([x1, x2])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        d = self._d
-        if self.kind == MEAN_BASED:
-            w = v.reshape(self.n_p, self.n_fe)
-            return d["f0"].dot(w.T).T.ravel()
-        if self.kind == TRUNCATED_TP:
-            w = v.reshape(d["nblocks"], d["block_n"])
-            return d["block"].dot(w.T).T.ravel()
-        cut = d["cut"]
-        if self.kind in (SPLITTING_TP, SPLITTING_COMPLETE):
-            parts = []
-            if cut > 0:
-                parts.append(d["A11"].dot(v[:cut]))
-            if cut < v.size:
-                parts.append(d["A22"].dot(v[cut:]))
-            return np.concatenate(parts)
-        v1, v2 = v[:cut], v[cut:]
-        t1 = d["A11"].dot(v1) + d["Bt"].dot(v2)
-        u1 = d["lu1"].solve(t1)
-        return np.concatenate([t1, d["B"].dot(u1) + d["A22"].dot(v2)])
+        cut = self.split_index or 0
+        y2 = self._repeated(self.block.dot, v[cut:])
+        if self.coarse is None:
+            return y2
+        y1 = self.coarse.dot(v[:cut])
+        if self.coupling is not None:
+            y1 = y1 + self.coupling.T.dot(v[cut:])
+            y2 = y2 + self.coupling.dot(self._lu11.solve(y1))
+        return np.concatenate([y1, y2])
 
 
 def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
-    """Build and factorize the requested preconditioner for a problem."""
+    """Build the requested preconditioner from the problem's factored
+    blocks (see the module docstring for which blocks each kind uses)."""
     if kind not in PRECONDITIONER_KINDS:
         raise UsageError(f"unknown preconditioner kind {kind!r}")
     iset = problem.index_set
-    n_p, n_fe = iset.size, problem.fs[0].shape[0]
-    # with no fluctuation terms every kind collapses to the mean block
-    if kind == MEAN_BASED or problem.field.nterms == 0:
-        lu = _factor(problem.fs[0], "the mean block")
-        return Preconditioner(MEAN_BASED, n_p, n_fe, {"lu": lu, "f0": problem.fs[0]})
+    tensor = iset.kind == TENSOR
+    if kind in (TRUNCATED_TP, SPLITTING_TP) and not tensor:
+        raise UsageError(f"{kind} requires a tensor-product basis")
+    if kind == SPLITTING_COMPLETE and tensor:
+        raise UsageError("complete splitting requires a complete basis")
+    if kind == MEAN_BASED:
+        return Preconditioner(kind, _mean_block(problem), iset.size)
     if kind == TRUNCATED_TP:
-        if iset.kind != TENSOR:
-            raise UsageError("truncated preconditioner requires a tensor-product basis")
-        nblocks = iset.orders[-1]
-        if iset.nvars == 1:
-            block = problem.fs[0]
-        else:
-            sub = MultiIndexSet.tensor(iset.orders[:-1])
-            block = sp.kron(sp.identity(sub.size, format="csr"), problem.fs[0], format="csr")
-            for k in range(1, iset.nvars):  # terms 1..K-1 only
-                g = assemble_G(problem.family, sub, k).mat
-                block = block + sp.kron(g, problem.fs[k], format="csr")
-        lu = _factor(block, "the truncated leading block")
-        return Preconditioner(
-            TRUNCATED_TP,
-            n_p,
-            n_fe,
-            {"lu": lu, "block": block.tocsr(), "nblocks": nblocks, "block_n": block.shape[0]},
-        )
-    if kind in (SPLITTING_TP, SPLITTING_COMPLETE, GAUSS_SEIDEL_2):
-        if kind == SPLITTING_TP and iset.kind != TENSOR:
-            raise UsageError("tensor splitting requires a tensor-product basis")
-        if kind == SPLITTING_COMPLETE and iset.kind != COMPLETE:
-            raise UsageError("complete splitting requires a complete basis")
-        cut = _splitting_cut(iset) * n_fe
-        a = problem.assemble_sparse()
-        n = a.shape[0]
-        if cut == 0 or cut == n:
-            # degenerate splitting (s = 1): one group, M equals the operator
-            lu = _factor(a, "the full operator")
-            data = {"cut": 0, "lu1": _EmptySolve(), "lu2": lu, "A11": _EMPTY, "A22": a}
-            if kind == GAUSS_SEIDEL_2:
-                data["B"] = sp.csr_matrix((n, 0))
-                data["Bt"] = sp.csr_matrix((0, n))
-            return Preconditioner(kind, n_p, n_fe, data)
-        a11 = a[:cut, :][:, :cut].tocsr()
-        a22 = a[cut:, :][:, cut:].tocsr()
-        lu1 = _factor(a11, "the coarse splitting block")
-        lu2 = _factor(a22, "the detail splitting block")
-        data = {"cut": cut, "lu1": lu1, "lu2": lu2, "A11": a11, "A22": a22}
-        if kind == GAUSS_SEIDEL_2:
-            b = a[cut:, :][:, :cut].tocsr()
-            data["B"] = b
-            data["Bt"] = b.T.tocsr()
-        return Preconditioner(kind, n_p, n_fe, data)
-    raise UsageError(f"unknown preconditioner kind {kind!r}")
-
-
-class _EmptySolve:
-    """Stand-in factorization for a zero-size block."""
-
-    def solve(self, r):
-        return r
-
-
-_EMPTY = sp.csr_matrix((0, 0))
-
-
-def apply_inverse(m: Preconditioner, r: np.ndarray) -> np.ndarray:
-    return m.solve(r)
+        return Preconditioner(kind, _truncated_block(problem), iset.orders[-1])
+    cut = _splitting_cut(iset)
+    if tensor:
+        block, count = _truncated_block(problem), 1
+    else:
+        block, count = _mean_block(problem), iset.size - cut
+    if cut == 0:  # order 1: the repeated block alone is the operator
+        return Preconditioner(kind, block, count)
+    cut *= problem.operator.n_fe
+    a = problem.assemble_sparse()
+    coarse = _factored(problem, "coarse", "the coarse splitting block", lambda: a[:cut, :cut])
+    coupling = a[cut:, :cut].tocsr() if kind == GAUSS_SEIDEL_2 else None
+    return Preconditioner(kind, block, count, coarse, coupling)

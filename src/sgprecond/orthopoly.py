@@ -42,7 +42,6 @@ __all__ = [
     "gauss_rule",
     "d_sequence",
     "d_last_via_quadrature",
-    "h_extreme_eigs",
     "mu_bar",
 ]
 
@@ -295,18 +294,6 @@ def d_last_via_quadrature(family: RecurrenceFamily, mu: float, s: int) -> float:
             index=j,
         )
     return float(1.0 / np.sum(rule.weights / denom))
-
-
-def h_extreme_eigs(family: RecurrenceFamily, mu: float, s: int) -> tuple[float, float]:
-    """Extreme eigenvalues (1 - sqrt(1-d_s), 1 + sqrt(1-d_s)) of the
-    order-s coarse/detail comparison matrix; (1, 1) for s = 1."""
-    if s < 1:
-        raise ParameterDomainError("order must be >= 1")
-    if s == 1:
-        return (1.0, 1.0)
-    d = float(d_sequence(family, mu, s).values[-1])
-    r = math.sqrt(max(1.0 - d, 0.0))
-    return (1.0 - r, 1.0 + r)
 
 
 def mu_bar(family: RecurrenceFamily, basis_kind: str, orders) -> float:

@@ -42,7 +42,6 @@ from sgprecond.orthopoly import (
     d_sequence,
     gauss_rule,
     gegenbauer,
-    h_extreme_eigs,
     hermite,
     jacobi_matrix,
     legendre,
@@ -296,9 +295,9 @@ class TestCriterion6RandomizedPropertySuite:
                         h_plus = dense_h_matrix(family, mu_h, s, +1)
                         w_h = np.sort(np.linalg.eigvals(h_plus).real)
                         assert np.sum(np.abs(w_h - 1.0) <= 1e-10) == s - 2
-                        lo_h, hi_h = h_extreme_eigs(family, mu_h, s)
-                        assert w_h[0] == pytest.approx(lo_h, abs=1e-10)
-                        assert w_h[-1] == pytest.approx(hi_h, abs=1e-10)
+                        b_h = splitting_bounds_tp(family, s, mu_h)
+                        assert w_h[0] == pytest.approx(b_h.c_lower, abs=1e-10)
+                        assert w_h[-1] == pytest.approx(b_h.c_upper, abs=1e-10)
                         w_minus = np.sort(
                             np.linalg.eigvals(dense_h_matrix(family, mu_h, s, -1)).real
                         )

@@ -145,16 +145,14 @@ class TestSplitting:
 class TestDenseComparisonMatrix:
     @pytest.mark.parametrize("fam", [legendre(), chebyshev_u(), gegenbauer(2.0)], ids=lambda f: f.label)
     def test_unit_eigenvalue_count_and_extremes(self, fam):
-        from sgprecond.orthopoly import h_extreme_eigs
-
         for s in (2, 3, 5, 8):
             for mu in (0.15, 0.6, 0.95):
                 h = dense_h_matrix(fam, mu, s, +1)
                 w = np.sort(np.linalg.eigvals(h).real)
                 assert np.sum(np.abs(w - 1.0) <= 1e-10) == s - 2
-                lo, hi = h_extreme_eigs(fam, mu, s)
-                assert w[0] == pytest.approx(lo, abs=1e-11)
-                assert w[-1] == pytest.approx(hi, abs=1e-11)
+                b = splitting_bounds_tp(fam, s, mu)
+                assert w[0] == pytest.approx(b.c_lower, abs=1e-11)
+                assert w[-1] == pytest.approx(b.c_upper, abs=1e-11)
                 w_minus = np.sort(np.linalg.eigvals(dense_h_matrix(fam, mu, s, -1)).real)
                 assert w_minus[0] == pytest.approx(w[0], abs=1e-11)
                 assert w_minus[-1] == pytest.approx(w[-1], abs=1e-11)

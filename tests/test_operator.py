@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.linalg import aslinearoperator
 
 from helpers import dense_preconditioner_matrix, random_instance
+from sgprecond import operator
 from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.errors import SizeError, UsageError
 from sgprecond.fem import assemble_F, build_mesh, sample_coefficients
@@ -16,7 +18,6 @@ from sgprecond.operator import (
     TRUNCATED_TP,
     DiscreteProblem,
     GalerkinOperator,
-    apply_inverse,
     build_preconditioner,
 )
 from sgprecond.orthopoly import legendre
@@ -121,7 +122,7 @@ class TestPreconditioners:
     def test_splitting_complete_block_sizes(self):
         prob = small_problem(order=3)  # degrees 0,1 vs degree 2 over one variable
         m = build_preconditioner(prob, SPLITTING_COMPLETE)
-        assert m._d["cut"] == 2 * prob.operator.n_fe
+        assert m.split_index == 2 * prob.operator.n_fe
 
     def test_solve_inverts_matvec(self):
         rng = np.random.default_rng(23)
@@ -157,45 +158,80 @@ class TestPreconditioners:
                 assert u @ m.solve(v) == pytest.approx(v @ m.solve(u), rel=1e-10)
 
     def test_block_kinds_differ_from_operator_only_at_cut_couplings(self):
-        prob = small_problem(exprs=("1", "0.4", "0.3"), n=3, order=3)
-        a = prob.operator.assemble_dense()
-        m = build_preconditioner(prob, SPLITTING_COMPLETE)
-        dense = dense_preconditioner_matrix(prob, m)
-        cut = m._d["cut"]
-        diff = a - dense
-        assert np.allclose(diff[:cut, :cut], 0.0, atol=1e-12)
-        assert np.allclose(diff[cut:, cut:], 0.0, atol=1e-12)
-        assert np.abs(diff[cut:, :cut]).max() > 0.0
+        for basis, kind in (("complete", SPLITTING_COMPLETE), ("tensor", SPLITTING_TP)):
+            prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=3, order=3)
+            a = prob.operator.assemble_dense()
+            m = build_preconditioner(prob, kind)
+            dense = dense_preconditioner_matrix(prob, m)
+            cut = m.split_index
+            diff = a - dense
+            assert np.allclose(diff[:cut, :cut], 0.0, atol=1e-12)
+            assert np.allclose(diff[cut:, cut:], 0.0, atol=1e-12)
+            assert np.abs(diff[cut:, :cut]).max() > 0.0
 
     def test_truncated_blocks_repeat_leading_operator(self):
         prob = small_problem(basis="tensor", exprs=("1", "0.4", "0.3"), n=3, order=2)
         m = build_preconditioner(prob, TRUNCATED_TP)
         a = prob.operator.assemble_dense()
         dense = dense_preconditioner_matrix(prob, m)
-        bn = m._d["block_n"]
-        for b in range(m._d["nblocks"]):
+        bn = m.block.shape[0]
+        for b in range(m.count):
             seg = slice(b * bn, (b + 1) * bn)
             assert np.allclose(dense[seg, seg], a[seg, seg], atol=1e-12)
         off = dense.copy()
-        for b in range(m._d["nblocks"]):
+        for b in range(m.count):
             seg = slice(b * bn, (b + 1) * bn)
             off[seg, seg] = 0.0
         assert np.abs(off).max() == 0.0
 
     def test_gs2_matches_factored_formula(self):
-        prob = small_problem(exprs=("1", "0.5", "0.2"), n=3, order=3)
-        a = prob.operator.assemble_dense()
-        m = build_preconditioner(prob, GAUSS_SEIDEL_2)
-        cut = m._d["cut"]
-        d1, d2 = a[:cut, :cut], a[cut:, cut:]
-        b = a[cut:, :cut]
-        lower = np.block([[d1, np.zeros((cut, a.shape[0] - cut))], [b, d2]])
-        dinv = np.linalg.inv(np.block([
-            [d1, np.zeros((cut, a.shape[0] - cut))],
-            [np.zeros((a.shape[0] - cut, cut)), d2],
-        ]))
-        expect = lower @ dinv @ lower.T
-        assert np.allclose(dense_preconditioner_matrix(prob, m), expect, atol=1e-10)
+        for basis in ("complete", "tensor"):
+            prob = small_problem(basis=basis, exprs=("1", "0.5", "0.2"), n=3, order=3)
+            a = prob.operator.assemble_dense()
+            m = build_preconditioner(prob, GAUSS_SEIDEL_2)
+            cut = m.split_index
+            d1, d2 = a[:cut, :cut], a[cut:, cut:]
+            b = a[cut:, :cut]
+            lower = np.block([[d1, np.zeros((cut, a.shape[0] - cut))], [b, d2]])
+            dinv = np.linalg.inv(np.block([
+                [d1, np.zeros((cut, a.shape[0] - cut))],
+                [np.zeros((a.shape[0] - cut, cut)), d2],
+            ]))
+            expect = lower @ dinv @ lower.T
+            assert np.allclose(dense_preconditioner_matrix(prob, m), expect, atol=1e-10)
+
+    def test_gs2_condition_follows_cbs_identity(self):
+        # two-block theory: kappa_GS2 = 1/(1 - gamma^2) with
+        # gamma = (kappa_SB - 1)/(kappa_SB + 1), on exact pencil extremes
+        for basis, split in (("complete", SPLITTING_COMPLETE), ("tensor", SPLITTING_TP)):
+            prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
+            a = prob.operator.assemble_dense()
+            kappas = []
+            for kind in (split, GAUSS_SEIDEL_2):
+                m_dense = dense_preconditioner_matrix(prob, build_preconditioner(prob, kind))
+                w = scipy.linalg.eigh(a, m_dense, eigvals_only=True)
+                kappas.append(w[-1] / w[0])
+            gamma = (kappas[0] - 1.0) / (kappas[0] + 1.0)
+            assert kappas[1] == pytest.approx(1.0 / (1.0 - gamma * gamma), rel=1e-8)
+
+    def test_each_block_is_factored_once_per_problem(self, monkeypatch):
+        calls = []
+        splu = operator.spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(operator.spla, "splu", counting)
+        for basis, kinds, factors in (
+            ("complete", self.KINDS_COMPLETE, 2),  # F0 and A11
+            ("tensor", self.KINDS_TENSOR, 3),  # F0, the truncated block and A11
+        ):
+            calls.clear()
+            prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
+            for kind in kinds:
+                build_preconditioner(prob, kind)
+            assert len(calls) == factors
 
     def test_mean_only_field_makes_every_kind_exact(self):
         mesh = build_mesh(1, 4)
@@ -227,9 +263,3 @@ class TestPreconditioners:
             build_preconditioner(tens, SPLITTING_COMPLETE)
         with pytest.raises(UsageError):
             build_preconditioner(comp, "jacobi")
-
-    def test_apply_inverse_alias(self):
-        prob = small_problem()
-        m = build_preconditioner(prob, MEAN_BASED)
-        r = np.linspace(0, 1, prob.operator.shape[0])
-        assert np.array_equal(apply_inverse(m, r), m.solve(r))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgprecond.bounds import splitting_bounds_tp
 from sgprecond.errors import ConvergenceError, DominanceError, ParameterDomainError
 from sgprecond.orthopoly import (
     chebyshev_u,
@@ -10,7 +11,6 @@ from sgprecond.orthopoly import (
     d_sequence,
     gauss_rule,
     gegenbauer,
-    h_extreme_eigs,
     hermite,
     jacobi_matrix,
     legendre,
@@ -274,18 +274,20 @@ class TestDSequence:
 
 class TestHExtremes:
     def test_legendre_full_dominance(self):
-        lo, hi = h_extreme_eigs(legendre(), 1.0, 2)
-        assert lo == pytest.approx(1 - math.sqrt(1 / 3), abs=1e-14)
-        assert hi == pytest.approx(1 + math.sqrt(1 / 3), abs=1e-14)
+        b = splitting_bounds_tp(legendre(), 2, 1.0)
+        assert b.c_lower == pytest.approx(1 - math.sqrt(1 / 3), abs=1e-14)
+        assert b.c_upper == pytest.approx(1 + math.sqrt(1 / 3), abs=1e-14)
 
     def test_no_fluctuation(self):
         for fam in FAMILIES:
-            assert h_extreme_eigs(fam, 0.0, 5) == (1.0, 1.0)
-            assert h_extreme_eigs(fam, 0.7 * min(mu_bar(fam, "complete", 5), 1.0), 1) == (1.0, 1.0)
+            b = splitting_bounds_tp(fam, 5, 0.0)
+            assert (b.c_lower, b.c_upper) == (1.0, 1.0)
+            b = splitting_bounds_tp(fam, 1, 0.7 * min(mu_bar(fam, "complete", 5), 1.0))
+            assert (b.c_lower, b.c_upper) == (1.0, 1.0)
 
     def test_table_ratio(self):
-        lo, hi = h_extreme_eigs(legendre(), 0.90, 3)
-        assert hi / lo == pytest.approx(3.38, abs=0.01)
+        b = splitting_bounds_tp(legendre(), 3, 0.90)
+        assert b.c_upper / b.c_lower == pytest.approx(3.38, abs=0.01)
 
 
 class TestMuBar:

@@ -2,7 +2,7 @@
 preconditioners built by modifying the stochastic couplings, and guaranteed
 two-sided bounds for the spectra of the preconditioned operators."""
 
-from .basis import MultiIndexSet, StochasticMatrix, assemble_G, assemble_G_tilde, make_index_set
+from .basis import MultiIndexSet, StochasticMatrix, assemble_G, assemble_G_tilde
 from .bounds import (
     SpectralBounds,
     cbs_and_gs2,

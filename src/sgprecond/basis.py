@@ -22,7 +22,6 @@ from .orthopoly import RecurrenceFamily
 __all__ = [
     "MultiIndexSet",
     "StochasticMatrix",
-    "make_index_set",
     "assemble_G",
     "assemble_G_tilde",
 ]
@@ -117,19 +116,6 @@ class MultiIndexSet:
         if self.kind == TENSOR:
             return f"MultiIndexSet(tensor, orders={self.orders}, size={self.size})"
         return f"MultiIndexSet(complete, K={self.nvars}, order={self.order}, size={self.size})"
-
-
-def make_index_set(kind, *, orders=None, nvars=None, order=None, cap=DEFAULT_SIZE_CAP) -> MultiIndexSet:
-    """Dispatching constructor used by configuration code."""
-    if kind == TENSOR:
-        if orders is None:
-            raise ParameterDomainError("tensor basis requires per-variable orders")
-        return MultiIndexSet.tensor(orders, cap=cap)
-    if kind == COMPLETE:
-        if nvars is None or order is None:
-            raise ParameterDomainError("complete basis requires nvars and order")
-        return MultiIndexSet.complete(nvars, order, cap=cap)
-    raise ParameterDomainError(f"unknown basis kind {kind!r}")
 
 
 class StochasticMatrix:

@@ -4,8 +4,10 @@
 ``run_verify`` additionally assembles the problem, builds the requested
 preconditioners, estimates the true extreme eigenvalues and asserts the
 guaranteed enclosure chain, failing with EnclosureError if any computed
-eigenvalue escapes its bounds beyond a small slack.  ``run_solve`` compares
-conjugate gradient iteration counts across preconditioners.
+eigenvalue escapes its bounds beyond a small slack or if the splitting and
+two-block Gauss-Seidel conditions break the CBS identity that ties them.
+``run_solve`` compares conjugate gradient iteration counts across
+preconditioners.
 """
 
 from __future__ import annotations
@@ -228,6 +230,25 @@ def _check_enclosure(label, lo, hi, est, slack=ENCLOSURE_SLACK):
         )
 
 
+def _check_cbs_identity(degree, kappa_sb, kappa_gs2, tol):
+    """The two-block CBS identity (Eijkhout-Vassilevski 1991): with
+    gamma = (kappa_SB-1)/(kappa_SB+1), kappa_GS2 = 1/(1-gamma^2).
+
+    Lanczos stops once each extreme Ritz value theta is within relative
+    ``tol`` of an eigenvalue, so each computed kappa is within a factor
+    (1+tol)/(1-tol) of the true one.  The map kappa_SB -> 1/(1-gamma^2) has
+    logarithmic slope gamma < 1, so the logarithms of the two sides differ
+    by at most twice log((1+tol)/(1-tol)).
+    """
+    gamma = (kappa_sb - 1.0) / (kappa_sb + 1.0)
+    expect = 1.0 / (1.0 - gamma * gamma)
+    if abs(math.log(kappa_gs2 / expect)) > 2.0 * math.log((1.0 + tol) / (1.0 - tol)):
+        raise EnclosureError(
+            f"degree {degree}: two-block Gauss-Seidel condition {kappa_gs2:.12g} breaks the "
+            f"CBS identity 1/(1-gamma^2) = {expect:.12g} of the splitting condition {kappa_sb:.12g}"
+        )
+
+
 _EIG_COLUMN = {MEAN_BASED: "kappa_MB", TRUNCATED_TP: "kappa_TR",
                SPLITTING_TP: "kappa_SB", SPLITTING_COMPLETE: "kappa_SB",
                GAUSS_SEIDEL_2: "kappa_GS2"}
@@ -237,6 +258,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     """Assemble, precondition, estimate true extremes and verify the
     enclosure chain for every degree of the sweep."""
     mesh, field, mu, mu_class = _mesh_and_field(cfg)
+    lanczos_tol = min(cfg.tol, 1e-6)
     table = ResultTable()
     for degree in _degree_sweep(cfg):
         iset = _index_set(cfg, degree)
@@ -246,7 +268,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         for kind in cfg.preconditioners:
             m = operator.build_preconditioner(problem, kind)
             est = eigsolve.extreme_eigs_generalized(
-                problem.operator, m, tol=min(cfg.tol, 1e-6), max_iter=cfg.max_iter, seed=cfg.seed
+                problem.operator, m, tol=lanczos_tol, max_iter=cfg.max_iter, seed=cfg.seed
             )
             kappa = est.lambda_max / est.lambda_min
             cells[_EIG_COLUMN[kind]] = Cell(kappa, LANCZOS)
@@ -271,6 +293,8 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
                             "classical bounds are tighter than the local ones; "
                             "this contradicts their derivation"
                         )
+        if "kappa_SB" in cells and "kappa_GS2" in cells:
+            _check_cbs_identity(degree, cells["kappa_SB"].value, cells["kappa_GS2"].value, lanczos_tol)
         if cfg.oracle:
             okind = next(
                 (k for k in cfg.preconditioners if k in bnd._SPLITTING_KINDS or k in (MEAN_BASED, TRUNCATED_TP)),

@@ -22,13 +22,20 @@ last expansion term.  Because every recurrence has alpha_n = 0, the detail
 block of each splitting equals its repeated block exactly.  A problem
 factors each of F0, the truncated block and A11 at most once, whichever
 preconditioner asks for it first.
+
+Each block is factored without pivoting in a symmetric envelope order: the
+reverse Cuthill-McKee order of the finite-element graph of F0, with every
+finite-element node's stochastic indices kept together.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .basis import TENSOR, MultiIndexSet, assemble_G
 from .errors import FactorizationError, SizeError, UsageError
@@ -154,21 +161,52 @@ class DiscreteProblem:
             self._sparse = self.operator.assemble_sparse()
         return self._sparse
 
+    @cached_property
+    def _fe_order(self) -> np.ndarray:
+        """Reverse Cuthill-McKee order of the finite-element graph of F0."""
+        return reverse_cuthill_mckee(self.operator.fs[0], symmetric_mode=True)
 
-def _factor(block: sp.spmatrix, what: str):
+
+class _OrderedLU:
+    """LU factors of P B P^T for a block B and a permutation P; ``solve``
+    applies B^-1 to a vector or to each column of a matrix."""
+
+    def __init__(self, lu, perm: np.ndarray):
+        self.lu = lu
+        self.perm = perm
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        return x
+
+
+def _factor(block: sp.spmatrix, what: str, fe_order: np.ndarray) -> _OrderedLU:
     """LU-factor a block that is positive definite by construction, with a
-    cheap definiteness spot check so dominance violations surface here."""
-    block = block.tocsc()
+    cheap definiteness spot check so dominance violations surface here.
+
+    The block's dof p*n_fe + i belongs to stochastic index p and node i; it
+    is factored in the order ``fe_order`` of the nodes, each node's
+    stochastic indices together, without pivoting.
+    """
+    n = block.shape[0]
+    count = n // fe_order.size
+    perm = (np.arange(count)[None, :] * fe_order.size + fe_order[:, None]).ravel()
+    position = np.argsort(perm)
+    coo = block.tocoo()
+    permuted = sp.csc_matrix((coo.data, (position[coo.row], position[coo.col])), shape=block.shape)
     try:
-        lu = spla.splu(block)
+        lu = spla.splu(
+            permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
     except RuntimeError as exc:
         raise FactorizationError(f"factorization of {what} failed: {exc}") from None
     rng = np.random.default_rng(0)
     for _ in range(2):
-        v = rng.standard_normal(block.shape[0])
+        v = rng.standard_normal(n)
         if float(v @ (block @ v)) <= 0.0:
             raise FactorizationError(f"{what} is not positive definite")
-    return lu
+    return _OrderedLU(lu, perm)
 
 
 def _factored(problem: DiscreteProblem, key: str, what: str, make):
@@ -176,7 +214,7 @@ def _factored(problem: DiscreteProblem, key: str, what: str, make):
     the first time any preconditioner of the problem asks for it."""
     if key not in problem._factors:
         block = make().tocsr()
-        problem._factors[key] = (block, _factor(block, what))
+        problem._factors[key] = (block, _factor(block, what, problem._fe_order))
     return problem._factors[key]
 
 

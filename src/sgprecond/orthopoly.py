@@ -89,17 +89,6 @@ class RecurrenceFamily:
             return f"gegenbauer(gamma={self.gamma:g})"
         return self.kind
 
-    def gegenbauer_gamma(self) -> float | None:
-        """Shape parameter of the equivalent Gegenbauer family, or None for
-        Hermite (which is not of Gegenbauer type)."""
-        if self.kind == LEGENDRE:
-            return 0.5
-        if self.kind == CHEBYSHEV_U:
-            return 1.0
-        if self.kind == GEGENBAUER:
-            return self.gamma
-        return None
-
     def alpha(self, n: int) -> float:
         if n < 0:
             raise ParameterDomainError("recurrence index must be nonnegative")
@@ -206,14 +195,8 @@ def _tridiag_eig(diag, offdiag, vectors=False):
         raise ConvergenceError(f"tridiagonal eigensolve failed (n={d.size}): {exc}") from exc
 
 
-def tridiag_eigenvalues(matrix: JacobiMatrix, tol: float = 1e-14) -> np.ndarray:
-    """All eigenvalues of a Jacobi matrix, sorted ascending.
-
-    ``tol`` must be positive but is otherwise unused: LAPACK solves to
-    working precision with its own deflation criterion.
-    """
-    if tol <= 0.0:
-        raise ParameterDomainError("tolerance must be positive")
+def tridiag_eigenvalues(matrix: JacobiMatrix) -> np.ndarray:
+    """All eigenvalues of a Jacobi matrix, sorted ascending."""
     values, _ = _tridiag_eig(matrix.diagonal, matrix.offdiagonal)
     return values
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from sgprecond.basis import MultiIndexSet
 from sgprecond.fem import CoefficientField, build_mesh, compute_mu
@@ -66,11 +67,19 @@ def dense_preconditioner_matrix(problem: DiscreteProblem, prec):
     return np.column_stack(cols)
 
 
+def indefinite_shift(mat):
+    """mat - s I with s midway between the two largest eigenvalues of the
+    symmetric mat: nonsingular, one positive eigenvalue, the rest negative."""
+    w = np.linalg.eigvalsh(mat.toarray())
+    return (mat - 0.5 * (w[-2] + w[-1]) * sp.identity(mat.shape[0])).tocsr()
+
+
 __all__ = [
     "dense_h_matrix",
     "random_field",
     "random_instance",
     "dense_pencil_extremes",
     "dense_preconditioner_matrix",
+    "indefinite_shift",
     "compute_mu",
 ]

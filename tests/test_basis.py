@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgprecond.basis import MultiIndexSet, assemble_G, assemble_G_tilde, make_index_set
+from sgprecond.basis import MultiIndexSet, assemble_G, assemble_G_tilde
 from sgprecond.errors import ParameterDomainError, SizeError, UsageError
 from sgprecond.orthopoly import chebyshev_u, gegenbauer, hermite, jacobi_matrix, legendre
 
@@ -53,12 +53,6 @@ class TestIndexSets:
             MultiIndexSet.tensor(())
         with pytest.raises(ParameterDomainError):
             MultiIndexSet.complete(0, 2)
-
-    def test_dispatcher(self):
-        assert make_index_set("tensor", orders=(2, 2)).size == 4
-        assert make_index_set("complete", nvars=2, order=3).size == 6
-        with pytest.raises(ParameterDomainError):
-            make_index_set("other")
 
 
 class TestAssembleG:

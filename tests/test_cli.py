@@ -1,9 +1,13 @@
 import ctypes
+import dataclasses
 
 import numpy as np
 import pytest
 
+from helpers import indefinite_shift
+from sgprecond import eigsolve, operator
 from sgprecond.cli import bundled_openblas, main
+from sgprecond.operator import GAUSS_SEIDEL_2
 
 SMALL = """sgp-config v1
 
@@ -205,6 +209,34 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["verify", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_indefinite_block_is_a_numerical_failure(self, small_cfg, monkeypatch, capsys):
+        # the inputs are validated, so F0 is shifted into indefiniteness here
+        assemble_F = operator.assemble_F
+
+        def shifted(mesh, field, k):
+            f = assemble_F(mesh, field, k)
+            return indefinite_shift(f) if k == 0 else f
+
+        monkeypatch.setattr(operator, "assemble_F", shifted)
+        assert main(["verify", "--config", str(small_cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "the mean block is not positive definite" in err
+
+    def test_cbs_identity_violation_is_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
+        # kappa_GS2 lowered by 1%: still under its analytic bound, but off
+        # the two-block CBS identity with kappa_SB
+        generalized = eigsolve.extreme_eigs_generalized
+
+        def moved(a, m, **kwargs):
+            est = generalized(a, m, **kwargs)
+            if m.kind == GAUSS_SEIDEL_2:
+                est = dataclasses.replace(est, lambda_max=0.99 * est.lambda_max)
+            return est
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", moved)
+        assert main(["verify", "--config", str(small_cfg)]) == 4
+        assert "breaks the CBS identity" in capsys.readouterr().err
 
     def test_threads_env_fallback(self, small_cfg, monkeypatch, blas_threads):
         monkeypatch.setenv("SGP_THREADS", "2")

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import aslinearoperator
 
-from helpers import dense_preconditioner_matrix, random_instance
+from helpers import dense_preconditioner_matrix, indefinite_shift, random_instance
 from sgprecond import operator
 from sgprecond.basis import MultiIndexSet, assemble_G
-from sgprecond.errors import SizeError, UsageError
+from sgprecond.errors import FactorizationError, SizeError, UsageError
 from sgprecond.fem import assemble_F, build_mesh, sample_coefficients
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
@@ -33,6 +34,17 @@ def small_problem(basis="complete", exprs=("1", "0.5"), n=2, order=3):
         iset = MultiIndexSet.complete(len(exprs) - 1, order)
     else:
         iset = MultiIndexSet.tensor((order,) * (len(exprs) - 1))
+    return DiscreteProblem.build(legendre(), iset, mesh, field)
+
+
+def small_2d_problem(basis="complete", elements=5, nvars=2, order=3):
+    mesh = build_mesh(2, (elements, elements), "p1")
+    exprs = ["1", "0.4*x1", "0.3*sin(pi*x2)", "0.2*x1*x2"][: nvars + 1]
+    field = sample_coefficients(exprs, mesh)
+    if basis == "complete":
+        iset = MultiIndexSet.complete(nvars, order)
+    else:
+        iset = MultiIndexSet.tensor((order,) * nvars)
     return DiscreteProblem.build(legendre(), iset, mesh, field)
 
 
@@ -232,6 +244,43 @@ class TestPreconditioners:
             for kind in kinds:
                 build_preconditioner(prob, kind)
             assert len(calls) == factors
+
+    def test_ordered_solves_match_dense_solves_in_2d(self):
+        # the blocks are factored in a reordered numbering that solve undoes;
+        # the tensor basis adds a truncated block with several stochastic
+        # indices per node
+        rng = np.random.default_rng(41)
+        for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
+            prob = small_2d_problem(basis)
+            n_fe = prob.operator.n_fe
+            assert not np.array_equal(prob._fe_order, np.arange(n_fe))
+            v = rng.standard_normal(prob.operator.shape[0])
+            for kind in kinds:
+                m = build_preconditioner(prob, kind)
+                expect = np.linalg.solve(dense_preconditioner_matrix(prob, m), v)
+                atol = 1e-12 * np.abs(expect).max()
+                assert np.allclose(m.solve(v), expect, rtol=0, atol=atol)
+                column = m.solve(v[:, None])
+                assert column.shape == (v.size, 1)
+                assert np.allclose(column[:, 0], expect, rtol=0, atol=atol)
+
+    def test_ordered_coarse_factor_fills_no_more_than_colamd(self):
+        # Table 4's regime on a coarser grid: K = 3, total degree 4, so the
+        # coarse block holds 20 stochastic indices per node
+        prob = small_2d_problem(elements=11, nvars=3, order=5)
+        m = build_preconditioner(prob, SPLITTING_COMPLETE)
+        ordered = m._lu11.lu
+        colamd = spla.splu(m.coarse.tocsc())
+        assert ordered.L.nnz + ordered.U.nnz <= colamd.L.nnz + colamd.U.nnz
+
+    def test_indefinite_block_is_a_factorization_error(self):
+        # no pivoting: the definiteness spot check is the guard
+        f0 = small_problem(n=8).operator.fs[0]
+        block = indefinite_shift(f0)
+        w = np.linalg.eigvalsh(block.toarray())
+        assert w[0] < 0.0 < w[-1]
+        with pytest.raises(FactorizationError):
+            operator._factor(block, "a shifted block", np.arange(f0.shape[0]))
 
     def test_mean_only_field_makes_every_kind_exact(self):
         mesh = build_mesh(1, 4)

@@ -133,11 +133,6 @@ class TestTridiagEigenvalues:
             w = tridiag_eigenvalues(jacobi_matrix(fam, 9))
             assert np.allclose(w, -w[::-1], atol=1e-12)
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ParameterDomainError):
-            tridiag_eigenvalues(jacobi_matrix(legendre(), 3), tol=0.0)
-
-
 class TestMaxRoot:
     def test_values(self):
         assert max_root(legendre(), 2) == pytest.approx(0.5773502691896258, abs=1e-13)

@@ -1,20 +1,30 @@
-"""Extreme eigenvalue estimation for the operator and the preconditioned
-operator, plus a preconditioned conjugate gradient solver.
+"""Extreme eigenvalue estimation for the preconditioned operator and for the
+operator itself, plus a preconditioned conjugate gradient solver.
 
 The generalized solver runs the Lanczos iteration for the pencil (A, M) in
 the M inner product, tracking both the M-orthonormal basis and its image
 under M so that only products with A and solves with M are needed.  Full
 reorthogonalization keeps desk-scale runs clean.
+
+For kappa(A) the largest eigenvalue of A comes from the same Lanczos
+iteration with M the identity, and the smallest from LOBPCG (Knyazev 2001)
+preconditioned by solves with a block preconditioner the caller has
+already factored.
+
+Every operator passed in exposes ``matvec`` and ``shape``; every
+preconditioner exposes ``solve`` (M^-1 r).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .errors import ConvergenceError, ParameterDomainError
+from .errors import ConvergenceError
 from .orthopoly import _tridiag_eig
 
 __all__ = ["EigEstimate", "extreme_eigs_generalized", "extreme_eigs", "pcg"]
@@ -28,27 +38,6 @@ class EigEstimate:
     iterations: int
 
 
-class _Op:
-    """Uniform wrapper around GalerkinOperator / sparse / dense / callable."""
-
-    def __init__(self, a, n=None):
-        if isinstance(a, _Op):
-            self.apply = a.apply
-            self.n = a.n
-        elif hasattr(a, "matvec") and hasattr(a, "shape"):
-            self.apply = a.matvec
-            self.n = a.shape[0]
-        elif callable(a):
-            if n is None:
-                raise ParameterDomainError("callable operators need an explicit size")
-            self.apply = a
-            self.n = n
-        else:
-            mat = a
-            self.apply = lambda v: mat @ v
-            self.n = mat.shape[0]
-
-
 def _ritz_extremes(alphas, betas):
     t_diag = np.asarray(alphas)
     t_off = np.asarray(betas)
@@ -59,11 +48,10 @@ def _ritz_extremes(alphas, betas):
 def _lanczos(a, m, tol, max_iter, rng, which="both", check_every=5, return_basis=False):
     """Lanczos for the pencil (A, M); M=None means the identity.
 
-    Returns (EigEstimate, basis or None).  ``which`` selects which end must
-    meet the residual tolerance.
+    Returns (EigEstimate, basis or None).  ``which`` is "both" or "max":
+    the ends that must meet the residual tolerance.
     """
-    op = _Op(a) if not isinstance(a, _Op) else a
-    n = op.n
+    n = a.shape[0]
     max_iter = min(max_iter, n)
     p = rng.standard_normal(n)
     q = m.solve(p) if m is not None else p.copy()
@@ -81,7 +69,7 @@ def _lanczos(a, m, tol, max_iter, rng, which="both", check_every=5, return_basis
     exhausted = False
     estimate = None
     for j in range(max_iter):
-        z = op.apply(qs[:, j])
+        z = a.matvec(qs[:, j])
         alpha = float(qs[:, j] @ z)
         alphas.append(alpha)
         pt = z - alpha * ps[:, j]
@@ -106,8 +94,7 @@ def _lanczos(a, m, tol, max_iter, rng, which="both", check_every=5, return_basis
             res_hi = beta * last[-1] / max(abs(w[-1]), 1e-300)
             estimate = EigEstimate(float(w[0]), float(w[-1]), (res_lo, res_hi), j + 1)
             ok_lo = res_lo <= tol or which == "max"
-            ok_hi = res_hi <= tol or which == "min"
-            if ok_lo and ok_hi and j >= 1:
+            if ok_lo and res_hi <= tol and j >= 1:
                 basis = (qs[:, : j + 2], ps[:, : j + 2]) if return_basis else None
                 return estimate, basis
     if exhausted:
@@ -142,46 +129,65 @@ def extreme_eigs_generalized(
 
 def extreme_eigs(
     a,
+    accel,
     tol: float = 1e-6,
     max_iter: int = 400,
-    accel=None,
-    dense_cap: int = 6000,
     seed: int = 42,
 ) -> EigEstimate:
     """Extreme eigenvalues of the operator itself.
 
-    The largest eigenvalue comes from a plain Lanczos run.  The smallest is
-    found on the inverted operator, applied through conjugate gradients
-    preconditioned by ``accel`` when one is supplied; without an accelerator
-    a dense solve is used up to ``dense_cap`` and plain Lanczos beyond it.
+    The largest comes from a plain Lanczos run.  The smallest comes from
+    single-vector LOBPCG preconditioned by ``accel.solve``, started from the
+    smooth vector M^-1 1 plus a small seeded perturbation: the low end of A's
+    spectrum clusters, and a purely random start makes the iteration count
+    depend strongly on the seed.  ``max_iter`` caps the Lanczos steps and is
+    LOBPCG's ``maxiter``.  LOBPCG only warns when it stops short, so
+    the relative residual ||Ax - theta x|| / (|theta| ||x||) is checked here
+    and ConvergenceError raised, with the estimate attached, above ``tol``.
+
+    ``iterations`` counts the Lanczos steps plus the LOBPCG iterations;
+    ``residual_norms`` is (LOBPCG relative residual, Lanczos lambda_max
+    residual).
     """
-    op = _Op(a)
+    n = a.shape[0]
     rng = np.random.default_rng(seed)
-    est_hi, _ = _lanczos(op, None, tol, max_iter, rng, which="max")
-    iterations = est_hi.iterations
-    if accel is not None:
-        inner_tol = min(1e-10, tol * 1e-2)
+    est_hi, _ = _lanczos(a, None, tol, max_iter, rng, which="max")
+    solves = 0
 
-        def apply_inv(v):
-            x, _, _ = pcg(op, accel, v, tol=inner_tol, max_iter=10 * max_iter)
-            return x
+    def precondition(r):
+        nonlocal solves
+        solves += 1
+        z = accel.solve(r)
+        if not np.isfinite(z).all():
+            raise ConvergenceError("the LOBPCG preconditioner returned a NaN or inf")
+        return z
 
-        est_inv, _ = _lanczos(
-            _Op(apply_inv, n=op.n), None, tol, max_iter, rng, which="max"
+    x0 = precondition(np.ones(n)) + 1e-3 * rng.standard_normal(n)
+    solves = 0  # count LOBPCG iterations only
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lam, x = lobpcg(
+            LinearOperator(a.shape, matvec=a.matvec, dtype=float),
+            x0[:, None],
+            M=LinearOperator(a.shape, matvec=precondition, dtype=float),
+            largest=False,
+            tol=1e-2 * tol,
+            maxiter=max_iter,
         )
-        lam_min = 1.0 / est_inv.lambda_max
-        res_lo = est_inv.residual_norms[1]
-        iterations += est_inv.iterations
-    elif op.n <= dense_cap and hasattr(a, "assemble_dense"):
-        lam = np.linalg.eigvalsh(a.assemble_dense(cap=dense_cap))
-        lam_min = float(lam[0])
-        res_lo = 0.0
-    else:
-        est_lo, _ = _lanczos(op, None, tol, max_iter, rng, which="min")
-        lam_min = est_lo.lambda_min
-        res_lo = est_lo.residual_norms[0]
-        iterations += est_lo.iterations
-    return EigEstimate(lam_min, est_hi.lambda_max, (res_lo, est_hi.residual_norms[1]), iterations)
+    lam_min = float(lam[0])
+    x = x[:, 0]
+    r = a.matvec(x) - lam_min * x
+    res_lo = math.sqrt(r @ r) / (abs(lam_min) * math.sqrt(x @ x))
+    estimate = EigEstimate(
+        lam_min, est_hi.lambda_max, (res_lo, est_hi.residual_norms[1]), est_hi.iterations + solves
+    )
+    if not res_lo <= tol:
+        raise ConvergenceError(
+            f"LOBPCG for the smallest eigenvalue stopped after {solves} iterations at "
+            f"relative residual {res_lo:.3g}, above tolerance {tol:g}",
+            estimate=estimate,
+        )
+    return estimate
 
 
 def pcg(a, m, b, tol: float = 1e-8, max_iter: int = 1000, callback=None):
@@ -191,7 +197,6 @@ def pcg(a, m, b, tol: float = 1e-8, max_iter: int = 1000, callback=None):
     relative residual after every iteration.  Raises ConvergenceError with
     the history attached when max_iter is exhausted.
     """
-    op = _Op(a)
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
     norm_b = math.sqrt(b @ b)
@@ -203,7 +208,7 @@ def pcg(a, m, b, tol: float = 1e-8, max_iter: int = 1000, callback=None):
     rz = float(r @ z)
     history = []
     for it in range(1, max_iter + 1):
-        ap = op.apply(p)
+        ap = a.matvec(p)
         denom = float(p @ ap)
         if denom <= 0.0:
             raise ConvergenceError("conjugate gradients hit a nonpositive curvature direction",

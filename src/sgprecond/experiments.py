@@ -307,7 +307,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         if cfg.kappa_a:
             accel = operator.build_preconditioner(problem, MEAN_BASED)
             est_a = eigsolve.extreme_eigs(
-                problem.operator, tol=cfg.tol, max_iter=cfg.max_iter, accel=accel, seed=cfg.seed
+                problem.operator, accel, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
             )
             cells["kappa_A"] = Cell(est_a.lambda_max / est_a.lambda_min, LANCZOS)
         table.add_row(_ordered(cells))

@@ -98,14 +98,31 @@ class TestGeneralizedLanczos:
             extreme_eigs_generalized(_DenseOp(a), None, tol=1e-8)
 
 
+class _NoSolve:
+    """M = I: LOBPCG without a preconditioner."""
+
+    def solve(self, r):
+        return np.array(r, dtype=float)
+
+
 class TestExtremeEigs:
-    def test_small_dense_fallback(self):
-        prob = make_problem(["1", "0.4"], n=5, order=2)
-        a = prob.operator.assemble_dense()
-        w = np.linalg.eigvalsh(a)
-        est = extreme_eigs(prob.operator, tol=1e-8)
+    @staticmethod
+    def _assert_matches_eigvalsh(prob):
+        m = build_preconditioner(prob, MEAN_BASED)
+        w = np.linalg.eigvalsh(prob.operator.assemble_dense())
+        est = extreme_eigs(prob.operator, m, tol=1e-8)
         assert est.lambda_min == pytest.approx(w[0], rel=1e-8)
         assert est.lambda_max == pytest.approx(w[-1], rel=1e-8)
+        assert max(est.residual_norms) <= 1e-8
+
+    def test_matches_eigvalsh_1d(self):
+        self._assert_matches_eigvalsh(make_problem(["1", "0.4"], n=5, order=2))
+
+    def test_matches_eigvalsh_2d_p1(self):
+        mesh = build_mesh(2, (5, 5), element="p1")
+        field = sample_coefficients(["1", "0.3*x1", "0.2*x2"], mesh)
+        prob = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 2), mesh, field)
+        self._assert_matches_eigvalsh(prob)
 
     def test_accelerated_inverse_path(self):
         prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
@@ -116,10 +133,41 @@ class TestExtremeEigs:
         assert est.lambda_min == pytest.approx(w[0], rel=1e-7)
         assert est.lambda_max == pytest.approx(w[-1], rel=1e-7)
 
+    def test_stopping_short_raises_with_estimate(self):
+        prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
+        w = np.linalg.eigvalsh(prob.operator.assemble_dense())
+        with pytest.raises(ConvergenceError) as err:
+            extreme_eigs(prob.operator, _NoSolve(), tol=1e-8, max_iter=40)
+        est = err.value.estimate
+        assert est is not None
+        assert est.residual_norms[0] > 1e-8 >= est.residual_norms[1]
+        assert est.lambda_max == pytest.approx(w[-1], rel=1e-8)
+        assert est.lambda_min >= w[0]
+        assert est.iterations > 40
+        assert "iterations" in str(err.value) and "residual" in str(err.value)
+
+    def test_nan_operator_is_a_convergence_failure(self):
+        a = np.eye(30)
+        a[3, 7] = np.nan
+        with pytest.raises(ConvergenceError):
+            extreme_eigs(_DenseOp(a), _NoSolve(), tol=1e-8)
+
+    def test_nan_preconditioner_is_a_convergence_failure(self):
+        prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
+
+        class _NanSolve:
+            def solve(self, r):
+                return np.full(np.shape(r), np.nan)
+
+        with pytest.raises(ConvergenceError):
+            extreme_eigs(prob.operator, _NanSolve(), tol=1e-8)
+
     def test_identity_like_problem(self):
-        # single interior node: blocks are scalars, operator is diagonal
+        # single interior node: blocks are scalars, operator is diagonal;
+        # n = 3 is below LOBPCG's minimum, so scipy solves it densely
         prob = make_problem(["1", "0"], n=2, order=3)
-        est = extreme_eigs(prob.operator, tol=1e-10)
+        m = build_preconditioner(prob, MEAN_BASED)
+        est = extreme_eigs(prob.operator, m, tol=1e-10)
         assert est.lambda_min == pytest.approx(est.lambda_max, rel=1e-12)
 
 

@@ -60,8 +60,9 @@ def _lanczos(a, m, tol, max_iter, rng, which="both", check_every=5, return_basis
         raise ConvergenceError("Lanczos start vector degenerated")
     q /= norm
     p /= norm
-    qs = np.empty((n, max_iter + 1))
-    ps = np.empty((n, max_iter + 1))
+    # column-major, so that only the columns a run fills become resident
+    qs = np.empty((n, max_iter + 1), order="F")
+    ps = np.empty((n, max_iter + 1), order="F") if m is not None else qs  # without M, q_j = p_j
     qs[:, 0] = q
     ps[:, 0] = p
     alphas = []
@@ -140,10 +141,12 @@ def extreme_eigs(
     single-vector LOBPCG preconditioned by ``accel.solve``, started from the
     smooth vector M^-1 1 plus a small seeded perturbation: the low end of A's
     spectrum clusters, and a purely random start makes the iteration count
-    depend strongly on the seed.  ``max_iter`` caps the Lanczos steps and is
-    LOBPCG's ``maxiter``.  LOBPCG only warns when it stops short, so
-    the relative residual ||Ax - theta x|| / (|theta| ||x||) is checked here
-    and ConvergenceError raised, with the estimate attached, above ``tol``.
+    depend strongly on the seed.  ``max_iter`` caps both the Lanczos steps
+    and the LOBPCG iterations (scipy's LOBPCG takes ``maxiter + 1``
+    preconditioned steps, so it gets ``max_iter - 1``).  LOBPCG only warns
+    when it stops short, so the relative residual
+    ||Ax - theta x|| / (|theta| ||x||) is checked here and ConvergenceError
+    raised, with the estimate attached, above ``tol``.
 
     ``iterations`` counts the Lanczos steps plus the LOBPCG iterations;
     ``residual_norms`` is (LOBPCG relative residual, Lanczos lambda_max
@@ -172,7 +175,7 @@ def extreme_eigs(
             M=LinearOperator(a.shape, matvec=precondition, dtype=float),
             largest=False,
             tol=1e-2 * tol,
-            maxiter=max_iter,
+            maxiter=max_iter - 1,
         )
     lam_min = float(lam[0])
     x = x[:, 0]

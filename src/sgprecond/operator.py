@@ -1,9 +1,10 @@
-"""The Kronecker-structured global operator, matrix-free products, and the
-block preconditioners obtained by modifying the stochastic couplings.
+"""The Kronecker-structured global operator, assembled once per problem, and
+the block preconditioners obtained by modifying the stochastic couplings.
 
 With basis functions numbered so that the finite-element index changes
-fastest, the global matrix is sum_k G_k (x) F_k and a product with a vector
-v reshaped into an (N_P, N_FE) array W is sum_k G_k @ W @ F_k.
+fastest, the global matrix is sum_k G_k (x) F_k.  It is assembled as one
+sparse matrix the first time a product or a block of it is needed, and every
+later product and block reads that matrix.
 
 Every preconditioner is M = diag(A11, I_count (x) T): an optional coarse
 block A11 (the operator restricted to the leading stochastic indices)
@@ -81,7 +82,8 @@ def _vector(v, n: int) -> np.ndarray:
 
 
 class GalerkinOperator:
-    """sum_k G_k (x) F_k applied without forming the global matrix."""
+    """sum_k G_k (x) F_k, held as its terms and, from the first product or
+    block taken of it, as one assembled sparse matrix."""
 
     def __init__(self, gs, fs):
         if len(gs) != len(fs) or not gs:
@@ -95,22 +97,18 @@ class GalerkinOperator:
                 raise UsageError("inconsistent term dimensions")
 
     @property
-    def nterms(self) -> int:
-        return len(self.gs) - 1
-
-    @property
     def shape(self) -> tuple[int, int]:
         n = self.n_p * self.n_fe
         return (n, n)
 
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The assembled global matrix, built on first use."""
+        return self.assemble_sparse()
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v for a vector or an (n, 1) column; the result has v's shape."""
-        v = _vector(v, self.shape[0])
-        w = v.reshape(self.n_p, self.n_fe)
-        out = np.zeros_like(w)
-        for g, f in zip(self.gs, self.fs):
-            out += f.dot((g.dot(w)).T).T
-        return out.reshape(v.shape)
+        return self.matrix @ _vector(v, self.shape[0])
 
     def assemble_sparse(self) -> sp.csr_matrix:
         total = sp.csr_matrix(self.shape)
@@ -123,7 +121,7 @@ class GalerkinOperator:
         n = self.shape[0]
         if n > cap:
             raise SizeError(f"dense assembly of size {n} exceeds cap {cap}")
-        return self.assemble_sparse().toarray()
+        return self.matrix.toarray()
 
 
 class DiscreteProblem:
@@ -137,7 +135,6 @@ class DiscreteProblem:
         self.gs = gs
         self.fs = fs
         self.operator = GalerkinOperator(gs, fs)
-        self._sparse = None
         self._factors = {}  # block name -> (block, LU factors)
 
     @classmethod
@@ -155,11 +152,6 @@ class DiscreteProblem:
         gs = [assemble_G(family, index_set, k) for k in range(field.nterms + 1)]
         fs = [assemble_F(mesh, field, k) for k in range(field.nterms + 1)]
         return cls(family, index_set, mesh, field, gs, fs)
-
-    def assemble_sparse(self) -> sp.csr_matrix:
-        if self._sparse is None:
-            self._sparse = self.operator.assemble_sparse()
-        return self._sparse
 
     @cached_property
     def _fe_order(self) -> np.ndarray:
@@ -192,12 +184,12 @@ def _factor(block: sp.spmatrix, what: str, fe_order: np.ndarray) -> _OrderedLU:
     n = block.shape[0]
     count = n // fe_order.size
     perm = (np.arange(count)[None, :] * fe_order.size + fe_order[:, None]).ravel()
-    position = np.argsort(perm)
-    coo = block.tocoo()
-    permuted = sp.csc_matrix((coo.data, (position[coo.row], position[coo.col])), shape=block.shape)
     try:
         lu = spla.splu(
-            permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            block[perm][:, perm].tocsc(),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
         raise FactorizationError(f"factorization of {what} failed: {exc}") from None
@@ -330,7 +322,7 @@ def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
     if cut == 0:  # order 1: the repeated block alone is the operator
         return Preconditioner(kind, block, count)
     cut *= problem.operator.n_fe
-    a = problem.assemble_sparse()
+    a = problem.operator.matrix
     coarse = _factored(problem, "coarse", "the coarse splitting block", lambda: a[:cut, :cut])
     coupling = a[cut:, :cut].tocsr() if kind == GAUSS_SEIDEL_2 else None
     return Preconditioner(kind, block, count, coarse, coupling)

@@ -1,0 +1,44 @@
+"""The benchmark reaches into the package by dotted paths and operator
+attributes; a rename must fail here rather than turn a traced layer into a
+missing value."""
+
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sgprecond.basis import MultiIndexSet
+from sgprecond.fem import build_mesh, sample_coefficients
+from sgprecond.operator import DiscreteProblem
+from sgprecond.orthopoly import legendre
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import tracing
+    import workload
+
+    return workload, tracing, checks
+
+
+def test_every_wrapped_path_resolves(bench):
+    workload, tracing, _ = bench
+    paths = list(workload.SETUP.values()) + [path for path, _, _ in workload.LAYERS.values()]
+    for path in paths:
+        owner, attr = tracing._resolve(path)
+        inspect.getattr_static(owner, attr)  # AttributeError on a rename
+
+
+def test_residual_check_reads_the_operator_terms(bench):
+    _, _, checks = bench
+    mesh = build_mesh(1, 4)
+    field = sample_coefficients(["1", "0.3"], mesh)
+    a = DiscreteProblem.build(legendre(), MultiIndexSet.complete(1, 2), mesh, field).operator
+    assert len(a.gs) == len(a.fs) == 2
+    x = np.random.default_rng(3).standard_normal(a.shape[0])
+    assert checks.relative_residual(a, a.matvec(x), x) <= 1e-14

@@ -82,6 +82,13 @@ class TestGeneralizedLanczos:
         assert np.abs(off).max() <= 1e-8
         assert np.allclose(np.diag(gram), 1.0, atol=1e-8)
 
+    def test_identity_m_keeps_one_basis(self):
+        prob = make_problem(["1", "0.4", "0.2"], n=6, order=3)
+        _, (qs, ps) = extreme_eigs_generalized(prob.operator, None, tol=1e-9, return_basis=True)
+        assert np.shares_memory(qs, ps)
+        gram = qs.T @ qs
+        assert np.allclose(gram, np.eye(gram.shape[0]), atol=1e-8)
+
     def test_nonconvergence_carries_estimate(self):
         rng = np.random.default_rng(5)
         q = rng.standard_normal((60, 60))
@@ -144,7 +151,7 @@ class TestExtremeEigs:
         assert est.lambda_max == pytest.approx(w[-1], rel=1e-8)
         assert est.lambda_min >= w[0]
         assert est.iterations > 40
-        assert "iterations" in str(err.value) and "residual" in str(err.value)
+        assert "after 40 iterations" in str(err.value) and "residual" in str(err.value)
 
     def test_nan_operator_is_a_convergence_failure(self):
         a = np.eye(30)

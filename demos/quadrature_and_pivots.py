@@ -17,21 +17,19 @@ from sgprecond import (
     jacobi_matrix,
     legendre,
     mu_bar,
-    recurrence_coeffs,
     splitting_bounds_tp,
-    tridiag_eigenvalues,
 )
 
 families = [hermite(), legendre(), chebyshev_u(), gegenbauer(2.0)]
 
 print("three-term recurrence coefficients beta_n (alpha_n = 0 throughout)")
 for fam in families:
-    betas = ", ".join(f"{recurrence_coeffs(fam, n)[1]:.6f}" for n in range(1, 6))
+    betas = ", ".join(f"{fam.beta(n):.6f}" for n in range(1, 6))
     print(f"  {fam.label:<22} {betas}")
 
 print("\nJacobi matrix spectra are the polynomial roots, symmetric about zero:")
 for s in (2, 3, 5):
-    roots = tridiag_eigenvalues(jacobi_matrix(legendre(), s))
+    roots = np.linalg.eigvalsh(jacobi_matrix(legendre(), s))
     print(f"  legendre, order {s}: {np.array2string(roots, precision=6)}")
 
 print("\nthe quadrature rule built from the reversed recurrence")
@@ -43,10 +41,10 @@ for fam in families:
 print("\npivot sequences d_j = 1 - mu^2 beta_(j-1)/d_(j-1), checked against")
 print("the quadrature identity 1/d_s = sum w_j / (1 - mu^2 node_j^2):")
 for fam, mu in ((legendre(), 1.0), (legendre(), 0.83), (hermite(), 0.3)):
-    seq = d_sequence(fam, mu, 5)
+    pivots = d_sequence(fam, mu, 5)
     quad = d_last_via_quadrature(fam, mu, 5)
-    print(f"  {fam.label:<10} mu={mu:<5} d = {np.array2string(seq.values, precision=6)}")
-    print(f"             recursion 1/d_5 = {1/seq.values[-1]:.12f}, quadrature = {1/quad:.12f}")
+    print(f"  {fam.label:<10} mu={mu:<5} d = {np.array2string(pivots, precision=6)}")
+    print(f"             recursion 1/d_5 = {1/pivots[-1]:.12f}, quadrature = {1/quad:.12f}")
 
 print("\nextreme eigenvalues 1 -/+ sqrt(1 - d_s) of the coarse/detail block:")
 for mu in (0.5, 0.83, 0.95):

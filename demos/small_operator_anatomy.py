@@ -17,6 +17,7 @@ from sgprecond import (
     legendre,
     sample_coefficients,
 )
+from sgprecond.cli import coordinate_text
 
 
 def pattern(mat, cut=None):
@@ -63,4 +64,4 @@ for kind in ("mean_based", "splitting_complete", "gs2"):
     print(pattern(mat, cut=m.split_index))
 
 print("\ncoordinate text dump of the first coupling matrix:")
-print(g1.to_coordinate_text())
+print(coordinate_text(g1))

@@ -2,10 +2,9 @@
 preconditioners built by modifying the stochastic couplings, and guaranteed
 two-sided bounds for the spectra of the preconditioned operators."""
 
-from .basis import MultiIndexSet, StochasticMatrix, assemble_G, assemble_G_tilde
+from .basis import MultiIndexSet, assemble_G, assemble_G_tilde
 from .bounds import (
     SpectralBounds,
-    cbs_and_gs2,
     classical_bounds,
     element_equivalence_oracle,
     mean_based_bounds,
@@ -53,9 +52,7 @@ from .operator import (
     build_preconditioner,
 )
 from .orthopoly import (
-    DSequence,
     GaussRule,
-    JacobiMatrix,
     RecurrenceFamily,
     chebyshev_u,
     d_last_via_quadrature,
@@ -68,8 +65,6 @@ from .orthopoly import (
     legendre,
     max_root,
     mu_bar,
-    recurrence_coeffs,
-    tridiag_eigenvalues,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from .orthopoly import RecurrenceFamily
 
 __all__ = [
     "MultiIndexSet",
-    "StochasticMatrix",
     "assemble_G",
     "assemble_G_tilde",
 ]
@@ -118,45 +117,14 @@ class MultiIndexSet:
         return f"MultiIndexSet(complete, K={self.nvars}, order={self.order}, size={self.size})"
 
 
-class StochasticMatrix:
-    """Sparse symmetric coupling matrix of one coordinate over a basis.
+def _couplings(family: RecurrenceFamily, index_set: MultiIndexSet, k: int, skip):
+    """Sparse symmetric coupling matrix of coordinate k over the basis, with
+    sorted indices, omitting pairs where ``skip`` holds.
 
     Entry (i, j) is nonzero only when the two multi-indices differ by exactly
     one in coordinate k and agree elsewhere; its value is
-    sqrt(beta_{min(i_k, j_k) + 1}).  Coordinate 0 denotes the identity.
+    sqrt(beta_{min(i_k, j_k) + 1}).
     """
-
-    def __init__(self, k: int, mat: sp.csr_matrix):
-        mat = mat.tocsr()
-        mat.sort_indices()
-        self.k = k
-        self.mat = mat
-
-    @property
-    def size(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.mat.nnz
-
-    def toarray(self) -> np.ndarray:
-        return self.mat.toarray()
-
-    def to_coordinate_text(self) -> str:
-        """Coordinate-triplet text dump: a size/nnz header line followed by
-        one '<row> <col> <value>' line per stored entry (1-based indices,
-        17 significant digits)."""
-        coo = self.mat.tocoo()
-        lines = [f"{self.size} {self.size} {coo.nnz}"]
-        order = np.lexsort((coo.col, coo.row))
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            lines.append(f"{r + 1} {c + 1} {v:.17g}")
-        return "\n".join(lines) + "\n"
-
-
-def _couplings(family: RecurrenceFamily, index_set: MultiIndexSet, k: int, skip):
-    """COO triplets for coordinate k, omitting pairs where ``skip`` holds."""
     rows = []
     cols = []
     vals = []
@@ -174,21 +142,23 @@ def _couplings(family: RecurrenceFamily, index_set: MultiIndexSet, k: int, skip)
         cols += [j, i]
         vals += [v, v]
     n = index_set.size
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat.sort_indices()
+    return mat
 
 
-def assemble_G(family: RecurrenceFamily, index_set: MultiIndexSet, k: int) -> StochasticMatrix:
+def assemble_G(family: RecurrenceFamily, index_set: MultiIndexSet, k: int) -> sp.csr_matrix:
     """Coupling matrix of coordinate k over the basis (identity for k = 0)."""
     if k < 0 or k > index_set.nvars:
         raise ParameterDomainError(f"coordinate {k} outside 0..{index_set.nvars}")
     if k == 0:
-        return StochasticMatrix(0, sp.identity(index_set.size, format="csr"))
-    return StochasticMatrix(k, _couplings(family, index_set, k, None))
+        return sp.identity(index_set.size, format="csr")
+    return _couplings(family, index_set, k, None)
 
 
 def assemble_G_tilde(
     family: RecurrenceFamily, index_set: MultiIndexSet, k: int, variant: str
-) -> StochasticMatrix:
+) -> sp.csr_matrix:
     """Annihilated coupling matrix used by the splitting preconditioners.
 
     variant "tensor": only valid for tensor sets and k = K; removes the
@@ -214,4 +184,4 @@ def assemble_G_tilde(
 
     else:
         raise UsageError(f"unknown splitting variant {variant!r}")
-    return StochasticMatrix(k, _couplings(family, index_set, k, skip))
+    return _couplings(family, index_set, k, skip)

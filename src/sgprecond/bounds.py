@@ -12,7 +12,7 @@ operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +26,7 @@ from .operator import (
     SPLITTING_COMPLETE,
     SPLITTING_TP,
     TRUNCATED_TP,
+    check_basis,
 )
 from .orthopoly import RecurrenceFamily, d_sequence, max_root
 
@@ -36,7 +37,6 @@ __all__ = [
     "truncated_bounds",
     "splitting_bounds_tp",
     "splitting_bounds_complete",
-    "cbs_and_gs2",
     "element_equivalence_oracle",
 ]
 
@@ -54,7 +54,8 @@ class SpectralBounds:
     kappa_bound is +inf.  For splitting kinds, cbs_gamma bounds the
     strengthened Cauchy-Schwarz constant of the two subspaces and
     gs2_kappa_bound = 1/(1 - cbs_gamma^2) bounds the two-block Gauss-Seidel
-    condition number; t_arg is the block order attaining the extremes.
+    condition number; both are None for the other kinds.  t_arg is the block
+    order attaining the extremes.
     """
 
     kind: str
@@ -62,9 +63,16 @@ class SpectralBounds:
     c_upper: float
     vacuous: bool
     kappa_bound: float
-    cbs_gamma: float | None = None
-    gs2_kappa_bound: float | None = None
     t_arg: int | None = None
+
+    @property
+    def cbs_gamma(self) -> float | None:
+        return self.c_upper - 1.0 if self.kind in _SPLITTING_KINDS else None
+
+    @property
+    def gs2_kappa_bound(self) -> float | None:
+        gamma = self.cbs_gamma
+        return None if gamma is None else 1.0 / (1.0 - gamma * gamma)
 
 
 def _symmetric_bounds(kind: str, reach: float) -> SpectralBounds:
@@ -100,28 +108,17 @@ def truncated_bounds(family: RecurrenceFamily, s_last: int, mu: float) -> Spectr
     return _symmetric_bounds(TRUNCATED_TP, mu * max_root(family, s_last))
 
 
-def cbs_and_gs2(b: SpectralBounds) -> SpectralBounds:
-    """Fill the Cauchy-Schwarz constant bound and the two-block Gauss-Seidel
-    condition bound from splitting constants."""
-    if b.kind not in _SPLITTING_KINDS:
-        raise UsageError("CBS/GS2 quantities only apply to splitting bounds")
-    gamma = b.c_upper - 1.0
-    return replace(b, cbs_gamma=gamma, gs2_kappa_bound=1.0 / (1.0 - gamma * gamma))
-
-
 def splitting_bounds_tp(family: RecurrenceFamily, s_last: int, mu: float) -> SpectralBounds:
     """Bounds for the two-block splitting of a tensor-product basis along the
     top order of the last coordinate."""
     if s_last < 1:
         raise ParameterDomainError("order must be >= 1")
     if s_last == 1:
-        b = SpectralBounds(SPLITTING_TP, 1.0, 1.0, False, 1.0, t_arg=1)
-        return cbs_and_gs2(b)
-    d_last = float(d_sequence(family, mu, s_last).values[-1])
+        return SpectralBounds(SPLITTING_TP, 1.0, 1.0, False, 1.0, t_arg=1)
+    d_last = float(d_sequence(family, mu, s_last)[-1])
     r = math.sqrt(max(1.0 - d_last, 0.0))
-    b = SpectralBounds(SPLITTING_TP, 1.0 - r, 1.0 + r, False,
-                       (1.0 + r) / (1.0 - r), t_arg=s_last)
-    return cbs_and_gs2(b)
+    return SpectralBounds(SPLITTING_TP, 1.0 - r, 1.0 + r, False,
+                          (1.0 + r) / (1.0 - r), t_arg=s_last)
 
 
 def splitting_bounds_complete(family: RecurrenceFamily, order: int, mu: float) -> SpectralBounds:
@@ -131,33 +128,28 @@ def splitting_bounds_complete(family: RecurrenceFamily, order: int, mu: float) -
     if order < 1:
         raise ParameterDomainError("order must be >= 1")
     if order == 1:
-        b = SpectralBounds(SPLITTING_COMPLETE, 1.0, 1.0, False, 1.0, t_arg=1)
-        return cbs_and_gs2(b)
-    pivots = d_sequence(family, mu, order).values
+        return SpectralBounds(SPLITTING_COMPLETE, 1.0, 1.0, False, 1.0, t_arg=1)
+    pivots = d_sequence(family, mu, order)
     t = int(np.argmin(pivots)) + 1  # ties resolve to the smaller order
     r = math.sqrt(max(1.0 - float(pivots[t - 1]), 0.0))
-    b = SpectralBounds(SPLITTING_COMPLETE, 1.0 - r, 1.0 + r, False,
-                       (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf, t_arg=t)
-    return cbs_and_gs2(b)
+    return SpectralBounds(SPLITTING_COMPLETE, 1.0 - r, 1.0 + r, False,
+                          (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf, t_arg=t)
 
 
 def _comparison_terms(family, index_set, gs, kind):
     """Dense matrices whose combination with one element's coefficients is
     the preconditioner side of the per-element comparison; ``gs`` holds the
     dense G_0..G_K of the operator side, G_0 the identity."""
+    check_basis(kind, index_set.kind)
     nvars = index_set.nvars
     if kind == MEAN_BASED:
         return gs[:1]
     if kind == SPLITTING_COMPLETE:
-        if index_set.kind != COMPLETE:
-            raise UsageError("complete splitting comparison requires a complete basis")
         return gs[:1] + [assemble_G_tilde(family, index_set, k, COMPLETE).toarray()
                          for k in range(1, nvars + 1)]
-    if kind in (TRUNCATED_TP, SPLITTING_TP):
-        if index_set.kind != TENSOR:
-            raise UsageError(f"{kind} comparison requires a tensor-product basis")
-        if kind == TRUNCATED_TP:
-            return gs[:nvars]
+    if kind == TRUNCATED_TP:
+        return gs[:nvars]
+    if kind == SPLITTING_TP:
         return gs[:nvars] + [assemble_G_tilde(family, index_set, nvars, TENSOR).toarray()]
     raise UsageError(f"no per-element comparison for preconditioner kind {kind!r}")
 

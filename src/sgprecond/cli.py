@@ -31,7 +31,7 @@ from .errors import (
     FactorizationError,
     SgprecondError,
 )
-from .fem import assemble_F, build_mesh, sample_coefficients, load_coefficient_table
+from .fem import assemble_F
 from .orthopoly import family_from_name
 
 EXIT_OK = 0
@@ -122,6 +122,17 @@ def _config_for(args):
     return cfg.with_overrides(seed=args.seed, tol=args.tol)
 
 
+def coordinate_text(mat) -> str:
+    """A 'rows cols nnz' line, then '<row> <col> <value>' per stored entry of
+    the sparse ``mat`` in row-major order (1-based, 17 significant digits)."""
+    coo = mat.tocoo()
+    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
+    order = np.lexsort((coo.col, coo.row))
+    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+        lines.append(f"{r + 1} {c + 1} {v:.17g}")
+    return "\n".join(lines) + "\n"
+
+
 def _dump_matrix(args) -> str:
     cfg = _config_for(args)
     name = args.matrix.strip()
@@ -131,23 +142,12 @@ def _dump_matrix(args) -> str:
     k = int(digits)
     degree = cfg.degrees[-1] if cfg.basis == "complete" else None
     iset = experiments._index_set(cfg, degree)
-    if kind in ("G", "Gt"):
-        if kind == "G":
-            mat = assemble_G(cfg.family, iset, k)
-        else:
-            mat = assemble_G_tilde(cfg.family, iset, k, cfg.basis)
-        return mat.to_coordinate_text()
-    mesh = build_mesh(cfg.dim, cfg.elements, cfg.element)
-    if cfg.table_path is not None:
-        field = load_coefficient_table(cfg.table_path)
-    else:
-        field = sample_coefficients(cfg.coefficients, mesh)
-    f = assemble_F(mesh, field, k).tocoo()
-    lines = [f"{f.shape[0]} {f.shape[1]} {f.nnz}"]
-    order = np.lexsort((f.col, f.row))
-    for r, c, v in zip(f.row[order], f.col[order], f.data[order]):
-        lines.append(f"{r + 1} {c + 1} {v:.17g}")
-    return "\n".join(lines) + "\n"
+    if kind == "G":
+        return coordinate_text(assemble_G(cfg.family, iset, k))
+    if kind == "Gt":
+        return coordinate_text(assemble_G_tilde(cfg.family, iset, k, cfg.basis))
+    mesh, field, _mu, _mu_class = experiments._mesh_and_field(cfg)
+    return coordinate_text(assemble_F(mesh, field, k))
 
 
 def main(argv=None) -> int:

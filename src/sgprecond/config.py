@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import coeffexpr
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .fem import ELEMENT_KINDS
-from .operator import PRECONDITIONER_KINDS
+from .operator import PRECONDITIONER_KINDS, check_basis
 from .orthopoly import RecurrenceFamily, family_from_name
 
 __all__ = ["ExperimentConfig", "parse_config", "serialize_config", "load_config"]
@@ -235,10 +235,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"unknown preconditioner {p!r} (choose from {', '.join(PRECONDITIONER_KINDS)})",
                 line=where("run", "preconditioners"),
             )
-        if p in ("truncated_tp", "splitting_tp") and basis != "tensor":
-            raise ConfigError(f"{p} requires a tensor basis", line=where("run", "preconditioners"))
-        if p == "splitting_complete" and basis != "complete":
-            raise ConfigError(f"{p} requires a complete basis", line=where("run", "preconditioners"))
+        try:
+            check_basis(p, basis)
+        except UsageError as exc:
+            raise ConfigError(str(exc), line=where("run", "preconditioners")) from None
     tol = _to_float(run.get("tol", "1e-6"), where("run", "tol"), "tol")
     max_iter = _to_int(run.get("max_iter", "400"), where("run", "max_iter"), "max_iter")
     mu_refine = _to_int(run.get("mu_refine", "64"), where("run", "mu_refine"), "mu_refine")

@@ -351,16 +351,16 @@ def run_solve(cfg: ExperimentConfig) -> ResultTable:
 def quadrature_report(family, s: int, mu: float, raw=False) -> str:
     """Printable nodes/weights and pivot sequence for one family and order."""
     rule = gauss_rule(family, s)
-    seq = d_sequence(family, mu, s)
+    pivots = d_sequence(family, mu, s)
     fmt = (lambda x: f"{x:.17g}") if raw else (lambda x: f"{x:.10g}")
     lines = [f"family {family.label}  order {s}  mu {fmt(mu)}"]
     lines.append("j  node  weight")
     for j in range(s):
         lines.append(f"{j + 1}  {fmt(rule.nodes[j])}  {fmt(rule.weights[j])}")
     lines.append("j  d_j")
-    for j, d in enumerate(seq.values, start=1):
+    for j, d in enumerate(pivots, start=1):
         lines.append(f"{j}  {fmt(d)}")
     quad = d_last_via_quadrature(family, mu, s)
-    lines.append(f"1/d_{s} (recursion)  {fmt(1.0 / seq.values[-1])}")
+    lines.append(f"1/d_{s} (recursion)  {fmt(1.0 / pivots[-1])}")
     lines.append(f"1/d_{s} (quadrature)  {fmt(1.0 / quad)}")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ The truncated block is the operator of the leading variables without the
 last expansion term.  Because every recurrence has alpha_n = 0, the detail
 block of each splitting equals its repeated block exactly.  A problem
 factors each of F0, the truncated block and A11 at most once, whichever
-preconditioner asks for it first.
+preconditioner asks for it first; a coarse group of one index has A11 = F0.
 
 Each block is factored without pivoting in a symmetric envelope order: the
 reverse Cuthill-McKee order of the finite-element graph of F0, with every
@@ -38,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .basis import TENSOR, MultiIndexSet, assemble_G
+from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
 from .errors import FactorizationError, SizeError, UsageError
 from .fem import CoefficientField, Mesh, assemble_F
 from .orthopoly import RecurrenceFamily
@@ -70,7 +70,17 @@ PRECONDITIONER_KINDS = (
     GAUSS_SEIDEL_2,
 )
 
+# the basis kind a preconditioner kind needs; the kinds not listed take either
+BASIS_OF_KIND = {TRUNCATED_TP: TENSOR, SPLITTING_TP: TENSOR, SPLITTING_COMPLETE: COMPLETE}
+
 DENSE_CAP = 6000
+
+
+def check_basis(kind: str, basis: str) -> None:
+    """Raise UsageError if preconditioner ``kind`` needs another basis kind."""
+    need = BASIS_OF_KIND.get(kind)
+    if need not in (None, basis):
+        raise UsageError(f"{kind} requires a {need} basis")
 
 
 def _vector(v, n: int) -> np.ndarray:
@@ -88,7 +98,7 @@ class GalerkinOperator:
     def __init__(self, gs, fs):
         if len(gs) != len(fs) or not gs:
             raise UsageError("need matching nonempty G and F sequences")
-        self.gs = [g.mat if hasattr(g, "mat") else sp.csr_matrix(g) for g in gs]
+        self.gs = [sp.csr_matrix(g) for g in gs]
         self.fs = [sp.csr_matrix(f) for f in fs]
         self.n_p = self.gs[0].shape[0]
         self.n_fe = self.fs[0].shape[0]
@@ -305,24 +315,23 @@ def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
     if kind not in PRECONDITIONER_KINDS:
         raise UsageError(f"unknown preconditioner kind {kind!r}")
     iset = problem.index_set
-    tensor = iset.kind == TENSOR
-    if kind in (TRUNCATED_TP, SPLITTING_TP) and not tensor:
-        raise UsageError(f"{kind} requires a tensor-product basis")
-    if kind == SPLITTING_COMPLETE and tensor:
-        raise UsageError("complete splitting requires a complete basis")
+    check_basis(kind, iset.kind)
     if kind == MEAN_BASED:
         return Preconditioner(kind, _mean_block(problem), iset.size)
     if kind == TRUNCATED_TP:
         return Preconditioner(kind, _truncated_block(problem), iset.orders[-1])
     cut = _splitting_cut(iset)
-    if tensor:
+    if iset.kind == TENSOR:
         block, count = _truncated_block(problem), 1
     else:
         block, count = _mean_block(problem), iset.size - cut
     if cut == 0:  # order 1: the repeated block alone is the operator
         return Preconditioner(kind, block, count)
-    cut *= problem.operator.n_fe
     a = problem.operator.matrix
-    coarse = _factored(problem, "coarse", "the coarse splitting block", lambda: a[:cut, :cut])
-    coupling = a[cut:, :cut].tocsr() if kind == GAUSS_SEIDEL_2 else None
+    n11 = cut * problem.operator.n_fe
+    if cut == 1:  # the constant index alone: A11 is F0, as G_k[0, 0] = 0 for k >= 1
+        coarse = _mean_block(problem)
+    else:
+        coarse = _factored(problem, "coarse", "the coarse splitting block", lambda: a[:n11, :n11])
+    coupling = a[n11:, :n11].tocsr() if kind == GAUSS_SEIDEL_2 else None
     return Preconditioner(kind, block, count, coarse, coupling)

@@ -27,17 +27,13 @@ from .errors import ConvergenceError, DominanceError, ParameterDomainError
 
 __all__ = [
     "RecurrenceFamily",
-    "JacobiMatrix",
     "GaussRule",
-    "DSequence",
     "hermite",
     "legendre",
     "chebyshev_u",
     "gegenbauer",
     "family_from_name",
-    "recurrence_coeffs",
     "jacobi_matrix",
-    "tridiag_eigenvalues",
     "max_root",
     "gauss_rule",
     "d_sequence",
@@ -78,21 +74,10 @@ class RecurrenceFamily:
             raise ParameterDomainError(f"{self.kind} takes no shape parameter")
 
     @property
-    def support(self) -> tuple[float, float]:
-        if self.kind == HERMITE:
-            return (-math.inf, math.inf)
-        return (-1.0, 1.0)
-
-    @property
     def label(self) -> str:
         if self.kind == GEGENBAUER:
             return f"gegenbauer(gamma={self.gamma:g})"
         return self.kind
-
-    def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ParameterDomainError("recurrence index must be nonnegative")
-        return 0.0
 
     def beta(self, n: int) -> float:
         if n < 1:
@@ -141,36 +126,17 @@ def family_from_name(name: str, gamma: float | None = None) -> RecurrenceFamily:
     return RecurrenceFamily(name)
 
 
-def recurrence_coeffs(family: RecurrenceFamily, n: int) -> tuple[float, float]:
-    """Return (alpha_n, beta_n) for n >= 1."""
-    return family.alpha(n), family.beta(n)
-
-
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal matrix with zero diagonal and positive
-    offdiagonal entries sqrt(beta_1), ..., sqrt(beta_{s-1})."""
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.diagonal.size
-
-    def toarray(self) -> np.ndarray:
-        a = np.diag(self.diagonal)
-        if self.offdiagonal.size:
-            a += np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
-        return a
-
-
-def jacobi_matrix(family: RecurrenceFamily, s: int) -> JacobiMatrix:
-    """Order-s Jacobi matrix of the family's orthonormal recurrence."""
+def _jacobi_bands(family: RecurrenceFamily, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero diagonal and offdiagonal sqrt(beta_1..beta_{s-1}) of the order-s Jacobi matrix."""
     if s < 1:
         raise ParameterDomainError("matrix order must be >= 1")
-    off = np.sqrt([family.beta(n) for n in range(1, s)]) if s > 1 else np.zeros(0)
-    return JacobiMatrix(np.zeros(s), np.asarray(off, dtype=float))
+    return np.zeros(s), np.sqrt([family.beta(n) for n in range(1, s)])
+
+
+def jacobi_matrix(family: RecurrenceFamily, s: int) -> np.ndarray:
+    """Order-s Jacobi matrix of the family's recurrence, a dense symmetric array."""
+    _, off = _jacobi_bands(family, s)
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def _tridiag_eig(diag, offdiag, vectors=False):
@@ -195,17 +161,12 @@ def _tridiag_eig(diag, offdiag, vectors=False):
         raise ConvergenceError(f"tridiagonal eigensolve failed (n={d.size}): {exc}") from exc
 
 
-def tridiag_eigenvalues(matrix: JacobiMatrix) -> np.ndarray:
-    """All eigenvalues of a Jacobi matrix, sorted ascending."""
-    values, _ = _tridiag_eig(matrix.diagonal, matrix.offdiagonal)
-    return values
-
-
 def max_root(family: RecurrenceFamily, s: int) -> float:
     """Largest root of the family's degree-s polynomial (0 for s = 1)."""
     if s == 1:
         return 0.0
-    return float(tridiag_eigenvalues(jacobi_matrix(family, s))[-1])
+    values, _ = _tridiag_eig(*_jacobi_bands(family, s))
+    return float(values[-1])
 
 
 @dataclass(frozen=True)
@@ -226,24 +187,15 @@ class GaussRule:
 
 
 def gauss_rule(family: RecurrenceFamily, s: int) -> GaussRule:
-    j = jacobi_matrix(family, s)
-    values, z = _tridiag_eig(j.diagonal, j.offdiagonal, vectors=True)
+    values, z = _tridiag_eig(*_jacobi_bands(family, s), vectors=True)
     weights = z[-1, :] ** 2
     return GaussRule(values, weights)
 
 
-@dataclass(frozen=True)
-class DSequence:
-    """Pivot sequence of the LDL^T factorization of I + mu*J: d_1 = 1 and
+def d_sequence(family: RecurrenceFamily, mu: float, s: int) -> np.ndarray:
+    """Pivots d_1..d_s of the LDL^T factorization of I + mu*J: d_1 = 1 and
     d_j = 1 - mu^2 beta_{j-1} / d_{j-1}.  All pivots are positive exactly
     when mu * max_root(family, j) < 1 for every j up to s."""
-
-    family: RecurrenceFamily
-    mu: float
-    values: np.ndarray
-
-
-def d_sequence(family: RecurrenceFamily, mu: float, s: int) -> DSequence:
     if mu < 0.0:
         raise ParameterDomainError("mu must be nonnegative")
     if s < 1:
@@ -259,7 +211,7 @@ def d_sequence(family: RecurrenceFamily, mu: float, s: int) -> DSequence:
                 index=j,
             )
         vals[j - 1] = d
-    return DSequence(family, mu, vals)
+    return vals
 
 
 def d_last_via_quadrature(family: RecurrenceFamily, mu: float, s: int) -> float:

@@ -14,9 +14,9 @@ def dense_h_matrix(family, mu, s, sign=+1):
     """Dense coarse/detail comparison matrix of order s:
     inv(I + sign*mu*Jhat) @ (I + sign*mu*J) with Jhat the Jacobi matrix of
     order s-1 padded by a zero row/column."""
-    j = jacobi_matrix(family, s).toarray()
+    j = jacobi_matrix(family, s)
     jhat = np.zeros_like(j)
-    jhat[: s - 1, : s - 1] = jacobi_matrix(family, max(s - 1, 1)).toarray() if s > 1 else 0.0
+    jhat[: s - 1, : s - 1] = jacobi_matrix(family, max(s - 1, 1)) if s > 1 else 0.0
     left = np.eye(s) + sign * mu * jhat
     right = np.eye(s) + sign * mu * j
     return scipy.linalg.solve(left, right)

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from sgprecond.basis import MultiIndexSet, assemble_G, assemble_G_tilde
+from sgprecond.cli import coordinate_text
 from sgprecond.errors import ParameterDomainError, SizeError, UsageError
+from sgprecond.fem import assemble_F, build_mesh, sample_coefficients
 from sgprecond.orthopoly import chebyshev_u, gegenbauer, hermite, jacobi_matrix, legendre
 
 B1 = 1 / math.sqrt(3)
@@ -59,26 +61,26 @@ class TestAssembleG:
     def test_identity(self):
         s = MultiIndexSet.complete(2, 3)
         g0 = assemble_G(legendre(), s, 0)
-        assert (g0.mat != sp.identity(6, format="csr")).nnz == 0
+        assert (g0 != sp.identity(6, format="csr")).nnz == 0
 
     def test_tensor_matches_kronecker(self):
         fam = legendre()
         s = MultiIndexSet.tensor((3, 3))
-        j = sp.csr_matrix(jacobi_matrix(fam, 3).toarray())
+        j = sp.csr_matrix(jacobi_matrix(fam, 3))
         eye = sp.identity(3, format="csr")
-        assert abs(assemble_G(fam, s, 1).mat - sp.kron(eye, j)).max() == 0.0
-        assert abs(assemble_G(fam, s, 2).mat - sp.kron(j, eye)).max() == 0.0
+        assert abs(assemble_G(fam, s, 1) - sp.kron(eye, j)).max() == 0.0
+        assert abs(assemble_G(fam, s, 2) - sp.kron(j, eye)).max() == 0.0
 
     def test_tensor_matches_kronecker_three_vars(self):
         fam = gegenbauer(2.0)
         orders = (2, 3, 4)
         s = MultiIndexSet.tensor(orders)
-        mats = [sp.csr_matrix(jacobi_matrix(fam, o).toarray()) for o in orders]
+        mats = [sp.csr_matrix(jacobi_matrix(fam, o)) for o in orders]
         eyes = [sp.identity(o, format="csr") for o in orders]
         for k in range(1, 4):
             factors = [mats[i] if i == k - 1 else eyes[i] for i in range(3)]
             expect = sp.kron(sp.kron(factors[2], factors[1]), factors[0])
-            assert abs(assemble_G(fam, s, k).mat - expect).max() == pytest.approx(0.0, abs=1e-15)
+            assert abs(assemble_G(fam, s, k) - expect).max() == pytest.approx(0.0, abs=1e-15)
 
     def test_complete_example_entries(self):
         fam = legendre()
@@ -108,6 +110,7 @@ class TestAssembleG:
         n = s.size
         for k, sk in enumerate(orders, start=1):
             g = assemble_G(fam, s, k)
+            assert g.format == "csr" and g.has_sorted_indices
             assert g.nnz == 2 * n * (sk - 1) // sk
 
     def test_symmetry_and_coupling_values(self):
@@ -135,11 +138,11 @@ class TestAssembleGTilde:
     def test_tensor_variant_zeroes_top_coupling(self):
         fam = legendre()
         s = MultiIndexSet.tensor((3, 3))
-        jt = jacobi_matrix(fam, 3).toarray()
+        jt = jacobi_matrix(fam, 3)
         jt[1, 2] = jt[2, 1] = 0.0
         expect = sp.kron(sp.csr_matrix(jt), sp.identity(3, format="csr"))
         got = assemble_G_tilde(fam, s, 2, "tensor")
-        assert abs(got.mat - expect).max() == pytest.approx(0.0, abs=1e-15)
+        assert abs(got - expect).max() == pytest.approx(0.0, abs=1e-15)
 
     def test_complete_variant_zeroes_top_degree_couplings(self):
         fam = legendre()
@@ -153,10 +156,10 @@ class TestAssembleGTilde:
         fam = legendre()
         s = MultiIndexSet.complete(2, 1)
         gt = assemble_G_tilde(fam, s, 1, "complete")
-        assert gt.nnz == 0 and gt.size == 1
+        assert gt.nnz == 0 and gt.shape == (1, 1)
         t = MultiIndexSet.tensor((2, 1))
         gt2 = assemble_G_tilde(fam, t, 2, "tensor")
-        assert abs(gt2.mat - assemble_G(fam, t, 2).mat).max() == 0.0
+        assert abs(gt2 - assemble_G(fam, t, 2)).max() == 0.0
 
     def test_sparsity_contained_in_original(self):
         fam = chebyshev_u()
@@ -185,7 +188,7 @@ class TestAssembleGTilde:
         for fam in (legendre(), chebyshev_u(), gegenbauer(2.0), hermite()):
             for order in (2, 3, 5):
                 top = min(mu_bar(fam, "complete", order), 1.0)
-                j = jacobi_matrix(fam, order).toarray()
+                j = jacobi_matrix(fam, order)
                 for sign in (1.0, -1.0):
                     w = np.linalg.eigvalsh(np.eye(order) + sign * top * j)
                     assert w.min() >= -1e-12
@@ -195,13 +198,15 @@ class TestCoordinateText:
     def test_round_trip_values(self):
         fam = legendre()
         s = MultiIndexSet.complete(2, 3)
-        g = assemble_G(fam, s, 1)
-        text = g.to_coordinate_text()
-        lines = text.strip().splitlines()
-        n, m, nnz = (int(x) for x in lines[0].split())
-        assert (n, m, nnz) == (6, 6, g.nnz)
-        rebuilt = np.zeros((n, m))
-        for line in lines[1:]:
-            i, j, v = line.split()
-            rebuilt[int(i) - 1, int(j) - 1] = float(v)
-        assert np.array_equal(rebuilt, g.toarray())
+        mesh = build_mesh(1, 4)
+        f0 = assemble_F(mesh, sample_coefficients(["1", "0.3", "0.2"], mesh), 0)
+        for mat in (assemble_G(fam, s, 1), assemble_G_tilde(fam, s, 1, "complete"), f0):
+            lines = coordinate_text(mat).strip().splitlines()
+            n, m, nnz = (int(x) for x in lines[0].split())
+            assert (n, m, nnz) == (*mat.shape, mat.nnz)
+            assert len(lines) == nnz + 1
+            rebuilt = np.zeros((n, m))
+            for line in lines[1:]:
+                i, j, v = line.split()
+                rebuilt[int(i) - 1, int(j) - 1] = float(v)
+            assert np.array_equal(rebuilt, mat.toarray())

@@ -3,6 +3,8 @@ attributes; a rename must fail here rather than turn a traced layer into a
 missing value."""
 
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +44,10 @@ def test_residual_check_reads_the_operator_terms(bench):
     assert len(a.gs) == len(a.fs) == 2
     x = np.random.default_rng(3).standard_normal(a.shape[0])
     assert checks.relative_residual(a, a.matvec(x), x) <= 1e-14
+
+
+def test_bench_selftest_passes():
+    # the selftest builds a GalerkinOperator from plain scipy.sparse terms
+    done = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

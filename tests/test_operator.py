@@ -240,12 +240,13 @@ class TestPreconditioners:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(operator.spla, "splu", counting)
-        for basis, kinds, factors in (
-            ("complete", self.KINDS_COMPLETE, 2),  # F0 and A11
-            ("tensor", self.KINDS_TENSOR, 3),  # F0, the truncated block and A11
+        for basis, order, kinds, factors in (
+            ("complete", 3, self.KINDS_COMPLETE, 2),  # F0 and A11
+            ("tensor", 3, self.KINDS_TENSOR, 3),  # F0, the truncated block and A11
+            ("complete", 2, self.KINDS_COMPLETE, 1),  # A11 is F0: the constant index alone
         ):
             calls.clear()
-            prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
+            prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=order)
             for kind in kinds:
                 build_preconditioner(prob, kind)
             assert len(calls) == factors

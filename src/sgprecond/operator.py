@@ -24,9 +24,10 @@ block of each splitting equals its repeated block exactly.  A problem
 factors each of F0, the truncated block and A11 at most once, whichever
 preconditioner asks for it first; a coarse group of one index has A11 = F0.
 
-Each block is factored without pivoting in a symmetric envelope order: the
-reverse Cuthill-McKee order of the finite-element graph of F0, with every
-finite-element node's stochastic indices kept together.
+Each block is factored without pivoting in a minimum-degree order: F0 in the
+multiple-minimum-degree order SuperLU computes for it, and every other block
+in that order of the finite-element nodes, with each node's stochastic
+indices kept together.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
 from .errors import FactorizationError, SizeError, UsageError
@@ -165,8 +165,9 @@ class DiscreteProblem:
 
     @cached_property
     def _fe_order(self) -> np.ndarray:
-        """Reverse Cuthill-McKee order of the finite-element graph of F0."""
-        return reverse_cuthill_mckee(self.operator.fs[0], symmetric_mode=True)
+        """Multiple-minimum-degree order of the finite-element graph of F0:
+        the column order SuperLU chose when it factored the mean block."""
+        return np.argsort(_mean_block(self)[1].perm_c)
 
 
 class _OrderedLU:
@@ -183,21 +184,27 @@ class _OrderedLU:
         return x
 
 
-def _factor(block: sp.spmatrix, what: str, fe_order: np.ndarray) -> _OrderedLU:
+def _factor(block: sp.spmatrix, what: str, fe_order: np.ndarray | None = None):
     """LU-factor a block that is positive definite by construction, with a
     cheap definiteness spot check so dominance violations surface here.
 
     The block's dof p*n_fe + i belongs to stochastic index p and node i; it
     is factored in the order ``fe_order`` of the nodes, each node's
-    stochastic indices together, without pivoting.
+    stochastic indices together, without pivoting.  Without ``fe_order`` the
+    block is F0 itself, and SuperLU orders it by multiple minimum degree; its
+    factors then solve with F0 directly.
     """
     n = block.shape[0]
-    count = n // fe_order.size
-    perm = (np.arange(count)[None, :] * fe_order.size + fe_order[:, None]).ravel()
+    if fe_order is None:
+        permc_spec, perm, ordered = "MMD_AT_PLUS_A", None, block.tocsc()
+    else:
+        count = n // fe_order.size
+        perm = (np.arange(count)[None, :] * fe_order.size + fe_order[:, None]).ravel()
+        permc_spec, ordered = "NATURAL", block[perm][:, perm].tocsc()
     try:
         lu = spla.splu(
-            block[perm][:, perm].tocsc(),
-            permc_spec="NATURAL",
+            ordered,
+            permc_spec=permc_spec,
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
@@ -208,15 +215,18 @@ def _factor(block: sp.spmatrix, what: str, fe_order: np.ndarray) -> _OrderedLU:
         v = rng.standard_normal(n)
         if float(v @ (block @ v)) <= 0.0:
             raise FactorizationError(f"{what} is not positive definite")
-    return _OrderedLU(lu, perm)
+    return lu if perm is None else _OrderedLU(lu, perm)
 
 
 def _factored(problem: DiscreteProblem, key: str, what: str, make):
     """(block, LU factors) of one preconditioner block, made and factored
-    the first time any preconditioner of the problem asks for it."""
+    the first time any preconditioner of the problem asks for it.  The mean
+    block F0 is factored in SuperLU's own order, which every other block
+    then takes through ``problem._fe_order``."""
     if key not in problem._factors:
         block = make().tocsr()
-        problem._factors[key] = (block, _factor(block, what, problem._fe_order))
+        fe_order = None if key == "mean" else problem._fe_order
+        problem._factors[key] = (block, _factor(block, what, fe_order))
     return problem._factors[key]
 
 
@@ -297,7 +307,11 @@ class Preconditioner:
         return np.concatenate([x1, x2])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
+        """M v for a vector or an (n, 1) column; the result has v's shape."""
+        v = _vector(v, self.shape[0])
+        return self._matvec(v.ravel()).reshape(v.shape)
+
+    def _matvec(self, v: np.ndarray) -> np.ndarray:
         cut = self.split_index or 0
         y2 = self._repeated(self.block.dot, v[cut:])
         if self.coarse is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import aslinearoperator
 
 from helpers import dense_preconditioner_matrix, indefinite_shift, random_instance
@@ -164,6 +165,20 @@ class TestPreconditioners:
                 with pytest.raises(ValueError):
                     m.solve(np.zeros((v.size, 2)))
 
+    def test_matvec_accepts_a_column(self):
+        rng = np.random.default_rng(43)
+        for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
+            prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
+            v = rng.standard_normal(prob.operator.shape[0])
+            for kind in kinds:
+                m = build_preconditioner(prob, kind)
+                column = m.matvec(v[:, None])
+                assert column.shape == (v.size, 1)
+                assert np.array_equal(column[:, 0], m.matvec(v))
+                for bad in (v[:-1], np.zeros((v.size, 2))):
+                    with pytest.raises(ValueError, match="expected shape"):
+                        m.matvec(bad)
+
     def test_solve_is_self_adjoint(self):
         rng = np.random.default_rng(29)
         for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
@@ -278,6 +293,27 @@ class TestPreconditioners:
         ordered = m._lu11.lu
         colamd = spla.splu(m.coarse.tocsc())
         assert ordered.L.nnz + ordered.U.nnz <= colamd.L.nnz + colamd.U.nnz
+
+    def test_ordered_coarse_factor_fills_less_than_rcm(self):
+        prob = small_2d_problem(elements=11, nvars=3, order=5)
+        m = build_preconditioner(prob, SPLITTING_COMPLETE)
+        ordered = m._lu11.lu
+        rcm_order = reverse_cuthill_mckee(prob.operator.fs[0], symmetric_mode=True)
+        rcm = operator._factor(m.coarse, "the coarse block", rcm_order).lu
+        assert ordered.L.nnz + ordered.U.nnz < rcm.L.nnz + rcm.U.nnz
+
+    def test_mean_block_on_a_path_factors_without_fill(self):
+        # in 1D F0 is tridiagonal: L and U each hold 2n - 1 entries
+        for elements in (2, 5, 30):
+            prob = small_problem(n=elements)
+            n = prob.operator.n_fe
+            lu = build_preconditioner(prob, MEAN_BASED)._lu
+            assert lu.L.nnz + lu.U.nnz == 4 * n - 2
+
+    def test_fe_order_is_deterministic(self):
+        first, second = (small_2d_problem(elements=7)._fe_order for _ in range(2))
+        assert np.array_equal(first, second)
+        assert np.array_equal(np.sort(first), np.arange(first.size))
 
     def test_indefinite_block_is_a_factorization_error(self):
         # no pivoting: the definiteness spot check is the guard

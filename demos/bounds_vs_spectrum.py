@@ -42,7 +42,7 @@ for degree in (1, 2, 4):
     classical = classical_bounds(legendre(), iset, mu_class)
     oracle_lo, oracle_hi = element_equivalence_oracle(legendre(), iset, field, "mean_based")
 
-    a = problem.operator.assemble_dense(cap=4000)
+    a = problem.operator.matrix.toarray()
     m_dense = np.column_stack([m.matvec(col) for col in np.eye(a.shape[0])])
     w = scipy.linalg.eigh(a, m_dense, eigvals_only=True)
 

@@ -53,7 +53,7 @@ print(pattern(assemble_G_tilde(fam, cset, 1, "complete").toarray()))
 mesh = build_mesh(1, 4)
 field = sample_coefficients(["1", "0.4", "0.25"], mesh)
 problem = DiscreteProblem.build(fam, cset, mesh, field)
-a = problem.operator.assemble_dense()
+a = problem.operator.matrix.toarray()
 print(f"\nassembled operator: {a.shape[0]} unknowns "
       f"({cset.size} basis polynomials x {mesh.n_interior} interior nodes)")
 

@@ -32,6 +32,7 @@ from .orthopoly import RecurrenceFamily, d_sequence, max_root
 
 __all__ = [
     "SpectralBounds",
+    "bounds_for",
     "mean_based_bounds",
     "classical_bounds",
     "truncated_bounds",
@@ -42,8 +43,6 @@ __all__ = [
 
 ORACLE_CAP = 600
 
-_SPLITTING_KINDS = (SPLITTING_TP, SPLITTING_COMPLETE)
-
 
 @dataclass(frozen=True)
 class SpectralBounds:
@@ -51,11 +50,13 @@ class SpectralBounds:
 
     ``vacuous`` marks a nonpositive lower constant: the factorized
     preconditioner can still exist but the bound carries no information and
-    kappa_bound is +inf.  For splitting kinds, cbs_gamma bounds the
-    strengthened Cauchy-Schwarz constant of the two subspaces and
-    gs2_kappa_bound = 1/(1 - cbs_gamma^2) bounds the two-block Gauss-Seidel
-    condition number; both are None for the other kinds.  t_arg is the block
-    order attaining the extremes.
+    kappa_bound is +inf.  t_arg is the block order attaining the extremes.
+
+    Each preconditioner kind has one record (``bounds_for``).  For the
+    splitting kinds, gamma = c_upper - 1 bounds the strengthened
+    Cauchy-Schwarz constant of the two subspaces; the two-block Gauss-Seidel
+    record is [1 - gamma^2, 1] with kappa_bound 1/(1 - gamma^2) for that
+    same gamma.
     """
 
     kind: str
@@ -65,22 +66,13 @@ class SpectralBounds:
     kappa_bound: float
     t_arg: int | None = None
 
-    @property
-    def cbs_gamma(self) -> float | None:
-        return self.c_upper - 1.0 if self.kind in _SPLITTING_KINDS else None
 
-    @property
-    def gs2_kappa_bound(self) -> float | None:
-        gamma = self.cbs_gamma
-        return None if gamma is None else 1.0 / (1.0 - gamma * gamma)
-
-
-def _symmetric_bounds(kind: str, reach: float) -> SpectralBounds:
+def _symmetric_bounds(kind: str, reach: float, t_arg: int | None = None) -> SpectralBounds:
     c_lo = 1.0 - reach
     c_hi = 1.0 + reach
     vacuous = not c_lo > 0.0
     kappa = math.inf if vacuous else c_hi / c_lo
-    return SpectralBounds(kind, c_lo, c_hi, vacuous, kappa)
+    return SpectralBounds(kind, c_lo, c_hi, vacuous, kappa, t_arg)
 
 
 def mean_based_bounds(family: RecurrenceFamily, index_set: MultiIndexSet, mu: float) -> SpectralBounds:
@@ -111,29 +103,47 @@ def truncated_bounds(family: RecurrenceFamily, s_last: int, mu: float) -> Spectr
 def splitting_bounds_tp(family: RecurrenceFamily, s_last: int, mu: float) -> SpectralBounds:
     """Bounds for the two-block splitting of a tensor-product basis along the
     top order of the last coordinate."""
-    if s_last < 1:
-        raise ParameterDomainError("order must be >= 1")
-    if s_last == 1:
-        return SpectralBounds(SPLITTING_TP, 1.0, 1.0, False, 1.0, t_arg=1)
     d_last = float(d_sequence(family, mu, s_last)[-1])
-    r = math.sqrt(max(1.0 - d_last, 0.0))
-    return SpectralBounds(SPLITTING_TP, 1.0 - r, 1.0 + r, False,
-                          (1.0 + r) / (1.0 - r), t_arg=s_last)
+    return _symmetric_bounds(SPLITTING_TP, math.sqrt(max(1.0 - d_last, 0.0)), t_arg=s_last)
 
 
 def splitting_bounds_complete(family: RecurrenceFamily, order: int, mu: float) -> SpectralBounds:
     """Bounds for the two-block splitting of a complete basis at its top
     total degree; the extremes sweep the comparison blocks of every order
     t <= s and are attained at the smallest pivot."""
-    if order < 1:
-        raise ParameterDomainError("order must be >= 1")
-    if order == 1:
-        return SpectralBounds(SPLITTING_COMPLETE, 1.0, 1.0, False, 1.0, t_arg=1)
     pivots = d_sequence(family, mu, order)
     t = int(np.argmin(pivots)) + 1  # ties resolve to the smaller order
-    r = math.sqrt(max(1.0 - float(pivots[t - 1]), 0.0))
-    return SpectralBounds(SPLITTING_COMPLETE, 1.0 - r, 1.0 + r, False,
-                          (1.0 + r) / (1.0 - r) if r < 1.0 else math.inf, t_arg=t)
+    return _symmetric_bounds(SPLITTING_COMPLETE, math.sqrt(max(1.0 - float(pivots[t - 1]), 0.0)), t_arg=t)
+
+
+def bounds_for(kind: str, family: RecurrenceFamily, index_set: MultiIndexSet, mu: float) -> SpectralBounds:
+    """The bounds record of preconditioner ``kind`` on ``index_set``.
+
+    The tensor kinds are controlled by the last coordinate's order and the
+    complete splitting by the total order.  gs2 takes gamma = c_upper - 1 of
+    the splitting of its basis: M_gs2 - A = diag(0, B A11^-1 B^T) is positive
+    semidefinite and the detail block of the splitting equals A22, so the
+    spectrum of M_gs2^-1 A lies in [1 - gamma^2, 1] (Eijkhout-Vassilevski
+    1991; Axelsson 1994, ch. 9).
+    """
+    check_basis(kind, index_set.kind)
+    if kind == MEAN_BASED:
+        return mean_based_bounds(family, index_set, mu)
+    if kind == TRUNCATED_TP:
+        return truncated_bounds(family, index_set.orders[-1], mu)
+    if kind == GAUSS_SEIDEL_2:
+        split_kind = SPLITTING_TP if index_set.kind == TENSOR else SPLITTING_COMPLETE
+        split = bounds_for(split_kind, family, index_set, mu)
+        gamma = split.c_upper - 1.0
+        c_lo = 1.0 - gamma * gamma
+        vacuous = not c_lo > 0.0
+        return SpectralBounds(GAUSS_SEIDEL_2, c_lo, 1.0, vacuous,
+                              math.inf if vacuous else 1.0 / c_lo, t_arg=split.t_arg)
+    if kind == SPLITTING_TP:
+        return splitting_bounds_tp(family, index_set.orders[-1], mu)
+    if kind == SPLITTING_COMPLETE:
+        return splitting_bounds_complete(family, index_set.order, mu)
+    raise UsageError(f"unknown preconditioner kind {kind!r}")
 
 
 def _comparison_terms(family, index_set, gs, kind):

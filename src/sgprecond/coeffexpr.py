@@ -17,7 +17,6 @@ ExprEvalError rather than propagating NaN.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -195,58 +194,53 @@ def parse(text: str) -> CoeffExpr:
     return _Parser(text).parse()
 
 
-def _eval(node: CoeffExpr, x1, x2, lib):
+def _eval(node: CoeffExpr, x1, x2):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Pi):
-        return math.pi
+        return np.pi
     if isinstance(node, Var):
         val = x1 if node.name == "x1" else x2
         if val is None:
             raise ExprEvalError(f"variable {node.name} was not supplied")
         return val
     if isinstance(node, Neg):
-        return -_eval(node.operand, x1, x2, lib)
+        return -_eval(node.operand, x1, x2)
     if isinstance(node, BinOp):
-        a = _eval(node.left, x1, x2, lib)
-        b = _eval(node.right, x1, x2, lib)
+        a = _eval(node.left, x1, x2)
+        b = _eval(node.right, x1, x2)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
-        if lib is math:
-            if b == 0.0:
-                raise ExprEvalError("division by zero")
-        elif np.any(b == 0.0):
+        if np.any(b == 0.0):
             raise ExprEvalError("division by zero")
         return a / b
-    a = _eval(node.args[0], x1, x2, lib)
+    a = _eval(node.args[0], x1, x2)
     if node.func == "sin":
-        return lib.sin(a)
+        return np.sin(a)
     if node.func == "cos":
-        return lib.cos(a)
+        return np.cos(a)
     if node.func == "abs":
-        return abs(a) if lib is math else np.abs(a)
+        return np.abs(a)
     # chi: half-open indicator [a, b) applied to x1
-    b = _eval(node.args[1], x1, x2, lib)
+    b = _eval(node.args[1], x1, x2)
     if x1 is None:
         raise ExprEvalError("variable x1 was not supplied")
-    if lib is math:
-        return 1.0 if a <= x1 < b else 0.0
     return ((x1 >= a) & (x1 < b)).astype(float)
 
 
 def evaluate(expr: CoeffExpr, x1: float | None = None, x2: float | None = None) -> float:
-    """Evaluate at a single point."""
-    return float(_eval(expr, x1, x2, math))
+    """Evaluate at a single point; a variable left as None must not be read."""
+    return float(_eval(expr, *(None if x is None else np.float64(x) for x in (x1, x2))))
 
 
 def evaluate_on(expr: CoeffExpr, x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
     """Vectorized evaluation on arrays of points."""
     x1 = np.asarray(x1, dtype=float)
-    out = _eval(expr, x1, None if x2 is None else np.asarray(x2, dtype=float), np)
+    out = _eval(expr, x1, None if x2 is None else np.asarray(x2, dtype=float))
     return np.broadcast_to(np.asarray(out, dtype=float), x1.shape).copy()
 
 

@@ -206,7 +206,7 @@ def pcg(a, m, b, tol: float = 1e-8, max_iter: int = 1000, callback=None):
     if norm_b == 0.0:
         return x, 0, [0.0]
     r = b.copy()
-    z = m.solve(r) if m is not None else r.copy()
+    z = m.solve(r)
     p = z.copy()
     rz = float(r @ z)
     history = []
@@ -225,7 +225,7 @@ def pcg(a, m, b, tol: float = 1e-8, max_iter: int = 1000, callback=None):
         history.append(rel)
         if rel <= tol:
             return x, it, history
-        z = m.solve(r) if m is not None else r
+        z = m.solve(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next

@@ -4,8 +4,9 @@
 ``run_verify`` additionally assembles the problem, builds the requested
 preconditioners, estimates the true extreme eigenvalues and asserts the
 guaranteed enclosure chain, failing with EnclosureError if any computed
-eigenvalue escapes its bounds beyond a small slack or if the splitting and
-two-block Gauss-Seidel conditions break the CBS identity that ties them.
+eigenvalue escapes its bounds beyond a small slack, if the splitting
+extremes are not symmetric about 1, or if the splitting and two-block
+Gauss-Seidel conditions break the CBS identity that ties them.
 ``run_solve`` compares conjugate gradient iteration counts across
 preconditioners.
 """
@@ -157,33 +158,26 @@ def _mesh_and_field(cfg: ExperimentConfig):
 
 def _analytic_cells(cfg, degree, iset, mu, mu_class):
     """Cells shared by the bounds-only and verify paths, plus the bounds
-    objects keyed by preconditioner kind."""
+    records keyed by preconditioner kind."""
     cells = {"degree": Cell(float(degree)), "K": Cell(float(cfg.nterms)), "mu": Cell(mu)}
-    by_kind = {}
-    for kind in cfg.preconditioners:
+    by_kind = {kind: bnd.bounds_for(kind, cfg.family, iset, mu) for kind in cfg.preconditioners}
+    for kind, b in by_kind.items():
         if kind == MEAN_BASED:
-            b = bnd.mean_based_bounds(cfg.family, iset, mu)
-            by_kind[kind] = b
             cells["c_lower"] = Cell(b.c_lower)
             cells["c_upper"] = Cell(b.c_upper)
             cells["ratio"] = Cell(b.kappa_bound, VACUOUS if b.vacuous else ANALYTIC)
         elif kind == TRUNCATED_TP:
-            b = bnd.truncated_bounds(cfg.family, cfg.degrees[-1] + 1, mu)
-            by_kind[kind] = b
             cells["c_lower_tr"] = Cell(b.c_lower)
             cells["c_upper_tr"] = Cell(b.c_upper)
             cells["ratio_tr"] = Cell(b.kappa_bound, VACUOUS if b.vacuous else ANALYTIC)
-        elif kind in (SPLITTING_TP, SPLITTING_COMPLETE, GAUSS_SEIDEL_2):
-            if cfg.basis == "tensor":
-                b = bnd.splitting_bounds_tp(cfg.family, cfg.degrees[-1] + 1, mu)
-            else:
-                b = bnd.splitting_bounds_complete(cfg.family, degree + 1, mu)
-            by_kind[kind] = b
+        else:  # the splitting kinds and gs2 write the same columns
+            split_kind = SPLITTING_TP if cfg.basis == "tensor" else SPLITTING_COMPLETE
+            split = bnd.bounds_for(split_kind, cfg.family, iset, mu)
             # "ratio" belongs to the mean-based bound whenever both appear
             key = "ratio_SB" if MEAN_BASED in cfg.preconditioners else "ratio"
-            cells[key] = Cell(b.kappa_bound)
-            cells["inv_d_t"] = Cell(b.gs2_kappa_bound)
-            cells["t"] = Cell(float(b.t_arg))
+            cells[key] = Cell(split.kappa_bound)
+            cells["inv_d_t"] = Cell(bnd.bounds_for(GAUSS_SEIDEL_2, cfg.family, iset, mu).kappa_bound)
+            cells["t"] = Cell(float(split.t_arg))
     if cfg.classical:
         cb = bnd.classical_bounds(cfg.family, iset, mu_class)
         cells["mu_class"] = Cell(mu_class)
@@ -249,6 +243,23 @@ def _check_cbs_identity(degree, kappa_sb, kappa_gs2, tol):
         )
 
 
+def _check_splitting_symmetry(label, est, tol):
+    """The splitting detail block equals its repeated block exactly, so the
+    spectrum is 1 -+ gamma_i and lambda_min + lambda_max = 2.
+
+    Lanczos stops once each extreme Ritz value theta is within relative
+    ``tol`` of an eigenvalue, so |theta_min + theta_max - 2| is at most
+    tol*(theta_min + theta_max) unless one end settled on an interior
+    eigenvalue.
+    """
+    total = est.lambda_min + est.lambda_max
+    if abs(total - 2.0) > tol * total:
+        raise EnclosureError(
+            f"{label}: computed extremes ({est.lambda_min:.12g}, {est.lambda_max:.12g}) "
+            f"are not symmetric about 1; their sum is {total:.12g}"
+        )
+
+
 _EIG_COLUMN = {MEAN_BASED: "kappa_MB", TRUNCATED_TP: "kappa_TR",
                SPLITTING_TP: "kappa_SB", SPLITTING_COMPLETE: "kappa_SB",
                GAUSS_SEIDEL_2: "kappa_GS2"}
@@ -275,19 +286,14 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
             if kind == MEAN_BASED:
                 cells["lambda_min"] = Cell(est.lambda_min, LANCZOS)
                 cells["lambda_max"] = Cell(est.lambda_max, LANCZOS)
-            b = by_kind.get(kind)
-            if b is not None and not b.vacuous:
-                if kind == GAUSS_SEIDEL_2:
-                    if kappa > b.gs2_kappa_bound * (1.0 + 1e-6) + ENCLOSURE_SLACK:
-                        raise EnclosureError(
-                            f"two-block Gauss-Seidel condition {kappa:.6g} exceeds its bound "
-                            f"{b.gs2_kappa_bound:.6g}"
-                        )
-                else:
-                    _check_enclosure(f"{kind} (degree {degree})", b.c_lower, b.c_upper, est)
+            b = by_kind[kind]
+            if not b.vacuous:
+                _check_enclosure(f"{kind} (degree {degree})", b.c_lower, b.c_upper, est)
+            if kind in (SPLITTING_TP, SPLITTING_COMPLETE):
+                _check_splitting_symmetry(f"{kind} (degree {degree})", est, lanczos_tol)
             if kind == MEAN_BASED and cfg.classical:
                 cb = by_kind["classical"]
-                if not cb.vacuous and b is not None:
+                if not cb.vacuous:
                     if cb.c_lower > b.c_lower + 1e-12 or cb.c_upper < b.c_upper - 1e-12:
                         raise EnclosureError(
                             "classical bounds are tighter than the local ones; "
@@ -296,10 +302,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         if "kappa_SB" in cells and "kappa_GS2" in cells:
             _check_cbs_identity(degree, cells["kappa_SB"].value, cells["kappa_GS2"].value, lanczos_tol)
         if cfg.oracle:
-            okind = next(
-                (k for k in cfg.preconditioners if k in bnd._SPLITTING_KINDS or k in (MEAN_BASED, TRUNCATED_TP)),
-                None,
-            )
+            okind = next((k for k in cfg.preconditioners if k != GAUSS_SEIDEL_2), None)
             if okind is not None:
                 lo, hi = bnd.element_equivalence_oracle(cfg.family, iset, field, okind)
                 cells["oracle_min"] = Cell(lo, DENSE)
@@ -332,7 +335,7 @@ def run_solve(cfg: ExperimentConfig) -> ResultTable:
             problem.operator, m, rhs, tol=cfg.tol, max_iter=cfg.max_iter * 10
         )
         elapsed = time.perf_counter() - start
-        b = by_kind.get(kind)
+        bound = by_kind[kind].kappa_bound
         row = {
             "preconditioner": Cell(kind),
             "degree": Cell(float(degree)),
@@ -340,10 +343,8 @@ def run_solve(cfg: ExperimentConfig) -> ResultTable:
             "iterations": Cell(float(iterations), LANCZOS),
             "residual": Cell(history[-1], LANCZOS),
             "seconds": Cell(elapsed, LANCZOS),
+            "kappa_bound": Cell(bound, VACUOUS if math.isinf(bound) else ANALYTIC),
         }
-        if b is not None:
-            bound = b.gs2_kappa_bound if kind == GAUSS_SEIDEL_2 else b.kappa_bound
-            row["kappa_bound"] = Cell(bound, VACUOUS if math.isinf(bound) else ANALYTIC)
         table.add_row(row)
     return table
 

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
-from .errors import FactorizationError, SizeError, UsageError
+from .errors import FactorizationError, UsageError
 from .fem import CoefficientField, Mesh, assemble_F
 from .orthopoly import RecurrenceFamily
 
@@ -72,8 +72,6 @@ PRECONDITIONER_KINDS = (
 
 # the basis kind a preconditioner kind needs; the kinds not listed take either
 BASIS_OF_KIND = {TRUNCATED_TP: TENSOR, SPLITTING_TP: TENSOR, SPLITTING_COMPLETE: COMPLETE}
-
-DENSE_CAP = 6000
 
 
 def check_basis(kind: str, basis: str) -> None:
@@ -126,12 +124,6 @@ class GalerkinOperator:
             total = total + sp.kron(g, f, format="csr")
         total.sort_indices()
         return total
-
-    def assemble_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        n = self.shape[0]
-        if n > cap:
-            raise SizeError(f"dense assembly of size {n} exceeds cap {cap}")
-        return self.matrix.toarray()
 
 
 class DiscreteProblem:

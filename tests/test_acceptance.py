@@ -19,11 +19,10 @@ from conftest import record_criterion
 from helpers import dense_h_matrix, dense_preconditioner_matrix, random_instance
 from sgprecond.basis import MultiIndexSet
 from sgprecond.bounds import (
+    bounds_for,
     element_equivalence_oracle,
     mean_based_bounds,
-    splitting_bounds_complete,
     splitting_bounds_tp,
-    truncated_bounds,
 )
 from sgprecond.eigsolve import pcg
 from sgprecond.fem import build_mesh, compute_mu, load_vector, sample_coefficients
@@ -222,15 +221,6 @@ class TestCriterion6RandomizedPropertySuite:
         "tensor": (MEAN_BASED, TRUNCATED_TP, SPLITTING_TP),
     }
 
-    def _analytic(self, kind, family, iset, mu):
-        if kind == MEAN_BASED:
-            return mean_based_bounds(family, iset, mu)
-        if kind == TRUNCATED_TP:
-            return truncated_bounds(family, iset.orders[-1], mu)
-        if kind == SPLITTING_TP:
-            return splitting_bounds_tp(family, iset.orders[-1], mu)
-        return splitting_bounds_complete(family, iset.order, mu)
-
     def test_hundred_random_instances(self):
         with criterion(6, "randomized matvec/sandwich/comparison-matrix suite"):
             from sgprecond.fem import CoefficientField
@@ -254,7 +244,7 @@ class TestCriterion6RandomizedPropertySuite:
                 assert mu == pytest.approx(mu_target, rel=1e-12)
 
                 # (a) product against densely assembled operator
-                dense = problem.operator.assemble_dense()
+                dense = problem.operator.matrix.toarray()
                 scale = np.abs(dense).max()
                 v = rng.standard_normal(dense.shape[0])
                 err = np.linalg.norm(problem.operator.matvec(v) - dense @ v)
@@ -262,7 +252,7 @@ class TestCriterion6RandomizedPropertySuite:
 
                 # (b) analytic bounds enclose oracle constants enclose spectrum
                 for kind in self.ORACLE_KINDS[iset.kind]:
-                    bound = self._analytic(kind, family, iset, mu)
+                    bound = bounds_for(kind, family, iset, mu)
                     lo, hi = element_equivalence_oracle(family, iset, field, kind)
                     m = build_preconditioner(problem, kind)
                     m_dense = dense_preconditioner_matrix(problem, m)
@@ -273,16 +263,14 @@ class TestCriterion6RandomizedPropertySuite:
                     assert w[-1] - slack <= hi + slack
                     assert hi - slack <= bound.c_upper + slack
 
-                # GS2 condition number respects the pivot bound
-                if iset.kind == "complete":
-                    sb = splitting_bounds_complete(family, iset.order, mu)
-                else:
-                    sb = splitting_bounds_tp(family, iset.orders[-1], mu)
+                # GS2 spectrum lies in [1 - gamma^2, 1]
+                gb = bounds_for(GAUSS_SEIDEL_2, family, iset, mu)
                 g = build_preconditioner(problem, GAUSS_SEIDEL_2)
                 g_dense = dense_preconditioner_matrix(problem, g)
                 wg = scipy.linalg.eigh(dense, g_dense, eigvals_only=True)
-                assert wg[-1] / wg[0] <= sb.gs2_kappa_bound * (1 + 1e-8) + 1e-8
-                assert wg[-1] <= 1.0 + 1e-8
+                assert gb.c_lower - 1e-8 <= wg[0]
+                assert wg[-1] <= gb.c_upper + 1e-8
+                assert wg[-1] / wg[0] <= gb.kappa_bound * (1 + 1e-8) + 1e-8
 
                 # (c) dense comparison matrix: unit eigenvalue count and
                 # sign-independent extremes
@@ -347,7 +335,7 @@ class TestCriterion8ConjugateGradients:
             small_field = sample_coefficients(["1", "0.5*chi(0,1/2)", "0.3"], small_mesh)
             small_iset = MultiIndexSet.complete(2, 3)
             small = DiscreteProblem.build(legendre(), small_iset, small_mesh, small_field)
-            a = small.operator.assemble_dense()
+            a = small.operator.matrix.toarray()
             b = np.zeros(a.shape[0])
             b[: small_mesh.n_interior] = load_vector(small_mesh, "1")
             x_star = np.linalg.solve(a, b)

@@ -7,6 +7,7 @@ import scipy.linalg
 from helpers import dense_h_matrix, random_field
 from sgprecond.basis import MultiIndexSet
 from sgprecond.bounds import (
+    bounds_for,
     classical_bounds,
     element_equivalence_oracle,
     mean_based_bounds,
@@ -14,9 +15,16 @@ from sgprecond.bounds import (
     splitting_bounds_tp,
     truncated_bounds,
 )
-from sgprecond.errors import DominanceError, SizeError
+from sgprecond.errors import DominanceError, SizeError, UsageError
 from sgprecond.fem import CoefficientField, build_mesh, sample_coefficients
-from sgprecond.operator import MEAN_BASED, SPLITTING_COMPLETE
+from sgprecond.operator import (
+    GAUSS_SEIDEL_2,
+    MEAN_BASED,
+    SPLITTING_COMPLETE,
+    SPLITTING_TP,
+    TRUNCATED_TP,
+)
+from sgprecond.orthopoly import d_sequence
 from sgprecond.orthopoly import chebyshev_u, gegenbauer, hermite, legendre
 
 
@@ -96,20 +104,22 @@ class TestSplitting:
     def test_zero_mu(self):
         b = splitting_bounds_tp(legendre(), 4, 0.0)
         assert (b.c_lower, b.c_upper) == (1.0, 1.0)
-        assert b.gs2_kappa_bound == 1.0
+        assert bounds_for(GAUSS_SEIDEL_2, legendre(), MultiIndexSet.tensor((4,)), 0.0).kappa_bound == 1.0
 
     # 0.828052 is the refined dominance ratio of the 2D sine setting whose
     # rounded value 0.83 labels the published rows
     def test_complete_table_row(self):
         b = splitting_bounds_complete(legendre(), 3, 0.828052)
+        gs2 = bounds_for(GAUSS_SEIDEL_2, legendre(), MultiIndexSet.complete(2, 3), 0.828052)
         assert b.t_arg == 3
-        assert b.gs2_kappa_bound == pytest.approx(1.31, abs=0.005)
+        assert gs2.kappa_bound == pytest.approx(1.31, abs=0.005)
         assert b.kappa_bound == pytest.approx(2.90, abs=0.01)
 
     def test_complete_low_order_row(self):
         b = splitting_bounds_complete(legendre(), 2, 0.828052)
+        gs2 = bounds_for(GAUSS_SEIDEL_2, legendre(), MultiIndexSet.complete(2, 2), 0.828052)
         assert b.t_arg == 2
-        assert b.gs2_kappa_bound == pytest.approx(1.30, abs=0.005)
+        assert gs2.kappa_bound == pytest.approx(1.30, abs=0.005)
         assert b.kappa_bound == pytest.approx(2.83, abs=0.01)
 
     def test_argmin_moves_to_small_orders_for_small_mu(self):
@@ -123,22 +133,47 @@ class TestSplitting:
     def test_cbs_identities(self):
         for order, mu in ((2, 0.83), (3, 0.9), (5, 0.5)):
             b = splitting_bounds_complete(legendre(), order, mu)
-            assert b.cbs_gamma == pytest.approx(b.c_upper - 1.0, abs=1e-15)
-            assert b.cbs_gamma == pytest.approx(1.0 - b.c_lower, abs=1e-12)
-            from sgprecond.orthopoly import d_sequence
-
+            gs2 = bounds_for(GAUSS_SEIDEL_2, legendre(), MultiIndexSet.complete(2, order), mu)
+            gamma = b.c_upper - 1.0
+            assert gamma == pytest.approx(1.0 - b.c_lower, abs=1e-12)
             d = d_sequence(legendre(), mu, order)[b.t_arg - 1]
-            assert b.gs2_kappa_bound == pytest.approx(1.0 / d, abs=1e-12)
-
-    def test_cbs_rejects_non_splitting(self):
-        iset = MultiIndexSet.complete(1, 3)
-        b = mean_based_bounds(legendre(), iset, 0.5)
-        assert b.cbs_gamma is None and b.gs2_kappa_bound is None
+            assert gs2.c_lower == pytest.approx(d, abs=1e-12)
+            assert gs2.kappa_bound == pytest.approx(1.0 / d, abs=1e-12)
 
     def test_example_numbers(self):
         b = splitting_bounds_tp(legendre(), 3, 0.9)
         gamma = b.c_upper - 1.0
         assert 1.0 / (1.0 - gamma * gamma) == pytest.approx(1.42, abs=0.005)
+
+
+class TestBoundsFor:
+    def test_each_kind_reads_its_order(self):
+        fam = legendre()
+        tensor = MultiIndexSet.tensor((4, 3))
+        complete = MultiIndexSet.complete(2, 4)
+        assert bounds_for(MEAN_BASED, fam, tensor, 0.6) == mean_based_bounds(fam, tensor, 0.6)
+        assert bounds_for(TRUNCATED_TP, fam, tensor, 0.6) == truncated_bounds(fam, 3, 0.6)
+        assert bounds_for(SPLITTING_TP, fam, tensor, 0.6) == splitting_bounds_tp(fam, 3, 0.6)
+        assert bounds_for(SPLITTING_COMPLETE, fam, complete, 0.6) == splitting_bounds_complete(fam, 4, 0.6)
+
+    @pytest.mark.parametrize("split_kind, iset", [
+        (SPLITTING_TP, MultiIndexSet.tensor((2, 5))),
+        (SPLITTING_COMPLETE, MultiIndexSet.complete(3, 4)),
+    ], ids=["tensor", "complete"])
+    def test_gs2_record_follows_the_splitting_of_its_basis(self, split_kind, iset):
+        split = bounds_for(split_kind, legendre(), iset, 0.8)
+        gs2 = bounds_for(GAUSS_SEIDEL_2, legendre(), iset, 0.8)
+        gamma = split.c_upper - 1.0
+        assert gs2.kind == GAUSS_SEIDEL_2
+        assert (gs2.c_lower, gs2.c_upper, gs2.vacuous) == (1.0 - gamma * gamma, 1.0, False)
+        assert gs2.kappa_bound == 1.0 / (1.0 - gamma * gamma)
+        assert gs2.t_arg == split.t_arg
+
+    def test_rejects_basis_mismatch_and_unknown_kind(self):
+        with pytest.raises(UsageError):
+            bounds_for(SPLITTING_TP, legendre(), MultiIndexSet.complete(2, 3), 0.5)
+        with pytest.raises(UsageError):
+            bounds_for("classical", legendre(), MultiIndexSet.complete(2, 3), 0.5)
 
 
 class TestDenseComparisonMatrix:

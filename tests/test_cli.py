@@ -7,7 +7,7 @@ import pytest
 from helpers import indefinite_shift
 from sgprecond import eigsolve, operator
 from sgprecond.cli import bundled_openblas, main
-from sgprecond.operator import GAUSS_SEIDEL_2
+from sgprecond.operator import GAUSS_SEIDEL_2, SPLITTING_COMPLETE
 
 SMALL = """sgp-config v1
 
@@ -237,6 +237,37 @@ class TestExitCodes:
         monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", moved)
         assert main(["verify", "--config", str(small_cfg)]) == 4
         assert "breaks the CBS identity" in capsys.readouterr().err
+
+    def test_gs2_extremes_above_one_are_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
+        # both gs2 extremes scaled by 1.02: kappa_GS2 is unchanged, but
+        # lambda_max leaves [1 - gamma^2, 1]
+        generalized = eigsolve.extreme_eigs_generalized
+
+        def scaled(a, m, **kwargs):
+            est = generalized(a, m, **kwargs)
+            if m.kind == GAUSS_SEIDEL_2:
+                est = dataclasses.replace(est, lambda_min=1.02 * est.lambda_min,
+                                          lambda_max=1.02 * est.lambda_max)
+            return est
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", scaled)
+        assert main(["verify", "--config", str(small_cfg)]) == 4
+        assert "gs2 (degree 2): computed extremes" in capsys.readouterr().err
+
+    def test_asymmetric_splitting_extremes_are_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
+        # lambda_min raised by 1%: still inside the splitting bounds, but the
+        # splitting spectrum 1 -+ gamma_i is symmetric about 1
+        generalized = eigsolve.extreme_eigs_generalized
+
+        def shifted(a, m, **kwargs):
+            est = generalized(a, m, **kwargs)
+            if m.kind == SPLITTING_COMPLETE:
+                est = dataclasses.replace(est, lambda_min=1.01 * est.lambda_min)
+            return est
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", shifted)
+        assert main(["verify", "--config", str(small_cfg)]) == 4
+        assert "are not symmetric about 1" in capsys.readouterr().err
 
     def test_threads_env_fallback(self, small_cfg, monkeypatch, blas_threads):
         monkeypatch.setenv("SGP_THREADS", "2")

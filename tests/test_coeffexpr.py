@@ -70,14 +70,6 @@ class TestEvaluate:
         with pytest.raises(ExprEvalError):
             ce.evaluate(ce.parse("x2"), x1=0.5)
 
-    def test_vectorized_matches_scalar(self):
-        e = ce.parse("0.5*chi(0,1/3)+sin(pi*x1)*cos(pi*x2)")
-        x1 = np.linspace(0, 1, 17)
-        x2 = np.linspace(0, 1, 17) ** 2
-        vec = ce.evaluate_on(e, x1, x2)
-        scal = [ce.evaluate(e, a, b) for a, b in zip(x1, x2)]
-        assert np.array_equal(vec, np.array(scal))
-
     def test_vectorized_constant_broadcasts(self):
         e = ce.parse("2+3")
         out = ce.evaluate_on(e, np.zeros(5))

@@ -38,7 +38,7 @@ class _DenseSolve:
 class TestGeneralizedLanczos:
     def test_exact_preconditioner_gives_unit_spectrum(self):
         prob = make_problem(["1", "0.4"])
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         est = extreme_eigs_generalized(prob.operator, _DenseSolve(a), tol=1e-10)
         assert est.lambda_min == pytest.approx(1.0, abs=1e-10)
         assert est.lambda_max == pytest.approx(1.0, abs=1e-10)
@@ -58,7 +58,7 @@ class TestGeneralizedLanczos:
     def test_problem_pencil_matches_dense(self):
         prob = make_problem(["1", "0.3*sin(pi*x1)", "0.2*x1"], n=7, order=3)
         m = build_preconditioner(prob, MEAN_BASED)
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         md = dense_preconditioner_matrix(prob, m)
         w = scipy.linalg.eigh(a, md, eigvals_only=True)
         est = extreme_eigs_generalized(prob.operator, m, tol=1e-9)
@@ -116,7 +116,7 @@ class TestExtremeEigs:
     @staticmethod
     def _assert_matches_eigvalsh(prob):
         m = build_preconditioner(prob, MEAN_BASED)
-        w = np.linalg.eigvalsh(prob.operator.assemble_dense())
+        w = np.linalg.eigvalsh(prob.operator.matrix.toarray())
         est = extreme_eigs(prob.operator, m, tol=1e-8)
         assert est.lambda_min == pytest.approx(w[0], rel=1e-8)
         assert est.lambda_max == pytest.approx(w[-1], rel=1e-8)
@@ -134,7 +134,7 @@ class TestExtremeEigs:
     def test_accelerated_inverse_path(self):
         prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
         m = build_preconditioner(prob, MEAN_BASED)
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         w = np.linalg.eigvalsh(a)
         est = extreme_eigs(prob.operator, tol=1e-8, accel=m)
         assert est.lambda_min == pytest.approx(w[0], rel=1e-7)
@@ -142,7 +142,7 @@ class TestExtremeEigs:
 
     def test_stopping_short_raises_with_estimate(self):
         prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
-        w = np.linalg.eigvalsh(prob.operator.assemble_dense())
+        w = np.linalg.eigvalsh(prob.operator.matrix.toarray())
         with pytest.raises(ConvergenceError) as err:
             extreme_eigs(prob.operator, _NoSolve(), tol=1e-8, max_iter=40)
         est = err.value.estimate
@@ -187,7 +187,7 @@ class TestPcg:
 
     def test_exact_preconditioner_one_iteration(self):
         prob = make_problem(["1", "0.4"])
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         b = np.linspace(1, 2, a.shape[0])
         x, its, hist = pcg(prob.operator, _DenseSolve(a), b, tol=1e-12)
         assert its == 1
@@ -205,7 +205,7 @@ class TestPcg:
     def test_energy_norm_monotone(self):
         prob = make_problem(["1", "0.5*chi(0,1/2)", "0.2"], n=8, order=3)
         m = build_preconditioner(prob, MEAN_BASED)
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         b = np.zeros(a.shape[0])
         b[: prob.mesh.n_interior] = load_vector(prob.mesh, "1")
         x_star = np.linalg.solve(a, b)
@@ -216,7 +216,7 @@ class TestPcg:
 
     def test_max_iter_error_carries_history(self):
         prob = make_problem(["1", "0.3"], n=30, order=3)
-        m = None
+        m = _DenseSolve(np.eye(prob.operator.shape[0]))  # unpreconditioned
         b = np.ones(prob.operator.shape[0])
         with pytest.raises(ConvergenceError) as err:
             pcg(prob.operator, m, b, tol=1e-14, max_iter=3)

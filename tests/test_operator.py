@@ -10,7 +10,7 @@ from scipy.sparse.linalg import aslinearoperator
 from helpers import dense_preconditioner_matrix, indefinite_shift, random_instance
 from sgprecond import operator
 from sgprecond.basis import MultiIndexSet, assemble_G
-from sgprecond.errors import FactorizationError, SizeError, UsageError
+from sgprecond.errors import FactorizationError, UsageError
 from sgprecond.fem import assemble_F, build_mesh, sample_coefficients
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
@@ -61,7 +61,7 @@ class TestMatvec:
         f1 = assemble_F(prob.mesh, prob.field, 1).toarray()
         z = np.zeros_like(f0)
         expect = np.block([[f0, B1 * f1, z], [B1 * f1, f0, B2 * f1], [z, B2 * f1, f0]])
-        assert np.allclose(prob.operator.assemble_dense(), expect, atol=1e-14)
+        assert np.allclose(prob.operator.matrix.toarray(), expect, atol=1e-14)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(11)
@@ -112,16 +112,11 @@ class TestMatvec:
         assert column.shape == (x.shape[0], 1)
         assert np.array_equal(column[:, 0], prob.operator.matvec(x[:, 0]))
 
-    def test_dense_cap(self):
-        prob = small_problem(n=30, order=8)
-        with pytest.raises(SizeError):
-            prob.operator.assemble_dense(cap=10)
-
     def test_symmetry_of_dense(self):
         rng = np.random.default_rng(5)
         mesh, iset, field = random_instance(rng, legendre())
         prob = DiscreteProblem.build(legendre(), iset, mesh, field)
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         assert np.allclose(a, a.T, atol=1e-14)
 
 
@@ -192,7 +187,7 @@ class TestPreconditioners:
     def test_block_kinds_differ_from_operator_only_at_cut_couplings(self):
         for basis, kind in (("complete", SPLITTING_COMPLETE), ("tensor", SPLITTING_TP)):
             prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=3, order=3)
-            a = prob.operator.assemble_dense()
+            a = prob.operator.matrix.toarray()
             m = build_preconditioner(prob, kind)
             dense = dense_preconditioner_matrix(prob, m)
             cut = m.split_index
@@ -204,7 +199,7 @@ class TestPreconditioners:
     def test_truncated_blocks_repeat_leading_operator(self):
         prob = small_problem(basis="tensor", exprs=("1", "0.4", "0.3"), n=3, order=2)
         m = build_preconditioner(prob, TRUNCATED_TP)
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         dense = dense_preconditioner_matrix(prob, m)
         bn = m.block.shape[0]
         for b in range(m.count):
@@ -219,7 +214,7 @@ class TestPreconditioners:
     def test_gs2_matches_factored_formula(self):
         for basis in ("complete", "tensor"):
             prob = small_problem(basis=basis, exprs=("1", "0.5", "0.2"), n=3, order=3)
-            a = prob.operator.assemble_dense()
+            a = prob.operator.matrix.toarray()
             m = build_preconditioner(prob, GAUSS_SEIDEL_2)
             cut = m.split_index
             d1, d2 = a[:cut, :cut], a[cut:, cut:]
@@ -237,7 +232,7 @@ class TestPreconditioners:
         # gamma = (kappa_SB - 1)/(kappa_SB + 1), on exact pencil extremes
         for basis, split in (("complete", SPLITTING_COMPLETE), ("tensor", SPLITTING_TP)):
             prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
-            a = prob.operator.assemble_dense()
+            a = prob.operator.matrix.toarray()
             kappas = []
             for kind in (split, GAUSS_SEIDEL_2):
                 m_dense = dense_preconditioner_matrix(prob, build_preconditioner(prob, kind))
@@ -329,7 +324,7 @@ class TestPreconditioners:
         field = sample_coefficients(["1+x1", "0"], mesh)
         iset = MultiIndexSet.complete(1, 3)
         prob = DiscreteProblem.build(legendre(), iset, mesh, field)
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         for kind in (MEAN_BASED, SPLITTING_COMPLETE, GAUSS_SEIDEL_2):
             m = build_preconditioner(prob, kind)
             assert np.allclose(dense_preconditioner_matrix(prob, m), a, atol=1e-12)
@@ -337,7 +332,7 @@ class TestPreconditioners:
     def test_degenerate_order_one_splitting(self):
         prob = small_problem(exprs=("1", "0.5"), order=1)
         m = build_preconditioner(prob, SPLITTING_COMPLETE)
-        a = prob.operator.assemble_dense()
+        a = prob.operator.matrix.toarray()
         assert np.allclose(dense_preconditioner_matrix(prob, m), a, atol=1e-12)
         g = build_preconditioner(prob, GAUSS_SEIDEL_2)
         v = np.linspace(1, 2, a.shape[0])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import os
 import sys
 from pathlib import Path
 
@@ -46,7 +45,7 @@ def _add_common(p):
     p.add_argument("--format", choices=("csv", "md", "raw"), default="csv")
     p.add_argument("--seed", type=int, help="override the configured random seed")
     p.add_argument("--tol", type=float, help="override the configured tolerance")
-    p.add_argument("--threads", type=int, help="BLAS thread count (SGP_THREADS fallback)")
+    p.add_argument("--threads", type=int, help="set the thread count of the bundled OpenBLAS")
 
 
 def _build_parser():
@@ -75,11 +74,6 @@ def _build_parser():
 
 def _resolve_threads(args):
     n = args.threads
-    if n is None and os.environ.get("SGP_THREADS"):
-        try:
-            n = int(os.environ["SGP_THREADS"])
-        except ValueError:
-            raise ConfigError("SGP_THREADS must be an integer") from None
     if n is not None:
         if n < 1:
             raise ConfigError("--threads must be >= 1")

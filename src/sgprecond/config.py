@@ -9,6 +9,7 @@ work starts.  parse -> serialize -> parse is a fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import coeffexpr
@@ -68,6 +69,14 @@ class ExperimentConfig:
     seed: int = 42
     rhs: str = "1"
     element: str = "q1"  # 2D element kind: "q1" | "p1"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
+        if self.max_iter < 1 or self.mu_refine < 1:
+            raise ConfigError("max_iter and mu_refine must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def with_overrides(self, seed=None, tol=None):
         cfg = self
@@ -243,8 +252,6 @@ def parse_config(text: str) -> ExperimentConfig:
     max_iter = _to_int(run.get("max_iter", "400"), where("run", "max_iter"), "max_iter")
     mu_refine = _to_int(run.get("mu_refine", "64"), where("run", "mu_refine"), "mu_refine")
     seed = _to_int(run.get("seed", "42"), where("run", "seed"), "seed")
-    if tol <= 0 or max_iter < 1 or mu_refine < 1:
-        raise ConfigError("tol, max_iter and mu_refine must be positive")
     rhs = run.get("rhs", "1")
     try:
         coeffexpr.parse(rhs)

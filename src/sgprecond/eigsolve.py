@@ -29,6 +29,8 @@ from .orthopoly import _tridiag_eig
 
 __all__ = ["EigEstimate", "extreme_eigs_generalized", "extreme_eigs", "pcg"]
 
+CHECK_EVERY = 5  # Lanczos steps between two Ritz solves of the tridiagonal matrix
+
 
 @dataclass(frozen=True)
 class EigEstimate:
@@ -45,7 +47,7 @@ def _ritz_extremes(alphas, betas):
     return w, np.abs(z[-1, :])
 
 
-def _lanczos(a, m, tol, max_iter, rng, which="both", check_every=5, return_basis=False):
+def _lanczos(a, m, tol, max_iter, rng, which="both", return_basis=False):
     """Lanczos for the pencil (A, M); M=None means the identity.
 
     Returns (EigEstimate, basis or None).  ``which`` is "both" or "max":
@@ -89,7 +91,7 @@ def _lanczos(a, m, tol, max_iter, rng, which="both", check_every=5, return_basis
         betas.append(beta)
         qs[:, j + 1] = qt / beta
         ps[:, j + 1] = pt / beta
-        if (j + 1) % check_every == 0 or j + 1 == max_iter:
+        if (j + 1) % CHECK_EVERY == 0 or j + 1 == max_iter:
             w, last = _ritz_extremes(alphas, betas[:-1])
             res_lo = beta * last[0] / max(abs(w[0]), 1e-300)
             res_hi = beta * last[-1] / max(abs(w[-1]), 1e-300)

@@ -216,8 +216,8 @@ def run_bounds(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _check_enclosure(label, lo, hi, est, slack=ENCLOSURE_SLACK):
-    if est.lambda_min < lo - slack or est.lambda_max > hi + slack:
+def _check_enclosure(label, lo, hi, est):
+    if est.lambda_min < lo - ENCLOSURE_SLACK or est.lambda_max > hi + ENCLOSURE_SLACK:
         raise EnclosureError(
             f"{label}: computed extremes ({est.lambda_min:.12g}, {est.lambda_max:.12g}) "
             f"escape the guaranteed interval ({lo:.12g}, {hi:.12g})"

@@ -6,23 +6,24 @@ fastest, the global matrix is sum_k G_k (x) F_k.  It is assembled as one
 sparse matrix the first time a product or a block of it is needed, and every
 later product and block reads that matrix.
 
-Every preconditioner is M = diag(A11, I_count (x) T): an optional coarse
-block A11 (the operator restricted to the leading stochastic indices)
-followed by one block T repeated along the diagonal.  The two-block
-Gauss-Seidel variant also keeps the coupling B between the two groups.
+Every preconditioner is M = diag(A11, I_copies (x) T): an optional coarse
+block A11 followed by one block T repeated along the diagonal.  Both are
+leading blocks of A: the operator on the first so many stochastic indices.
+The two-block Gauss-Seidel variant also keeps the coupling B between the
+two groups.  With N_P basis indices, s the last tensor order and c the
+number of complete-basis indices of total degree at most p - 2:
 
-    kind                coarse  repeated block T                coupling B
-    mean_based          none    F0, N_P copies                  no
-    truncated_tp        none    truncated block, s_last copies  no
-    splitting_tp        A11     truncated block, one copy       no
-    splitting_complete  A11     F0, one copy per top index      no
-    gs2                 A11     as for the splitting            yes
+    kind                coarse indices  repeated-block indices  copies
+    mean_based          none            1 (F0)                  N_P
+    truncated_tp        none            N_P / s                 s
+    splitting_tp        N_P - N_P / s   N_P / s                 1
+    splitting_complete  c               1 (F0)                  N_P - c
+    gs2                 as for the splitting, with the coupling B
 
-The truncated block is the operator of the leading variables without the
-last expansion term.  Because every recurrence has alpha_n = 0, the detail
-block of each splitting equals its repeated block exactly.  A problem
-factors each of F0, the truncated block and A11 at most once, whichever
-preconditioner asks for it first; a coarse group of one index has A11 = F0.
+One index gives F0, since G_k[0, 0] = 0 for k >= 1.  Because every
+recurrence has alpha_n = 0, the detail block of each splitting equals its
+repeated block exactly.  A problem factors each leading block at most once,
+keyed by its index count, whichever preconditioner asks for it first.
 
 Each block is factored without pivoting in a minimum-degree order: F0 in the
 multiple-minimum-degree order SuperLU computes for it, and every other block
@@ -127,17 +128,14 @@ class GalerkinOperator:
 
 
 class DiscreteProblem:
-    """A mesh, a coefficient field and a basis, with all matrices assembled."""
+    """A mesh, a coefficient field and a basis, with the operator's terms assembled."""
 
-    def __init__(self, family, index_set, mesh, field, gs, fs):
-        self.family = family
+    def __init__(self, index_set, mesh, field, operator):
         self.index_set = index_set
         self.mesh = mesh
         self.field = field
-        self.gs = gs
-        self.fs = fs
-        self.operator = GalerkinOperator(gs, fs)
-        self._factors = {}  # block name -> (block, LU factors)
+        self.operator = operator
+        self._factors = {}  # leading index count -> (block, LU factors)
 
     @classmethod
     def build(
@@ -153,13 +151,13 @@ class DiscreteProblem:
             )
         gs = [assemble_G(family, index_set, k) for k in range(field.nterms + 1)]
         fs = [assemble_F(mesh, field, k) for k in range(field.nterms + 1)]
-        return cls(family, index_set, mesh, field, gs, fs)
+        return cls(index_set, mesh, field, GalerkinOperator(gs, fs))
 
     @cached_property
     def _fe_order(self) -> np.ndarray:
         """Multiple-minimum-degree order of the finite-element graph of F0:
         the column order SuperLU chose when it factored the mean block."""
-        return np.argsort(_mean_block(self)[1].perm_c)
+        return np.argsort(_leading_block(self, 1)[1].perm_c)
 
 
 class _OrderedLU:
@@ -210,34 +208,21 @@ def _factor(block: sp.spmatrix, what: str, fe_order: np.ndarray | None = None):
     return lu if perm is None else _OrderedLU(lu, perm)
 
 
-def _factored(problem: DiscreteProblem, key: str, what: str, make):
-    """(block, LU factors) of one preconditioner block, made and factored
-    the first time any preconditioner of the problem asks for it.  The mean
-    block F0 is factored in SuperLU's own order, which every other block
-    then takes through ``problem._fe_order``."""
-    if key not in problem._factors:
-        block = make().tocsr()
-        fe_order = None if key == "mean" else problem._fe_order
-        problem._factors[key] = (block, _factor(block, what, fe_order))
-    return problem._factors[key]
-
-
-def _mean_block(problem: DiscreteProblem):
-    return _factored(problem, "mean", "the mean block", lambda: problem.fs[0])
-
-
-def _truncated_block(problem: DiscreteProblem):
-    """sum_{k<K} G_k (x) F_k over the tensor basis without its last variable."""
-    iset = problem.index_set
-    if iset.nvars == 1:
-        return _mean_block(problem)
-
-    def make():
-        sub = MultiIndexSet.tensor(iset.orders[:-1])
-        gs = [assemble_G(problem.family, sub, k) for k in range(iset.nvars)]
-        return GalerkinOperator(gs, problem.fs[: iset.nvars]).assemble_sparse()
-
-    return _factored(problem, "truncated", "the truncated leading block", make)
+def _leading_block(problem: DiscreteProblem, count: int):
+    """(block, LU factors) of A on its first ``count`` stochastic indices,
+    made and factored the first time any preconditioner of the problem asks
+    for it.  One index is F0, factored in SuperLU's own order, which every
+    larger block then takes through ``problem._fe_order``."""
+    if count not in problem._factors:
+        a = problem.operator
+        if count == 1:
+            block, what, fe_order = a.fs[0], "the mean block", None
+        else:
+            n = count * a.n_fe
+            block, fe_order = a.matrix[:n, :n], problem._fe_order
+            what = f"the leading block of {count} stochastic indices"
+        problem._factors[count] = (block, _factor(block, what, fe_order))
+    return problem._factors[count]
 
 
 def _splitting_cut(index_set: MultiIndexSet) -> int:
@@ -322,22 +307,12 @@ def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
         raise UsageError(f"unknown preconditioner kind {kind!r}")
     iset = problem.index_set
     check_basis(kind, iset.kind)
-    if kind == MEAN_BASED:
-        return Preconditioner(kind, _mean_block(problem), iset.size)
-    if kind == TRUNCATED_TP:
-        return Preconditioner(kind, _truncated_block(problem), iset.orders[-1])
-    cut = _splitting_cut(iset)
-    if iset.kind == TENSOR:
-        block, count = _truncated_block(problem), 1
-    else:
-        block, count = _mean_block(problem), iset.size - cut
-    if cut == 0:  # order 1: the repeated block alone is the operator
+    # (indices per repeated block, coarse indices); the copies fill the rest
+    lead = iset.size // iset.orders[-1] if iset.kind == TENSOR and kind != MEAN_BASED else 1
+    cut = 0 if kind in (MEAN_BASED, TRUNCATED_TP) else _splitting_cut(iset)
+    block, count = _leading_block(problem, lead), (iset.size - cut) // lead
+    if cut == 0:
         return Preconditioner(kind, block, count)
-    a = problem.operator.matrix
     n11 = cut * problem.operator.n_fe
-    if cut == 1:  # the constant index alone: A11 is F0, as G_k[0, 0] = 0 for k >= 1
-        coarse = _mean_block(problem)
-    else:
-        coarse = _factored(problem, "coarse", "the coarse splitting block", lambda: a[:n11, :n11])
-    coupling = a[n11:, :n11].tocsr() if kind == GAUSS_SEIDEL_2 else None
-    return Preconditioner(kind, block, count, coarse, coupling)
+    coupling = problem.operator.matrix[n11:, :n11].tocsr() if kind == GAUSS_SEIDEL_2 else None
+    return Preconditioner(kind, block, count, _leading_block(problem, cut), coupling)

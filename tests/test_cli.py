@@ -269,14 +269,16 @@ class TestExitCodes:
         assert main(["verify", "--config", str(small_cfg)]) == 4
         assert "are not symmetric about 1" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, small_cfg, monkeypatch, blas_threads):
-        monkeypatch.setenv("SGP_THREADS", "2")
-        assert main(["bounds", "--config", str(small_cfg), "--out", "/dev/null"]) == 0
-        monkeypatch.setenv("SGP_THREADS", "zebra")
-        assert main(["bounds", "--config", str(small_cfg), "--out", "/dev/null"]) == 2
+    def test_nonpositive_tol_override_is_a_config_error(self, small_cfg, capsys):
+        for tol in ("0", "-1", "nan"):
+            assert main(["verify", "--config", str(small_cfg), "--tol", tol]) == 2
+            assert "tol must be a finite positive number" in capsys.readouterr().err
 
-    def test_threads_flag_sets_bundled_openblas(self, small_cfg, monkeypatch, blas_threads):
-        monkeypatch.delenv("SGP_THREADS", raising=False)
+    def test_negative_seed_override_is_a_config_error(self, small_cfg, capsys):
+        assert main(["verify", "--config", str(small_cfg), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_threads_flag_sets_bundled_openblas(self, small_cfg, blas_threads):
         assert len(bundled_openblas()) == 2  # numpy's and scipy's copies
         argv = ["bounds", "--config", str(small_cfg), "--out", "/dev/null", "--threads"]
         assert main(argv + ["1"]) == 0

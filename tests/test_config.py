@@ -137,3 +137,19 @@ class TestParse:
     def test_overrides(self):
         cfg = parse_config(GOOD).with_overrides(seed=5, tol=1e-9)
         assert cfg.seed == 5 and cfg.tol == 1e-9
+        for bad in ({"tol": 0.0}, {"tol": float("inf")}, {"seed": -1}):
+            with pytest.raises(ConfigError):
+                cfg.with_overrides(**bad)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ConfigError, match="tol must be a finite positive number"):
+            parse_config(GOOD.replace("tol = 1e-6", "tol = nan"))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            parse_config(GOOD.replace("seed = 7", "seed = -1"))
+
+    def test_iteration_counts_must_be_positive(self):
+        for key in ("max_iter", "mu_refine"):
+            with pytest.raises(ConfigError, match="max_iter and mu_refine must be >= 1"):
+                parse_config(GOOD.replace("seed = 7", f"seed = 7\n{key} = 0"))

@@ -127,6 +127,19 @@ class TestRunVerify:
         assert t.value(0, "lambda_max") <= hi + 1e-10
         assert hi <= t.value(0, "c_upper") + 1e-10
 
+    def test_tensor_basis_with_every_tensor_kind(self):
+        # orders (3, 2): the truncated block and the coarse block are both A
+        # on the first three indices, so truncated_tp and splitting_tp are
+        # the same preconditioner
+        text = CFG.replace("basis = complete\ndegree = 1 2", "basis = tensor\ndegrees = 2 1")
+        text = text.replace("mean_based splitting_complete gs2",
+                            "mean_based truncated_tp splitting_tp gs2\noracle = true")
+        t = run_verify(parse_config(text))
+        assert len(t.rows) == 1
+        for column in ("kappa_TR", "kappa_SB", "kappa_GS2", "oracle_min", "oracle_max"):
+            assert t.value(0, column) is not None
+        assert t.value(0, "kappa_TR") == pytest.approx(t.value(0, "kappa_SB"), rel=1e-12)
+
 
 class TestRunSolve:
     def test_solver_comparison_rows(self, cfg):

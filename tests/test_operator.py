@@ -34,7 +34,8 @@ def small_problem(basis="complete", exprs=("1", "0.5"), n=2, order=3):
     if basis == "complete":
         iset = MultiIndexSet.complete(len(exprs) - 1, order)
     else:
-        iset = MultiIndexSet.tensor((order,) * (len(exprs) - 1))
+        orders = order if isinstance(order, tuple) else (order,) * (len(exprs) - 1)
+        iset = MultiIndexSet.tensor(orders)
     return DiscreteProblem.build(legendre(), iset, mesh, field)
 
 
@@ -51,7 +52,7 @@ def small_2d_problem(basis="complete", elements=5, nvars=2, order=3):
 
 def kron_reference(prob) -> np.ndarray:
     """sum_k G_k (x) F_k formed densely from the problem's terms."""
-    return sum(np.kron(g.toarray(), f.toarray()) for g, f in zip(prob.gs, prob.fs))
+    return sum(np.kron(g.toarray(), f.toarray()) for g, f in zip(prob.operator.gs, prob.operator.fs))
 
 
 class TestMatvec:
@@ -253,6 +254,8 @@ class TestPreconditioners:
         for basis, order, kinds, factors in (
             ("complete", 3, self.KINDS_COMPLETE, 2),  # F0 and A11
             ("tensor", 3, self.KINDS_TENSOR, 3),  # F0, the truncated block and A11
+            ("tensor", (3, 2), self.KINDS_TENSOR, 2),  # F0; the truncated block is A11
+            ("tensor", (1, 3), self.KINDS_TENSOR, 2),  # A11; the truncated block is F0
             ("complete", 2, self.KINDS_COMPLETE, 1),  # A11 is F0: the constant index alone
         ):
             calls.clear()

@@ -39,7 +39,7 @@ print(f"  indices: {[tuple(r) for r in tset.indices.tolist()]}")
 print("\ncoupling matrix of the second coordinate:")
 print(pattern(assemble_G(fam, tset, 2).toarray()))
 print("\nits annihilated variant drops the top-order coupling:")
-print(pattern(assemble_G_tilde(fam, tset, 2, "tensor").toarray()))
+print(pattern(assemble_G_tilde(fam, tset, 2).toarray()))
 
 print("\ncomplete basis with total order 3 groups indices by degree:")
 cset = MultiIndexSet.complete(2, 3)
@@ -48,7 +48,7 @@ g1 = assemble_G(fam, cset, 1)
 print("\ncoupling matrix of the first coordinate and its annihilated variant:")
 print(pattern(g1.toarray()))
 print()
-print(pattern(assemble_G_tilde(fam, cset, 1, "complete").toarray()))
+print(pattern(assemble_G_tilde(fam, cset, 1).toarray()))
 
 mesh = build_mesh(1, 4)
 field = sample_coefficients(["1", "0.4", "0.25"], mesh)

@@ -16,13 +16,14 @@ from math import comb, prod, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterDomainError, SizeError, UsageError
+from .errors import ParameterDomainError, SizeError
 from .orthopoly import RecurrenceFamily
 
 __all__ = [
     "MultiIndexSet",
     "assemble_G",
     "assemble_G_tilde",
+    "splitting_cut",
 ]
 
 DEFAULT_SIZE_CAP = 2_000_000
@@ -117,21 +118,33 @@ class MultiIndexSet:
         return f"MultiIndexSet(complete, K={self.nvars}, order={self.order}, size={self.size})"
 
 
-def _couplings(family: RecurrenceFamily, index_set: MultiIndexSet, k: int, skip):
-    """Sparse symmetric coupling matrix of coordinate k over the basis, with
-    sorted indices, omitting pairs where ``skip`` holds.
+def splitting_cut(index_set: MultiIndexSet) -> int:
+    """Number of leading indices in the coarse group of the two-block
+    splitting: every index below the top order of the last coordinate
+    (tensor) or below the top total degree (complete)."""
+    if index_set.kind == TENSOR:
+        s_last = index_set.orders[-1]
+        return (s_last - 1) * (index_set.size // s_last)
+    return int(np.count_nonzero(index_set.total_degrees() <= index_set.order - 2))
+
+
+def assemble_G(family: RecurrenceFamily, index_set: MultiIndexSet, k: int) -> sp.csr_matrix:
+    """Coupling matrix of coordinate k over the basis (identity for k = 0),
+    with sorted indices.
 
     Entry (i, j) is nonzero only when the two multi-indices differ by exactly
     one in coordinate k and agree elsewhere; its value is
     sqrt(beta_{min(i_k, j_k) + 1}).
     """
+    if k < 0 or k > index_set.nvars:
+        raise ParameterDomainError(f"coordinate {k} outside 0..{index_set.nvars}")
+    if k == 0:
+        return sp.identity(index_set.size, format="csr")
     rows = []
     cols = []
     vals = []
     col = k - 1
     for i, tup in enumerate(index_set.indices.tolist()):
-        if skip is not None and skip(tup):
-            continue
         up = list(tup)
         up[col] += 1
         j = index_set.position(up)
@@ -147,41 +160,17 @@ def _couplings(family: RecurrenceFamily, index_set: MultiIndexSet, k: int, skip)
     return mat
 
 
-def assemble_G(family: RecurrenceFamily, index_set: MultiIndexSet, k: int) -> sp.csr_matrix:
-    """Coupling matrix of coordinate k over the basis (identity for k = 0)."""
-    if k < 0 or k > index_set.nvars:
-        raise ParameterDomainError(f"coordinate {k} outside 0..{index_set.nvars}")
-    if k == 0:
-        return sp.identity(index_set.size, format="csr")
-    return _couplings(family, index_set, k, None)
+def assemble_G_tilde(family: RecurrenceFamily, index_set: MultiIndexSet, k: int) -> sp.csr_matrix:
+    """G_k without the couplings across the splitting cut: the annihilated
+    coupling matrix of the two-block splitting preconditioners.
 
-
-def assemble_G_tilde(
-    family: RecurrenceFamily, index_set: MultiIndexSet, k: int, variant: str
-) -> sp.csr_matrix:
-    """Annihilated coupling matrix used by the splitting preconditioners.
-
-    variant "tensor": only valid for tensor sets and k = K; removes the
-    single coupling between the two highest orders of the last coordinate.
-    variant "complete": only valid for complete sets and k >= 1; removes
-    every coupling between total degree s-2 and total degree s-1.
+    On a tensor set only G_K changes (the coupling between the two highest
+    orders of the last coordinate goes); on a complete set every coupling
+    between total degree s-2 and total degree s-1 goes.
     """
-    if variant == TENSOR:
-        if index_set.kind != TENSOR or k != index_set.nvars:
-            raise UsageError("tensor splitting applies to tensor sets and the last coordinate")
-        top = index_set.orders[-1] - 2
-
-        def skip(tup, _top=top, _col=k - 1):
-            return tup[_col] == _top
-
-    elif variant == COMPLETE:
-        if index_set.kind != COMPLETE or k < 1 or k > index_set.nvars:
-            raise UsageError("complete splitting applies to complete sets and k >= 1")
-        top = index_set.order - 2
-
-        def skip(tup, _top=top):
-            return sum(tup) == _top
-
-    else:
-        raise UsageError(f"unknown splitting variant {variant!r}")
-    return _couplings(family, index_set, k, skip)
+    g = assemble_G(family, index_set, k).tocoo()
+    cut = splitting_cut(index_set)
+    keep = (g.row < cut) == (g.col < cut)
+    mat = sp.csr_matrix((g.data[keep], (g.row[keep], g.col[keep])), shape=g.shape)
+    mat.sort_indices()
+    return mat

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G, assemble_G_tilde
+from .basis import TENSOR, MultiIndexSet, assemble_G
 from .errors import DominanceError, ParameterDomainError, SizeError, UsageError
 from .fem import CoefficientField
 from .operator import (
@@ -26,6 +26,7 @@ from .operator import (
     SPLITTING_COMPLETE,
     SPLITTING_TP,
     TRUNCATED_TP,
+    block_layout,
     check_basis,
 )
 from .orthopoly import RecurrenceFamily, d_sequence, max_root
@@ -146,22 +147,13 @@ def bounds_for(kind: str, family: RecurrenceFamily, index_set: MultiIndexSet, mu
     raise UsageError(f"unknown preconditioner kind {kind!r}")
 
 
-def _comparison_terms(family, index_set, gs, kind):
-    """Dense matrices whose combination with one element's coefficients is
-    the preconditioner side of the per-element comparison; ``gs`` holds the
-    dense G_0..G_K of the operator side, G_0 the identity."""
-    check_basis(kind, index_set.kind)
-    nvars = index_set.nvars
-    if kind == MEAN_BASED:
-        return gs[:1]
-    if kind == SPLITTING_COMPLETE:
-        return gs[:1] + [assemble_G_tilde(family, index_set, k, COMPLETE).toarray()
-                         for k in range(1, nvars + 1)]
-    if kind == TRUNCATED_TP:
-        return gs[:nvars]
-    if kind == SPLITTING_TP:
-        return gs[:nvars] + [assemble_G_tilde(family, index_set, nvars, TENSOR).toarray()]
-    raise UsageError(f"no per-element comparison for preconditioner kind {kind!r}")
+def _layout_mask(kind: str, index_set: MultiIndexSet) -> np.ndarray:
+    """Boolean matrix of the stochastic couplings that preconditioner
+    ``kind`` keeps: (i, j) with i and j in one group of its block layout."""
+    lead, cut = block_layout(kind, index_set)
+    i = np.arange(index_set.size)
+    label = np.where(i < cut, -1, (i - cut) // lead)
+    return label[:, None] == label[None, :]
 
 
 def element_equivalence_oracle(
@@ -174,8 +166,9 @@ def element_equivalence_oracle(
     """Sharp per-element equivalence constants for a concrete field.
 
     For every element, solves the dense generalized eigenproblem between the
-    element's coupling combination and its preconditioner-side counterpart,
-    and returns the global (min, max).  These constants are what lifts to
+    element's coupling combination and the same combination restricted to
+    the couplings the preconditioner keeps (``_layout_mask``), and returns
+    the global (min, max).  These constants are what lifts to
     the full operator, so they always sit inside the analytic bounds and
     outside the true eigenvalues.
     """
@@ -186,13 +179,13 @@ def element_equivalence_oracle(
     if field.nterms != index_set.nvars:
         raise UsageError("field and basis disagree on the number of variables")
     gs = [assemble_G(family, index_set, k).toarray() for k in range(index_set.nvars + 1)]
-    terms = _comparison_terms(family, index_set, gs, kind)
+    keep = _layout_mask(kind, index_set)
     lo = math.inf
     hi = -math.inf
     for j in range(field.n_elements):
         values = field.values[:, j]
         lhs = sum(values[k] * gs[k] for k in range(len(gs)))
-        rhs = sum(values[k] * terms[k] for k in range(len(terms)))
+        rhs = np.where(keep, lhs, 0.0)
         try:
             np.linalg.cholesky(rhs)
         except np.linalg.LinAlgError:

@@ -139,7 +139,7 @@ def _dump_matrix(args) -> str:
     if kind == "G":
         return coordinate_text(assemble_G(cfg.family, iset, k))
     if kind == "Gt":
-        return coordinate_text(assemble_G_tilde(cfg.family, iset, k, cfg.basis))
+        return coordinate_text(assemble_G_tilde(cfg.family, iset, k))
     mesh, field, _mu, _mu_class = experiments._mesh_and_field(cfg)
     return coordinate_text(assemble_F(mesh, field, k))
 

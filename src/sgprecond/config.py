@@ -22,32 +22,6 @@ __all__ = ["ExperimentConfig", "parse_config", "serialize_config", "load_config"
 
 HEADER = "sgp-config v1"
 
-_SECTIONS = {
-    "problem": {
-        "dim",
-        "elements",
-        "element",
-        "family",
-        "gamma",
-        "basis",
-        "degree",
-        "degrees",
-        "K",
-    },
-    "coefficients": None,  # a0..aK or table
-    "run": {
-        "preconditioners",
-        "classical",
-        "kappa_A",
-        "tol",
-        "max_iter",
-        "mu_refine",
-        "seed",
-        "rhs",
-        "oracle",
-    },
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -139,6 +113,45 @@ def _to_bool(value, no, key):
     if low in ("false", "no", "0"):
         return False
     raise ConfigError(f"{key} must be true or false, got {value!r}", line=no)
+
+
+def _to_expr(value, no, key):
+    try:
+        coeffexpr.parse(value)
+    except Exception as exc:
+        raise ConfigError(f"{key}: {exc}", line=no) from None
+    return value
+
+
+# the converter of each [run] key besides preconditioners, in parse order;
+# the ExperimentConfig field is the key in lower case, and an absent key
+# keeps the field's default
+_RUN_KEYS = {
+    "tol": _to_float,
+    "max_iter": _to_int,
+    "mu_refine": _to_int,
+    "seed": _to_int,
+    "rhs": _to_expr,
+    "classical": _to_bool,
+    "kappa_A": _to_bool,
+    "oracle": _to_bool,
+}
+
+_SECTIONS = {
+    "problem": {
+        "dim",
+        "elements",
+        "element",
+        "family",
+        "gamma",
+        "basis",
+        "degree",
+        "degrees",
+        "K",
+    },
+    "coefficients": None,  # a0..aK or table
+    "run": {"preconditioners", *_RUN_KEYS},
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -248,15 +261,12 @@ def parse_config(text: str) -> ExperimentConfig:
             check_basis(p, basis)
         except UsageError as exc:
             raise ConfigError(str(exc), line=where("run", "preconditioners")) from None
-    tol = _to_float(run.get("tol", "1e-6"), where("run", "tol"), "tol")
-    max_iter = _to_int(run.get("max_iter", "400"), where("run", "max_iter"), "max_iter")
-    mu_refine = _to_int(run.get("mu_refine", "64"), where("run", "mu_refine"), "mu_refine")
-    seed = _to_int(run.get("seed", "42"), where("run", "seed"), "seed")
-    rhs = run.get("rhs", "1")
-    try:
-        coeffexpr.parse(rhs)
-    except Exception as exc:
-        raise ConfigError(f"rhs: {exc}", line=where("run", "rhs")) from None
+    options = {
+        key.lower(): convert(run[key], where("run", key), key)
+        for key, convert in _RUN_KEYS.items()
+        if key in run
+    }
+    options.setdefault("classical", "mean_based" in precs)
 
     return ExperimentConfig(
         dim=dim,
@@ -268,21 +278,8 @@ def parse_config(text: str) -> ExperimentConfig:
         coefficients=expr_texts,
         table_path=table_path,
         preconditioners=precs,
-        classical=_to_bool(run["classical"], where("run", "classical"), "classical")
-        if "classical" in run
-        else ("mean_based" in precs),
-        kappa_a=_to_bool(run["kappa_A"], where("run", "kappa_A"), "kappa_A")
-        if "kappa_A" in run
-        else True,
-        oracle=_to_bool(run["oracle"], where("run", "oracle"), "oracle")
-        if "oracle" in run
-        else False,
-        tol=tol,
-        max_iter=max_iter,
-        mu_refine=mu_refine,
-        seed=seed,
-        rhs=rhs,
         element=element,
+        **options,
     )
 
 

@@ -149,6 +149,10 @@ def _mesh_and_field(cfg: ExperimentConfig):
             raise UsageError(
                 f"coefficient table has {field.nterms} fluctuation columns, config says {cfg.nterms}"
             )
+        if field.n_elements != mesh.n_elements:
+            raise UsageError(
+                f"coefficient table has {field.n_elements} rows, the mesh has {mesh.n_elements} elements"
+            )
         mu, mu_class = fem.compute_mu(field)
     else:
         field = fem.sample_coefficients(cfg.coefficients, mesh)
@@ -160,31 +164,27 @@ def _analytic_cells(cfg, degree, iset, mu, mu_class):
     """Cells shared by the bounds-only and verify paths, plus the bounds
     records keyed by preconditioner kind."""
     cells = {"degree": Cell(float(degree)), "K": Cell(float(cfg.nterms)), "mu": Cell(mu)}
-    by_kind = {kind: bnd.bounds_for(kind, cfg.family, iset, mu) for kind in cfg.preconditioners}
-    for kind, b in by_kind.items():
-        if kind == MEAN_BASED:
-            cells["c_lower"] = Cell(b.c_lower)
-            cells["c_upper"] = Cell(b.c_upper)
-            cells["ratio"] = Cell(b.kappa_bound, VACUOUS if b.vacuous else ANALYTIC)
-        elif kind == TRUNCATED_TP:
-            cells["c_lower_tr"] = Cell(b.c_lower)
-            cells["c_upper_tr"] = Cell(b.c_upper)
-            cells["ratio_tr"] = Cell(b.kappa_bound, VACUOUS if b.vacuous else ANALYTIC)
-        else:  # the splitting kinds and gs2 write the same columns
-            split_kind = SPLITTING_TP if cfg.basis == "tensor" else SPLITTING_COMPLETE
-            split = bnd.bounds_for(split_kind, cfg.family, iset, mu)
-            # "ratio" belongs to the mean-based bound whenever both appear
-            key = "ratio_SB" if MEAN_BASED in cfg.preconditioners else "ratio"
-            cells[key] = Cell(split.kappa_bound)
-            cells["inv_d_t"] = Cell(bnd.bounds_for(GAUSS_SEIDEL_2, cfg.family, iset, mu).kappa_bound)
-            cells["t"] = Cell(float(split.t_arg))
+    kinds = list(cfg.preconditioners)
+    split_kind = SPLITTING_TP if cfg.basis == "tensor" else SPLITTING_COMPLETE
+    if {split_kind, GAUSS_SEIDEL_2} & set(kinds):
+        kinds += [split_kind, GAUSS_SEIDEL_2]  # both write the splitting columns
+    by_kind = {kind: bnd.bounds_for(kind, cfg.family, iset, mu) for kind in dict.fromkeys(kinds)}
     if cfg.classical:
-        cb = bnd.classical_bounds(cfg.family, iset, mu_class)
+        by_kind["classical"] = bnd.classical_bounds(cfg.family, iset, mu_class)
         cells["mu_class"] = Cell(mu_class)
-        cells["c_lower_class"] = Cell(cb.c_lower)
-        cells["c_upper_class"] = Cell(cb.c_upper)
-        cells["ratio_class"] = Cell(cb.kappa_bound, VACUOUS if cb.vacuous else ANALYTIC)
-        by_kind["classical"] = cb
+    for kind, tag in ((MEAN_BASED, ""), (TRUNCATED_TP, "_tr"), ("classical", "_class")):
+        if kind in by_kind:
+            b = by_kind[kind]
+            cells["c_lower" + tag] = Cell(b.c_lower)
+            cells["c_upper" + tag] = Cell(b.c_upper)
+            cells["ratio" + tag] = Cell(b.kappa_bound, VACUOUS if b.vacuous else ANALYTIC)
+    if GAUSS_SEIDEL_2 in by_kind:
+        split = by_kind[split_kind]
+        # "ratio" belongs to the mean-based bound whenever both appear
+        key = "ratio_SB" if MEAN_BASED in by_kind else "ratio"
+        cells[key] = Cell(split.kappa_bound)
+        cells["inv_d_t"] = Cell(by_kind[GAUSS_SEIDEL_2].kappa_bound)
+        cells["t"] = Cell(float(split.t_arg))
     return cells, by_kind
 
 
@@ -319,7 +319,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
 
 def run_solve(cfg: ExperimentConfig) -> ResultTable:
     """Conjugate gradient comparison across the configured preconditioners."""
-    mesh, field, mu, mu_class = _mesh_and_field(cfg)
+    mesh, field, mu, _mu_class = _mesh_and_field(cfg)
     table = ResultTable()
     degree = _degree_sweep(cfg)[-1]
     iset = _index_set(cfg, degree)
@@ -327,7 +327,7 @@ def run_solve(cfg: ExperimentConfig) -> ResultTable:
     f_fe = fem.load_vector(mesh, cfg.rhs)
     rhs = np.zeros(problem.operator.shape[0])
     rhs[: f_fe.size] = f_fe  # constant-polynomial block only
-    _cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
+    by_kind = {kind: bnd.bounds_for(kind, cfg.family, iset, mu) for kind in cfg.preconditioners}
     for kind in cfg.preconditioners:
         m = operator.build_preconditioner(problem, kind)
         start = time.perf_counter()

@@ -323,5 +323,9 @@ def parse_coefficient_table(text: str) -> CoefficientField:
 
 
 def load_coefficient_table(path) -> CoefficientField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_coefficient_table(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CoefficientError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return parse_coefficient_table(text)

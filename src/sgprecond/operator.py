@@ -10,8 +10,10 @@ Every preconditioner is M = diag(A11, I_copies (x) T): an optional coarse
 block A11 followed by one block T repeated along the diagonal.  Both are
 leading blocks of A: the operator on the first so many stochastic indices.
 The two-block Gauss-Seidel variant also keeps the coupling B between the
-two groups.  With N_P basis indices, s the last tensor order and c the
-number of complete-basis indices of total degree at most p - 2:
+two groups.  ``block_layout`` gives each kind's (lead, cut), the
+repeated-block and coarse index counts.  With N_P basis indices, s the last
+tensor order and c the number of complete-basis indices of total degree at
+most p - 2:
 
     kind                coarse indices  repeated-block indices  copies
     mean_based          none            1 (F0)                  N_P
@@ -39,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
+from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G, splitting_cut
 from .errors import FactorizationError, UsageError
 from .fem import CoefficientField, Mesh, assemble_F
 from .orthopoly import RecurrenceFamily
@@ -48,6 +50,7 @@ __all__ = [
     "GalerkinOperator",
     "DiscreteProblem",
     "Preconditioner",
+    "block_layout",
     "build_preconditioner",
     "MEAN_BASED",
     "TRUNCATED_TP",
@@ -225,15 +228,6 @@ def _leading_block(problem: DiscreteProblem, count: int):
     return problem._factors[count]
 
 
-def _splitting_cut(index_set: MultiIndexSet) -> int:
-    """Number of leading indices in the coarse group of the two-block
-    splitting (all remaining indices form the detail group)."""
-    if index_set.kind == TENSOR:
-        s_last = index_set.orders[-1]
-        return (s_last - 1) * (index_set.size // s_last)
-    return int(np.count_nonzero(index_set.total_degrees() <= index_set.order - 2))
-
-
 class Preconditioner:
     """M = diag(A11, I_count (x) T) with exact solves and products.
 
@@ -300,16 +294,25 @@ class Preconditioner:
         return np.concatenate([y1, y2])
 
 
-def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
-    """Build the requested preconditioner from the problem's factored
-    blocks (see the module docstring for which blocks each kind uses)."""
+def block_layout(kind: str, index_set: MultiIndexSet) -> tuple[int, int]:
+    """(lead, cut) of preconditioner ``kind``: the first ``cut`` stochastic
+    indices form the coarse group, and the rest fall into consecutive groups
+    of ``lead`` indices each.  The kind keeps exactly the couplings inside
+    each group (see the module docstring)."""
     if kind not in PRECONDITIONER_KINDS:
         raise UsageError(f"unknown preconditioner kind {kind!r}")
+    check_basis(kind, index_set.kind)
+    tensor = index_set.kind == TENSOR and kind != MEAN_BASED
+    lead = index_set.size // index_set.orders[-1] if tensor else 1
+    cut = 0 if kind in (MEAN_BASED, TRUNCATED_TP) else splitting_cut(index_set)
+    return lead, cut
+
+
+def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
+    """Build the requested preconditioner from the problem's factored
+    blocks in the layout of ``block_layout``."""
     iset = problem.index_set
-    check_basis(kind, iset.kind)
-    # (indices per repeated block, coarse indices); the copies fill the rest
-    lead = iset.size // iset.orders[-1] if iset.kind == TENSOR and kind != MEAN_BASED else 1
-    cut = 0 if kind in (MEAN_BASED, TRUNCATED_TP) else _splitting_cut(iset)
+    lead, cut = block_layout(kind, iset)
     block, count = _leading_block(problem, lead), (iset.size - cut) // lead
     if cut == 0:
         return Preconditioner(kind, block, count)

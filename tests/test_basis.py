@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from sgprecond.basis import MultiIndexSet, assemble_G, assemble_G_tilde
 from sgprecond.cli import coordinate_text
-from sgprecond.errors import ParameterDomainError, SizeError, UsageError
+from sgprecond.errors import ParameterDomainError, SizeError
 from sgprecond.fem import assemble_F, build_mesh, sample_coefficients
 from sgprecond.orthopoly import chebyshev_u, gegenbauer, hermite, jacobi_matrix, legendre
 
@@ -141,13 +141,13 @@ class TestAssembleGTilde:
         jt = jacobi_matrix(fam, 3)
         jt[1, 2] = jt[2, 1] = 0.0
         expect = sp.kron(sp.csr_matrix(jt), sp.identity(3, format="csr"))
-        got = assemble_G_tilde(fam, s, 2, "tensor")
+        got = assemble_G_tilde(fam, s, 2)
         assert abs(got - expect).max() == pytest.approx(0.0, abs=1e-15)
 
     def test_complete_variant_zeroes_top_degree_couplings(self):
         fam = legendre()
         s = MultiIndexSet.complete(2, 3)
-        gt1 = assemble_G_tilde(fam, s, 1, "complete").toarray()
+        gt1 = assemble_G_tilde(fam, s, 1).toarray()
         expect = np.zeros((6, 6))
         expect[0, 1] = expect[1, 0] = B1  # degree 0-1 coupling kept
         assert np.allclose(gt1, expect, atol=1e-15)
@@ -155,10 +155,10 @@ class TestAssembleGTilde:
     def test_degenerate_order_keeps_everything(self):
         fam = legendre()
         s = MultiIndexSet.complete(2, 1)
-        gt = assemble_G_tilde(fam, s, 1, "complete")
+        gt = assemble_G_tilde(fam, s, 1)
         assert gt.nnz == 0 and gt.shape == (1, 1)
         t = MultiIndexSet.tensor((2, 1))
-        gt2 = assemble_G_tilde(fam, t, 2, "tensor")
+        gt2 = assemble_G_tilde(fam, t, 2)
         assert abs(gt2 - assemble_G(fam, t, 2)).max() == 0.0
 
     def test_sparsity_contained_in_original(self):
@@ -166,20 +166,27 @@ class TestAssembleGTilde:
         s = MultiIndexSet.complete(3, 4)
         for k in range(1, 4):
             g = assemble_G(fam, s, k).toarray() != 0.0
-            gt = assemble_G_tilde(fam, s, k, "complete").toarray() != 0.0
+            gt = assemble_G_tilde(fam, s, k).toarray() != 0.0
             assert np.all(g | ~gt)
 
-    def test_variant_mismatch(self):
-        comp = MultiIndexSet.complete(2, 3)
-        tens = MultiIndexSet.tensor((3, 3))
-        with pytest.raises(UsageError):
-            assemble_G_tilde(legendre(), comp, 1, "tensor")
-        with pytest.raises(UsageError):
-            assemble_G_tilde(legendre(), tens, 1, "tensor")  # only the last coordinate
-        with pytest.raises(UsageError):
-            assemble_G_tilde(legendre(), tens, 1, "complete")
-        with pytest.raises(UsageError):
-            assemble_G_tilde(legendre(), comp, 0, "complete")
+    def test_coordinate_range(self):
+        fam = legendre()
+        for iset in (MultiIndexSet.complete(2, 3), MultiIndexSet.tensor((3, 3))):
+            for k in (-1, 3):
+                with pytest.raises(ParameterDomainError):
+                    assemble_G_tilde(fam, iset, k)
+            gt0 = assemble_G_tilde(fam, iset, 0)
+            assert abs(gt0 - assemble_G(fam, iset, 0)).max() == 0.0
+
+    def test_tensor_keeps_every_coupling_below_the_last_coordinate(self):
+        fam = hermite()
+        iset = MultiIndexSet.tensor((3, 2, 4))
+        for k in range(1, 3):
+            g = assemble_G(fam, iset, k)
+            gt = assemble_G_tilde(fam, iset, k)
+            assert gt.nnz == g.nnz and abs(gt - g).max() == 0.0
+        g3 = assemble_G(fam, iset, 3)
+        assert assemble_G_tilde(fam, iset, 3).nnz == g3.nnz - 2 * 3 * 2  # one coupling per (i1, i2)
 
     def test_shifted_identity_stays_semidefinite(self):
         # I +- mu_bar * J has no negative eigenvalues for the top admissible mu
@@ -200,7 +207,7 @@ class TestCoordinateText:
         s = MultiIndexSet.complete(2, 3)
         mesh = build_mesh(1, 4)
         f0 = assemble_F(mesh, sample_coefficients(["1", "0.3", "0.2"], mesh), 0)
-        for mat in (assemble_G(fam, s, 1), assemble_G_tilde(fam, s, 1, "complete"), f0):
+        for mat in (assemble_G(fam, s, 1), assemble_G_tilde(fam, s, 1), f0):
             lines = coordinate_text(mat).strip().splitlines()
             n, m, nnz = (int(x) for x in lines[0].split())
             assert (n, m, nnz) == (*mat.shape, mat.nnz)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import dense_h_matrix, random_field
-from sgprecond.basis import MultiIndexSet
+from helpers import dense_h_matrix, dense_preconditioner_matrix, random_field
+from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.bounds import (
+    _layout_mask,
     bounds_for,
     classical_bounds,
     element_equivalence_oracle,
@@ -23,6 +24,8 @@ from sgprecond.operator import (
     SPLITTING_COMPLETE,
     SPLITTING_TP,
     TRUNCATED_TP,
+    DiscreteProblem,
+    build_preconditioner,
 )
 from sgprecond.orthopoly import d_sequence
 from sgprecond.orthopoly import chebyshev_u, gegenbauer, hermite, legendre
@@ -248,3 +251,24 @@ class TestElementOracle:
         lo, hi = element_equivalence_oracle(legendre(), iset, field, SPLITTING_COMPLETE)
         b = splitting_bounds_complete(legendre(), 3, 0.8)
         assert b.c_lower - 1e-12 <= lo <= hi <= b.c_upper + 1e-12
+
+    @pytest.mark.parametrize("kind, iset", [
+        (MEAN_BASED, MultiIndexSet.tensor((2, 3))),
+        (TRUNCATED_TP, MultiIndexSet.tensor((2, 3))),
+        (SPLITTING_TP, MultiIndexSet.tensor((2, 3))),
+        (MEAN_BASED, MultiIndexSet.complete(2, 3)),
+        (SPLITTING_COMPLETE, MultiIndexSet.complete(2, 3)),
+    ], ids=lambda v: getattr(v, "kind", v))
+    def test_masked_couplings_assemble_the_factored_preconditioner(self, kind, iset):
+        # the oracle's comparison side, lifted to the mesh, is M itself
+        fam = hermite()
+        mesh = build_mesh(1, 5)
+        field = random_field(np.random.default_rng(3), 2, mesh.n_elements, 0.6)
+        problem = DiscreteProblem.build(fam, iset, mesh, field)
+        keep = _layout_mask(kind, iset)
+        expect = sum(
+            np.kron(assemble_G(fam, iset, k).toarray() * keep, f.toarray())
+            for k, f in enumerate(problem.operator.fs)
+        )
+        got = dense_preconditioner_matrix(problem, build_preconditioner(problem, kind))
+        assert np.allclose(got, expect, rtol=0.0, atol=1e-12)

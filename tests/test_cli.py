@@ -64,6 +64,15 @@ def small_cfg(tmp_path):
     return path
 
 
+def _table_cfg(tmp_path, table):
+    """SMALL with its coefficients read from the file ``table``."""
+    path = tmp_path / "table.cfg"
+    path.write_text(SMALL.replace(
+        "a0 = 1\na1 = 0.4*chi(0,1/2)\na2 = 0.3*sin(pi*x1)", f"table = {table}"
+    ))
+    return path
+
+
 class TestVerifyCommand:
     def test_runs_and_writes_csv(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -178,6 +187,22 @@ class TestDumpMatrix:
     def test_bad_name(self, small_cfg, capsys):
         assert main(["dump-matrix", "--config", str(small_cfg), "--matrix", "Q1"]) == 2
 
+    def test_annihilated_dump_on_a_tensor_basis(self, tmp_path, capsys):
+        text = SMALL.replace("basis = complete\ndegree = 2", "basis = tensor\ndegrees = 2 2").replace(
+            "splitting_complete", "splitting_tp"
+        )
+        path = tmp_path / "tensor.cfg"
+        path.write_text(text)
+        dumps = {}
+        for name in ("G0", "Gt0", "G1", "Gt1", "G2", "Gt2"):
+            assert main(["dump-matrix", "--config", str(path), "--matrix", name]) == 0
+            dumps[name] = capsys.readouterr().out
+        assert dumps["Gt0"] == dumps["G0"] and dumps["Gt1"] == dumps["G1"]
+        nnz = {name: int(out.splitlines()[0].split()[2]) for name, out in dumps.items()}
+        # orders (3, 3): one coupling between orders 1 and 2 of x2 per order of x1
+        assert nnz["Gt2"] == nnz["G2"] - 2 * 3
+        assert main(["dump-matrix", "--config", str(path), "--matrix", "Gt3"]) == 2
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path, capsys):
@@ -198,6 +223,20 @@ class TestExitCodes:
     def test_nonexistent_config_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_missing_coefficient_table(self, tmp_path, capsys):
+        path = _table_cfg(tmp_path, tmp_path / "nope.txt")
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "nope.txt" in err
+
+    def test_table_rows_must_match_the_mesh(self, tmp_path, capsys):
+        table = tmp_path / "coeffs.txt"
+        table.write_text("1.0 0.3 -0.2\n" * 7)  # the mesh has 8 elements
+        path = _table_cfg(tmp_path, table)
+        for argv in (["bounds"], ["verify"], ["solve"], ["dump-matrix", "--matrix", "F0"]):
+            assert main(argv + ["--config", str(path)]) == 2
+            assert "has 7 rows, the mesh has 8 elements" in capsys.readouterr().err
 
     def test_numerical_failure(self, tmp_path, capsys):
         # dominance badly violated: the splitting blocks go indefinite

@@ -10,6 +10,12 @@ Grammar (standard precedence, unary minus binds tighter than * and /):
              | 'chi' '(' expr ',' expr ')'
              | '(' expr ')'
 
+NUMBER is digits with an optional fraction and exponent (``.5``, ``1.5e-3``).
+Python's own parser reads the text (only the grammar's characters, whitespace
+read as a space), and a whitelist of syntax-tree nodes checks the tree, which
+is never compiled or run.  As in Python, ``01`` and integers of more than 4300
+digits are errors.
+
 chi(a, b) is the half-open indicator of a <= x1 < b.  Evaluation is total on
 valid inputs: division by zero and use of a missing variable raise
 ExprEvalError rather than propagating NaN.
@@ -17,272 +23,144 @@ ExprEvalError rather than propagating NaN.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
 from .errors import ExprEvalError, ExprSyntaxError
 
-__all__ = [
-    "CoeffExpr",
-    "parse",
-    "evaluate",
-    "evaluate_on",
-    "to_string",
-    "variables",
-]
+__all__ = ["parse", "evaluate", "evaluate_on", "variables"]
 
-_UNARY_FUNCS = ("sin", "cos", "abs")
-_NAMES = ("pi", "x1", "x2", "chi") + _UNARY_FUNCS
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_BAD_CHAR_RE = re.compile(r"[^0-9A-Za-z_.+\-*/(),\s]")
+_VARIABLES = ("x1", "x2")
+_UNARY_FUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs}
+_ARITY = {**dict.fromkeys(_UNARY_FUNCS, 1), "chi": 2}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv}
 
 
-class CoeffExpr:
-    """Marker base for expression nodes."""
+class _Checker(ast.NodeVisitor):
+    """Raises ExprSyntaxError at the first node outside the grammar, at its offset
+    in ``body`` plus ``lead``; stores each number as the float of its text."""
 
-    __slots__ = ()
+    def __init__(self, body: str, lead: int):
+        self.body = body
+        self.lead = lead
 
+    def reject(self, node, message=None):
+        source = self.body[node.col_offset:node.end_col_offset]
+        raise ExprSyntaxError(message or f"unexpected {source!r}", self.lead + node.col_offset)
 
-@dataclass(frozen=True)
-class Num(CoeffExpr):
-    value: float
+    def generic_visit(self, node):
+        self.reject(node)
 
+    def visit_Constant(self, node):
+        source = self.body[node.col_offset:node.end_col_offset]
+        if type(node.value) not in (int, float) or not _NUMBER_RE.fullmatch(source):  # 1j, 0x10
+            self.reject(node, f"expected a number, found {source!r}")
+        node.value = float(source)
 
-@dataclass(frozen=True)
-class Pi(CoeffExpr):
-    pass
+    def visit_Name(self, node):
+        if node.id != "pi" and node.id not in _VARIABLES:
+            self.reject(node, f"unknown identifier {node.id!r}")
 
+    def visit_UnaryOp(self, node):
+        if not isinstance(node.op, ast.USub):
+            self.reject(node)
+        self.visit(node.operand)
 
-@dataclass(frozen=True)
-class Var(CoeffExpr):
-    name: str
+    def visit_BinOp(self, node):
+        if type(node.op) not in _BINOPS:
+            self.reject(node)
+        self.visit(node.left)
+        self.visit(node.right)
 
-
-@dataclass(frozen=True)
-class Neg(CoeffExpr):
-    operand: CoeffExpr
-
-
-@dataclass(frozen=True)
-class BinOp(CoeffExpr):
-    op: str
-    left: CoeffExpr
-    right: CoeffExpr
-
-
-@dataclass(frozen=True)
-class Call(CoeffExpr):
-    func: str
-    args: tuple
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/(),]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprSyntaxError(
-                f"unexpected character {stripped[0]!r}", pos + (len(text[pos:]) - len(stripped))
-            )
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None)
+        if name not in _ARITY:
+            self.reject(node, None if name is None else f"unknown function {name!r}")
+        args = node.args
+        if len(args) != _ARITY[name] or node.keywords:
+            self.reject(node, f"{name} takes {_ARITY[name]} argument(s)")
+        if "," in self.body[args[-1].end_col_offset:node.end_col_offset]:  # Python takes sin(1,)
+            self.reject(node, "trailing ',' in a call")
+        for arg in args:
+            self.visit(arg)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected {op!r}, found {text or 'end of input'!r}", offset)
-        self.advance()
-
-    def parse(self) -> CoeffExpr:
-        node = self.expr()
-        kind, text, offset = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {text!r}", offset)
-        return node
-
-    def expr(self) -> CoeffExpr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
-
-    def term(self) -> CoeffExpr:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> CoeffExpr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.primary()
-
-    def primary(self) -> CoeffExpr:
-        kind, text, offset = self.advance()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            if text == "pi":
-                return Pi()
-            if text in ("x1", "x2"):
-                return Var(text)
-            if text in _UNARY_FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, (arg,))
-            if text == "chi":
-                self.expect_op("(")
-                lo = self.expr()
-                self.expect_op(",")
-                hi = self.expr()
-                self.expect_op(")")
-                return Call("chi", (lo, hi))
-            raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(
-            f"expected a number, name or '(', found {text or 'end of input'!r}", offset
-        )
+def parse(text: str) -> ast.expr:
+    """Parse expression text into a checked syntax tree."""
+    bad = _BAD_CHAR_RE.search(text)
+    if bad is not None:
+        raise ExprSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    body = re.sub(r"\s", " ", text).lstrip()
+    lead = len(text) - len(body)
+    try:
+        with warnings.catch_warnings():
+            # the parser turns a warning it would print into a SyntaxError
+            warnings.simplefilter("error")
+            tree = ast.parse(body, mode="eval").body
+        _Checker(body, lead).visit(tree)
+    except SyntaxError as exc:
+        raise ExprSyntaxError(exc.msg, lead + max((exc.offset or 1) - 1, 0)) from None
+    except RecursionError:
+        raise ExprSyntaxError("expression is nested too deeply", lead) from None
+    return tree
 
 
-def parse(text: str) -> CoeffExpr:
-    """Parse expression text into an immutable syntax tree."""
-    return _Parser(text).parse()
+class _Evaluator(ast.NodeVisitor):
+    """Evaluates a checked tree; a variable is a float, an array or None."""
 
+    def __init__(self, x1, x2):
+        self.values = {"pi": np.pi, "x1": x1, "x2": x2}
 
-def _eval(node: CoeffExpr, x1, x2):
-    if isinstance(node, Num):
+    def visit_Constant(self, node):
         return node.value
-    if isinstance(node, Pi):
-        return np.pi
-    if isinstance(node, Var):
-        val = x1 if node.name == "x1" else x2
+
+    def visit_Name(self, node):
+        val = self.values[node.id]
         if val is None:
-            raise ExprEvalError(f"variable {node.name} was not supplied")
+            raise ExprEvalError(f"variable {node.id} was not supplied")
         return val
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x1, x2)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, x1, x2)
-        b = _eval(node.right, x1, x2)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if np.any(b == 0.0):
+
+    def visit_UnaryOp(self, node):
+        return -self.visit(node.operand)
+
+    def visit_BinOp(self, node):
+        a, b = self.visit(node.left), self.visit(node.right)
+        if isinstance(node.op, ast.Div) and np.any(b == 0.0):
             raise ExprEvalError("division by zero")
-        return a / b
-    a = _eval(node.args[0], x1, x2)
-    if node.func == "sin":
-        return np.sin(a)
-    if node.func == "cos":
-        return np.cos(a)
-    if node.func == "abs":
-        return np.abs(a)
-    # chi: half-open indicator [a, b) applied to x1
-    b = _eval(node.args[1], x1, x2)
-    if x1 is None:
-        raise ExprEvalError("variable x1 was not supplied")
-    return ((x1 >= a) & (x1 < b)).astype(float)
+        return _BINOPS[type(node.op)](a, b)
+
+    def visit_Call(self, node):
+        a = self.visit(node.args[0])
+        if node.func.id in _UNARY_FUNCS:
+            return _UNARY_FUNCS[node.func.id](a)
+        # chi: half-open indicator [a, b) applied to x1
+        b = self.visit(node.args[1])
+        x1 = self.visit_Name(ast.Name("x1"))
+        return ((x1 >= a) & (x1 < b)).astype(float)
 
 
-def evaluate(expr: CoeffExpr, x1: float | None = None, x2: float | None = None) -> float:
+def evaluate(expr: ast.expr, x1: float | None = None, x2: float | None = None) -> float:
     """Evaluate at a single point; a variable left as None must not be read."""
-    return float(_eval(expr, *(None if x is None else np.float64(x) for x in (x1, x2))))
+    return float(_Evaluator(*(None if x is None else np.float64(x) for x in (x1, x2))).visit(expr))
 
 
-def evaluate_on(expr: CoeffExpr, x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
+def evaluate_on(expr: ast.expr, x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
     """Vectorized evaluation on arrays of points."""
     x1 = np.asarray(x1, dtype=float)
-    out = _eval(expr, x1, None if x2 is None else np.asarray(x2, dtype=float))
+    out = _Evaluator(x1, None if x2 is None else np.asarray(x2, dtype=float)).visit(expr)
     return np.broadcast_to(np.asarray(out, dtype=float), x1.shape).copy()
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _render(node: CoeffExpr, parent: int) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Pi):
-        return "pi"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        text = "-" + _render(node.operand, 3)
-        return f"({text})" if parent > 3 else text
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        text = f"{_render(node.left, prec)}{node.op}{_render(node.right, prec + 1)}"
-        return f"({text})" if parent > prec else text
-    inner = ",".join(_render(a, 0) for a in node.args)
-    return f"{node.func}({inner})"
-
-
-def to_string(expr: CoeffExpr) -> str:
-    """Render to text that parses back to a structurally equal tree."""
-    return _render(expr, 0)
-
-
-def variables(expr: CoeffExpr) -> set:
+def variables(expr: ast.expr) -> set:
     """Names of the variables an expression reads."""
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return variables(expr.left) | variables(expr.right)
-    if isinstance(expr, Call):
-        out = set()
-        for a in expr.args:
-            out |= variables(a)
-        if expr.func == "chi":
-            out.add("x1")
-        return out
-    return set()
+    names = {node.id for node in ast.walk(expr) if isinstance(node, ast.Name)}
+    if "chi" in names:  # chi(a, b) reads x1
+        names.add("x1")
+    return names & set(_VARIABLES)

@@ -10,10 +10,12 @@ work starts.  parse -> serialize -> parse is a fixed point.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import coeffexpr
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, ExprSyntaxError, UsageError
 from .fem import ELEMENT_KINDS
 from .operator import PRECONDITIONER_KINDS, check_basis
 from .orthopoly import RecurrenceFamily, family_from_name
@@ -115,17 +117,19 @@ def _to_bool(value, no, key):
     raise ConfigError(f"{key} must be true or false, got {value!r}", line=no)
 
 
-def _to_expr(value, no, key):
+def _to_expr(value, no, key, dim):
     try:
-        coeffexpr.parse(value)
-    except Exception as exc:
+        tree = coeffexpr.parse(value)
+    except ExprSyntaxError as exc:
         raise ConfigError(f"{key}: {exc}", line=no) from None
+    if dim == 1 and "x2" in coeffexpr.variables(tree):
+        raise ConfigError(f"{key} uses x2 in a 1D problem", line=no)
     return value
 
 
 # the converter of each [run] key besides preconditioners, in parse order;
 # the ExperimentConfig field is the key in lower case, and an absent key
-# keeps the field's default
+# keeps the field's default; _to_expr also takes the problem's dimension
 _RUN_KEYS = {
     "tol": _to_float,
     "max_iter": _to_int,
@@ -239,14 +243,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 + (f"; missing {missing}" if missing else "")
                 + (f"; unexpected {extra}" if extra else "")
             )
-        expr_texts = tuple(coeffs[k] for k in expected)
-        for k in expected:
-            try:
-                tree = coeffexpr.parse(coeffs[k])
-            except Exception as exc:
-                raise ConfigError(f"{k}: {exc}", line=where("coefficients", k)) from None
-            if dim == 1 and "x2" in coeffexpr.variables(tree):
-                raise ConfigError(f"{k} uses x2 in a 1D problem", line=where("coefficients", k))
+        expr_texts = tuple(_to_expr(coeffs[k], where("coefficients", k), k, dim) for k in expected)
     elif coeffs:
         raise ConfigError("[coefficients] cannot mix 'table' with expressions")
 
@@ -261,9 +258,10 @@ def parse_config(text: str) -> ExperimentConfig:
             check_basis(p, basis)
         except UsageError as exc:
             raise ConfigError(str(exc), line=where("run", "preconditioners")) from None
+    converters = {**_RUN_KEYS, "rhs": partial(_to_expr, dim=dim)}
     options = {
         key.lower(): convert(run[key], where("run", key), key)
-        for key, convert in _RUN_KEYS.items()
+        for key, convert in converters.items()
         if key in run
     }
     options.setdefault("classical", "mean_based" in precs)
@@ -319,9 +317,13 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read and parse a config file; a relative table path is read from its directory."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return parse_config(text)
+    cfg = parse_config(text)
+    if cfg.table_path is not None:
+        cfg = replace(cfg, table_path=os.path.join(os.path.dirname(path), cfg.table_path))
+    return cfg

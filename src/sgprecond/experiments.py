@@ -6,7 +6,9 @@ preconditioners, estimates the true extreme eigenvalues and asserts the
 guaranteed enclosure chain, failing with EnclosureError if any computed
 eigenvalue escapes its bounds beyond a small slack, if the splitting
 extremes are not symmetric about 1, or if the splitting and two-block
-Gauss-Seidel conditions break the CBS identity that ties them.
+Gauss-Seidel conditions break the CBS identity that ties them.  With
+``oracle`` set it also fails if the per-element constants of a
+block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
 preconditioners.
 """
@@ -260,6 +262,18 @@ def _check_splitting_symmetry(label, est, tol):
         )
 
 
+def _check_oracle(label, b, lo, hi, est):
+    """c_lower <= lo <= lambda_min and lambda_max <= hi <= c_upper for the
+    sharp per-element constants (lo, hi); a vacuous record drops its links."""
+    links = [(lo, est.lambda_min), (est.lambda_max, hi)]
+    if not b.vacuous:
+        links += [(b.c_lower, lo), (hi, b.c_upper)]
+    if any(small > large + ENCLOSURE_SLACK for small, large in links):
+        raise EnclosureError(f"{label}: per-element constants ({lo:.12g}, {hi:.12g}) are not between "
+                             f"({b.c_lower:.12g}, {b.c_upper:.12g}) and the computed extremes "
+                             f"({est.lambda_min:.12g}, {est.lambda_max:.12g})")
+
+
 _EIG_COLUMN = {MEAN_BASED: "kappa_MB", TRUNCATED_TP: "kappa_TR",
                SPLITTING_TP: "kappa_SB", SPLITTING_COMPLETE: "kappa_SB",
                GAUSS_SEIDEL_2: "kappa_GS2"}
@@ -276,11 +290,13 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
         problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
         cells["N"] = Cell(float(problem.operator.shape[0]))
+        estimates = {}
         for kind in cfg.preconditioners:
             m = operator.build_preconditioner(problem, kind)
             est = eigsolve.extreme_eigs_generalized(
                 problem.operator, m, tol=lanczos_tol, max_iter=cfg.max_iter, seed=cfg.seed
             )
+            estimates[kind] = est
             kappa = est.lambda_max / est.lambda_min
             cells[_EIG_COLUMN[kind]] = Cell(kappa, LANCZOS)
             if kind == MEAN_BASED:
@@ -302,11 +318,14 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         if "kappa_SB" in cells and "kappa_GS2" in cells:
             _check_cbs_identity(degree, cells["kappa_SB"].value, cells["kappa_GS2"].value, lanczos_tol)
         if cfg.oracle:
-            okind = next((k for k in cfg.preconditioners if k != GAUSS_SEIDEL_2), None)
-            if okind is not None:
-                lo, hi = bnd.element_equivalence_oracle(cfg.family, iset, field, okind)
-                cells["oracle_min"] = Cell(lo, DENSE)
-                cells["oracle_max"] = Cell(hi, DENSE)
+            # every block-diagonal kind is checked; the columns show the first
+            for kind, est in estimates.items():
+                if kind == GAUSS_SEIDEL_2:
+                    continue
+                lo, hi = bnd.element_equivalence_oracle(cfg.family, iset, field, kind)
+                _check_oracle(f"{kind} (degree {degree})", by_kind[kind], lo, hi, est)
+                cells.setdefault("oracle_min", Cell(lo, DENSE))
+                cells.setdefault("oracle_max", Cell(hi, DENSE))
         if cfg.kappa_a:
             accel = operator.build_preconditioner(problem, MEAN_BASED)
             est_a = eigsolve.extreme_eigs(

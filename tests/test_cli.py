@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import indefinite_shift
-from sgprecond import eigsolve, operator
+from sgprecond import bounds, eigsolve, operator
 from sgprecond.cli import bundled_openblas, main
 from sgprecond.operator import GAUSS_SEIDEL_2, SPLITTING_COMPLETE
 
@@ -229,6 +229,35 @@ class TestExitCodes:
         assert main(["verify", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "nope.txt" in err
+
+    def test_relative_table_path_is_read_from_the_config_directory(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "coeffs.txt").write_text("1.0 0.3 -0.2\n" * 8)
+        _table_cfg(sub, "coeffs.txt")
+        outputs = []
+        for cwd, config in ((sub, "table.cfg"), (tmp_path, "sub/table.cfg")):
+            monkeypatch.chdir(cwd)
+            assert main(["bounds", "--config", config]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_oracle_outside_its_links_is_an_enclosure_failure(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the per-element lower constant raised to the upper one: above
+        # lambda_min, which it must not exceed
+        oracle = bounds.element_equivalence_oracle
+
+        def raised(*args):
+            _lo, hi = oracle(*args)
+            return hi, hi
+
+        monkeypatch.setattr(bounds, "element_equivalence_oracle", raised)
+        path = tmp_path / "oracle.cfg"
+        path.write_text(SMALL.replace("kappa_A = true", "kappa_A = false\noracle = true"))
+        assert main(["verify", "--config", str(path)]) == 4
+        assert "mean_based (degree 2): per-element constants" in capsys.readouterr().err
 
     def test_table_rows_must_match_the_mesh(self, tmp_path, capsys):
         table = tmp_path / "coeffs.txt"

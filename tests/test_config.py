@@ -69,6 +69,16 @@ class TestParse:
             parse_config(bad)
         assert "x2" in str(err.value)
 
+    def test_rhs_goes_through_the_expression_check(self):
+        text = GOOD + "rhs = x2\n"
+        line = text.splitlines().index("rhs = x2") + 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == line and "rhs uses x2" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(GOOD + "rhs = 1+\n")
+        assert err.value.line == line and "rhs:" in str(err.value)
+
     def test_bad_expression_reported_with_line(self):
         bad = GOOD.replace("0.3/9*sin(3*pi*x1)", "0.3*")
         with pytest.raises(ConfigError):

@@ -127,6 +127,26 @@ class TestRunVerify:
         assert t.value(0, "lambda_max") <= hi + 1e-10
         assert hi <= t.value(0, "c_upper") + 1e-10
 
+    def test_oracle_runs_for_every_block_diagonal_kind(self, cfg, monkeypatch):
+        from dataclasses import replace
+
+        from sgprecond import bounds
+
+        oracle = bounds.element_equivalence_oracle
+        calls = []
+
+        def counted(family, iset, field, kind):
+            calls.append((kind, oracle(family, iset, field, kind)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bounds, "element_equivalence_oracle", counted)
+        kinds = ("gs2", "splitting_complete", "mean_based")
+        t = run_verify(replace(cfg, preconditioners=kinds, oracle=True, degrees=(3,),
+                               kappa_a=False))
+        assert [kind for kind, _ in calls] == ["splitting_complete", "mean_based"]
+        # the columns report the first block-diagonal kind
+        assert (t.value(0, "oracle_min"), t.value(0, "oracle_max")) == calls[0][1]
+
     def test_tensor_basis_with_every_tensor_kind(self):
         # orders (3, 2): the truncated block and the coarse block are both A
         # on the first three indices, so truncated_tp and splitting_tp are

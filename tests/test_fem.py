@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgprecond import coeffexpr
 from sgprecond.errors import CoefficientError, ParameterDomainError
 from sgprecond.fem import (
     CoefficientField,

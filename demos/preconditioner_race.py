@@ -24,7 +24,7 @@ from sgprecond import (
 mesh = build_mesh(2, (20, 20))
 exprs = ["1", "0.3*sin(1*pi*x1)", "0.3*sin(2*pi*x2)", "0.3*sin(2*pi*x1)"]
 field = sample_coefficients(exprs, mesh)
-mu, _ = mu_from_exprs(exprs, mesh, refine=64)
+mu, _ = mu_from_exprs(exprs, mesh)
 iset = MultiIndexSet.complete(3, 4)
 problem = DiscreteProblem.build(legendre(), iset, mesh, field)
 print(f"problem size {problem.operator.shape[0]}, dominance ratio mu = {mu:.4f}")

@@ -29,7 +29,7 @@ from .operator import (
     block_layout,
     check_basis,
 )
-from .orthopoly import RecurrenceFamily, d_sequence, max_root
+from .orthopoly import RecurrenceFamily, check_mu, d_sequence, max_root
 
 __all__ = [
     "SpectralBounds",
@@ -79,23 +79,20 @@ def _symmetric_bounds(kind: str, reach: float, t_arg: int | None = None) -> Spec
 def mean_based_bounds(family: RecurrenceFamily, index_set: MultiIndexSet, mu: float) -> SpectralBounds:
     """Bounds for the block-diagonal mean preconditioner: 1 -+ mu times the
     largest root at the highest order appearing in the basis."""
-    if mu < 0.0:
-        raise ParameterDomainError("mu must be nonnegative")
+    check_mu(mu)
     return _symmetric_bounds(MEAN_BASED, mu * max_root(family, index_set.max_order))
 
 
 def classical_bounds(family: RecurrenceFamily, index_set: MultiIndexSet, mu_class: float) -> SpectralBounds:
     """Counterpart bounds from the global-norm dominance ratio."""
-    if mu_class < 0.0:
-        raise ParameterDomainError("mu_class must be nonnegative")
+    check_mu(mu_class, "mu_class")
     return _symmetric_bounds("classical", mu_class * max_root(family, index_set.max_order))
 
 
 def truncated_bounds(family: RecurrenceFamily, s_last: int, mu: float) -> SpectralBounds:
     """Bounds for the preconditioner that drops the last expansion term of a
     tensor-product basis; controlled by the last coordinate's order only."""
-    if mu < 0.0:
-        raise ParameterDomainError("mu must be nonnegative")
+    check_mu(mu)
     if s_last < 1:
         raise ParameterDomainError("order must be >= 1")
     return _symmetric_bounds(TRUNCATED_TP, mu * max_root(family, s_last))

@@ -103,8 +103,11 @@ def bundled_openblas():
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -41,7 +41,6 @@ class ExperimentConfig:
     oracle: bool = False
     tol: float = 1e-6
     max_iter: int = 400
-    mu_refine: int = 64
     seed: int = 42
     rhs: str = "1"
     element: str = "q1"  # 2D element kind: "q1" | "p1"
@@ -49,8 +48,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
-        if self.max_iter < 1 or self.mu_refine < 1:
-            raise ConfigError("max_iter and mu_refine must be >= 1")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -133,7 +132,6 @@ def _to_expr(value, no, key, dim):
 _RUN_KEYS = {
     "tol": _to_float,
     "max_iter": _to_int,
-    "mu_refine": _to_int,
     "seed": _to_int,
     "rhs": _to_expr,
     "classical": _to_bool,
@@ -310,7 +308,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     out.append(f"oracle = {str(cfg.oracle).lower()}")
     out.append(f"tol = {cfg.tol!r}")
     out.append(f"max_iter = {cfg.max_iter}")
-    out.append(f"mu_refine = {cfg.mu_refine}")
     out.append(f"seed = {cfg.seed}")
     out.append(f"rhs = {cfg.rhs}")
     return "\n".join(out) + "\n"

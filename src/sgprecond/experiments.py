@@ -158,7 +158,7 @@ def _mesh_and_field(cfg: ExperimentConfig):
         mu, mu_class = fem.compute_mu(field)
     else:
         field = fem.sample_coefficients(cfg.coefficients, mesh)
-        mu, mu_class = fem.mu_from_exprs(cfg.coefficients, mesh, refine=cfg.mu_refine)
+        mu, mu_class = fem.mu_from_exprs(cfg.coefficients, mesh)
     return mesh, field, mu, mu_class
 
 

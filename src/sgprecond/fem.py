@@ -8,7 +8,9 @@ square along its SW-NE diagonal (``p1``).  Boundary conditions are
 homogeneous Dirichlet, so only interior nodes carry degrees of freedom.
 Coefficients are constant per square (per interval in 1D), sampled at its
 midpoint; with such coefficients the ``p1`` square block is the 5-point
-stencil and does not depend on which diagonal is cut.
+stencil and does not depend on which diagonal is cut.  The dominance ratio
+of expressions is read on an odd sub-grid that contains those midpoints, so
+it is never below the ratio of the assembled field.
 
 The published 2D tables (Table 4 and Table 5) use ``p1`` on 21x21 squares,
 that is a 20x20 grid of interior nodes with h = 1/21.
@@ -26,8 +28,12 @@ from .errors import CoefficientError, ParameterDomainError
 
 ELEMENT_KINDS = ("q1", "p1")
 
+# cells per element and axis on which mu_from_exprs reads the expressions
+MU_REFINE = 63
+
 __all__ = [
     "ELEMENT_KINDS",
+    "MU_REFINE",
     "Mesh",
     "CoefficientField",
     "build_mesh",
@@ -69,13 +75,14 @@ class Mesh:
             n *= e - 1
         return n
 
-    def element_midpoints(self) -> np.ndarray:
-        """(N_elem, dim) array of element midpoints, x index fastest."""
-        axes = [(np.arange(e) + 0.5) / e for e in self.extents]
+    def midpoints(self, refine: int = 1) -> tuple[np.ndarray, np.ndarray | None]:
+        """x1 and x2 (None in 1D) of the midpoints of ``refine`` cells per
+        element and axis, x index fastest; refine=1 gives element midpoints."""
+        axes = [(np.arange(e * refine) + 0.5) / (e * refine) for e in self.extents]
         if self.dim == 1:
-            return axes[0][:, None]
+            return axes[0], None
         xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-        return np.column_stack([xg.ravel(), yg.ravel()])
+        return xg.ravel(), yg.ravel()
 
     def element_nodes(self) -> np.ndarray:
         """(N_elem, nodes_per_element) global node ids; 1D order (left,
@@ -167,6 +174,10 @@ class CoefficientField:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise CoefficientError("coefficient table must be 2-dimensional")
+        bad = np.argwhere(~np.isfinite(vals))
+        if len(bad):
+            k, j = bad[0]
+            raise CoefficientError(f"coefficient row {k} is not finite on element {j}")
         if np.any(vals[0] <= 0.0):
             j = int(np.argmin(vals[0]))
             raise CoefficientError(f"mean coefficient is nonpositive on element {j}")
@@ -188,12 +199,8 @@ def _as_exprs(exprs):
 
 def sample_coefficients(exprs, mesh: Mesh) -> CoefficientField:
     """Evaluate K+1 coefficient expressions at the element midpoints."""
-    exprs = _as_exprs(exprs)
-    mids = mesh.element_midpoints()
-    x1 = mids[:, 0]
-    x2 = mids[:, 1] if mesh.dim == 2 else None
-    rows = [coeffexpr.evaluate_on(e, x1, x2) for e in exprs]
-    return CoefficientField(np.vstack(rows))
+    x1, x2 = mesh.midpoints()
+    return CoefficientField(np.vstack([coeffexpr.evaluate_on(e, x1, x2) for e in _as_exprs(exprs)]))
 
 
 def assemble_F(mesh: Mesh, field: CoefficientField, k: int) -> sp.csr_matrix:
@@ -226,6 +233,19 @@ def assemble_F(mesh: Mesh, field: CoefficientField, k: int) -> sp.csr_matrix:
     return mat
 
 
+def _dominance(a0: np.ndarray, rows) -> tuple[float, float]:
+    """compute_mu's (mu, mu_class) of a_0 and the rows a_1..a_K, read one at a time."""
+    total = np.zeros_like(a0)
+    maxima = []
+    for row in rows:
+        row = np.abs(row)
+        total += row
+        maxima.append(row.max())
+    if not maxima:
+        return 0.0, 0.0
+    return float(np.max(total / a0)), float(np.sum(maxima) / a0.min())
+
+
 def compute_mu(field: CoefficientField) -> tuple[float, float]:
     """Dominance statistics of a sampled field.
 
@@ -233,48 +253,21 @@ def compute_mu(field: CoefficientField) -> tuple[float, float]:
     global-norm variant sum_k max_j |a_k(j)| / min_j a_0(j).  Both reduce to
     the familiar unit-mean formulas when a_0 is constant 1.
     """
-    vals = field.values
-    if field.nterms == 0:
-        return 0.0, 0.0
-    fluct = np.abs(vals[1:])
-    mu = float(np.max(fluct.sum(axis=0) / vals[0]))
-    mu_class = float(fluct.max(axis=1).sum() / vals[0].min())
-    return mu, mu_class
+    return _dominance(field.values[0], field.values[1:])
 
 
-def mu_from_exprs(exprs, mesh: Mesh, refine: int = 64) -> tuple[float, float]:
-    """Dominance statistics sampled on a refined midpoint grid.
-
-    Each element is split into ``refine`` cells per axis and the coefficient
-    expressions are read at the sub-midpoints, which approaches the essential
-    supremum over the domain for smooth coefficients.  refine=1 reproduces
-    compute_mu(sample_coefficients(exprs, mesh)).
-    """
-    if refine < 1:
-        raise ParameterDomainError("refine must be >= 1")
+def mu_from_exprs(exprs, mesh: Mesh) -> tuple[float, float]:
+    """Dominance statistics of the expressions read at the midpoints of
+    MU_REFINE cells per element and axis, which approach the essential
+    supremum for smooth coefficients.  MU_REFINE is odd, so the grid holds
+    every element midpoint bit for bit and the result is at least
+    compute_mu(sample_coefficients(exprs, mesh)) of the assembled field."""
     exprs = _as_exprs(exprs)
-    axes = [(np.arange(e * refine) + 0.5) / (e * refine) for e in mesh.extents]
-    if mesh.dim == 1:
-        x1 = axes[0]
-        x2 = None
-    else:
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-        x1 = xg.ravel()
-        x2 = yg.ravel()
+    x1, x2 = mesh.midpoints(MU_REFINE)
     a0 = coeffexpr.evaluate_on(exprs[0], x1, x2)
     if np.any(a0 <= 0.0):
         raise CoefficientError("mean coefficient is nonpositive on the sampling grid")
-    if len(exprs) == 1:
-        return 0.0, 0.0
-    total = np.zeros_like(a0)
-    class_sum = 0.0
-    for e in exprs[1:]:
-        vals = np.abs(coeffexpr.evaluate_on(e, x1, x2))
-        total += vals
-        class_sum += float(vals.max())
-    mu = float(np.max(total / a0))
-    mu_class = class_sum / float(a0.min())
-    return mu, mu_class
+    return _dominance(a0, (coeffexpr.evaluate_on(e, x1, x2) for e in exprs[1:]))
 
 
 def load_vector(mesh: Mesh, f) -> np.ndarray:
@@ -283,8 +276,7 @@ def load_vector(mesh: Mesh, f) -> np.ndarray:
     (SW, NE) and h^2/6 to the other two corners."""
     if isinstance(f, str):
         f = coeffexpr.parse(f)
-    mids = mesh.element_midpoints()
-    fv = coeffexpr.evaluate_on(f, mids[:, 0], mids[:, 1] if mesh.dim == 2 else None)
+    fv = coeffexpr.evaluate_on(f, *mesh.midpoints())
     if mesh.dim == 1:
         shares = np.full(2, mesh.h / 2.0)
     elif mesh.element == "p1":

@@ -36,6 +36,7 @@ __all__ = [
     "jacobi_matrix",
     "max_root",
     "gauss_rule",
+    "check_mu",
     "d_sequence",
     "d_last_via_quadrature",
     "mu_bar",
@@ -192,12 +193,17 @@ def gauss_rule(family: RecurrenceFamily, s: int) -> GaussRule:
     return GaussRule(values, weights)
 
 
+def check_mu(mu: float, name: str = "mu") -> None:
+    """Reject a dominance ratio that is negative, NaN or infinite."""
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ParameterDomainError(f"{name} must be finite and nonnegative, got {mu!r}")
+
+
 def d_sequence(family: RecurrenceFamily, mu: float, s: int) -> np.ndarray:
     """Pivots d_1..d_s of the LDL^T factorization of I + mu*J: d_1 = 1 and
     d_j = 1 - mu^2 beta_{j-1} / d_{j-1}.  All pivots are positive exactly
     when mu * max_root(family, j) < 1 for every j up to s."""
-    if mu < 0.0:
-        raise ParameterDomainError("mu must be nonnegative")
+    check_mu(mu)
     if s < 1:
         raise ParameterDomainError("sequence length must be >= 1")
     vals = np.empty(s)
@@ -218,8 +224,7 @@ def d_last_via_quadrature(family: RecurrenceFamily, mu: float, s: int) -> float:
     """d_s evaluated through the quadrature identity
     1/d_s = sum_j w_j / (1 - mu^2 node_j^2), an independent route used to
     cross-check the pivot recursion."""
-    if mu < 0.0:
-        raise ParameterDomainError("mu must be nonnegative")
+    check_mu(mu)
     rule = gauss_rule(family, s)
     denom = 1.0 - (mu * rule.nodes) ** 2
     if np.any(denom <= 0.0):

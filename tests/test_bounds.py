@@ -16,7 +16,7 @@ from sgprecond.bounds import (
     splitting_bounds_tp,
     truncated_bounds,
 )
-from sgprecond.errors import DominanceError, SizeError, UsageError
+from sgprecond.errors import DominanceError, ParameterDomainError, SizeError, UsageError
 from sgprecond.fem import CoefficientField, build_mesh, sample_coefficients
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
@@ -27,7 +27,7 @@ from sgprecond.operator import (
     DiscreteProblem,
     build_preconditioner,
 )
-from sgprecond.orthopoly import d_sequence
+from sgprecond.orthopoly import d_last_via_quadrature, d_sequence
 from sgprecond.orthopoly import chebyshev_u, gegenbauer, hermite, legendre
 
 
@@ -147,6 +147,21 @@ class TestSplitting:
         b = splitting_bounds_tp(legendre(), 3, 0.9)
         gamma = b.c_upper - 1.0
         assert 1.0 / (1.0 - gamma * gamma) == pytest.approx(1.42, abs=0.005)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, -0.1])
+def test_every_mu_entry_point_rejects_a_bad_ratio(mu):
+    iset = MultiIndexSet.complete(2, 3)
+    calls = [
+        lambda: d_sequence(legendre(), mu, 3),
+        lambda: d_last_via_quadrature(legendre(), mu, 3),
+        lambda: mean_based_bounds(legendre(), iset, mu),
+        lambda: classical_bounds(legendre(), iset, mu),
+        lambda: truncated_bounds(legendre(), 3, mu),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterDomainError, match="must be finite and nonnegative"):
+            call()
 
 
 class TestBoundsFor:

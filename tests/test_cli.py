@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
 from helpers import indefinite_shift
 from sgprecond import bounds, eigsolve, operator
 from sgprecond.cli import bundled_openblas, main
@@ -30,7 +31,6 @@ classical = true
 kappa_A = true
 tol = 1e-8
 max_iter = 200
-mu_refine = 16
 seed = 42
 """
 
@@ -146,6 +146,12 @@ class TestQuadratureCommand:
         out = capsys.readouterr().out
         assert out.count("0.5") >= 2
 
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-1"])
+    def test_bad_mu_exits_2(self, mu, capsys):
+        assert main(["quadrature", "--family", "legendre", "--s", "3", "--mu", mu]) == 2
+        captured = capsys.readouterr()
+        assert "mu must be finite and nonnegative" in captured.err and captured.out == ""
+
     def test_zero_mu_unit_pivots(self, capsys):
         assert main(["quadrature", "--family", "chebyshev_u", "--s", "3", "--mu", "0"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -258,6 +264,31 @@ class TestExitCodes:
         path.write_text(SMALL.replace("kappa_A = true", "kappa_A = false\noracle = true"))
         assert main(["verify", "--config", str(path)]) == 4
         assert "mean_based (degree 2): per-element constants" in capsys.readouterr().err
+
+    def test_non_finite_coefficient_table(self, tmp_path, capsys):
+        table = tmp_path / "coeffs.txt"
+        table.write_text("1.0 0.3 -0.2\n" * 5 + "1.0 nan -0.2\n" + "1.0 0.3 -0.2\n" * 2)
+        path = _table_cfg(tmp_path, table)
+        for command in ("bounds", "verify"):
+            assert main([command, "--config", str(path)]) == 2
+            assert "coefficient row 1 is not finite on element 5" in capsys.readouterr().err
+
+    def test_unwritable_out(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["bounds", "--config", str(small_cfg), "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_table5_K1_mean_based_oracle_passes(self, tmp_path, capsys):
+        # mu is read on a grid containing the element midpoints, so the bounds
+        # hold for the assembled field and its per-element constants
+        text = (CONFIG_DIR / "table5_K1.cfg").read_text()
+        text = text.replace("preconditioners = splitting_complete gs2",
+                            "preconditioners = mean_based\noracle = true")
+        path = tmp_path / "k1.cfg"
+        path.write_text(text)
+        assert main(["verify", "--config", str(path)]) == 0
+        assert "oracle_min" in capsys.readouterr().out
 
     def test_table_rows_must_match_the_mesh(self, tmp_path, capsys):
         table = tmp_path / "coeffs.txt"

@@ -1,7 +1,10 @@
 import pytest
 
-from sgprecond.config import parse_config, serialize_config
+from conftest import CONFIG_DIR
+from sgprecond.config import load_config, parse_config, serialize_config
 from sgprecond.errors import ConfigError
+
+SHIPPED = sorted(CONFIG_DIR.glob("*.cfg"))
 
 GOOD = """sgp-config v1
 
@@ -160,6 +163,13 @@ class TestParse:
             parse_config(GOOD.replace("seed = 7", "seed = -1"))
 
     def test_iteration_counts_must_be_positive(self):
-        for key in ("max_iter", "mu_refine"):
-            with pytest.raises(ConfigError, match="max_iter and mu_refine must be >= 1"):
-                parse_config(GOOD.replace("seed = 7", f"seed = 7\n{key} = 0"))
+        with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+            parse_config(GOOD.replace("seed = 7", "seed = 7\nmax_iter = 0"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_config_loads_and_round_trips(path):
+    cfg = load_config(path)
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text

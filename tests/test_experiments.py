@@ -36,7 +36,6 @@ classical = true
 kappa_A = true
 tol = 1e-8
 max_iter = 300
-mu_refine = 8
 seed = 42
 """
 
@@ -85,7 +84,7 @@ class TestRunBounds:
         t = run_bounds(cfg)
         assert len(t.rows) == 2
         assert "kappa_A" not in t.columns and "lambda_min" not in t.columns
-        mu, _ = mu_from_exprs(cfg.coefficients, build_mesh(1, 10), refine=8)
+        mu, _ = mu_from_exprs(cfg.coefficients, build_mesh(1, 10))
         assert t.value(0, "c_lower") == pytest.approx(1 - mu / np.sqrt(3), abs=1e-12)
         assert t.value(1, "t") in (2.0, 3.0)
 

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import CONFIG_DIR
+from sgprecond.config import load_config
 from sgprecond.errors import CoefficientError, ParameterDomainError
 from sgprecond.fem import (
+    MU_REFINE,
     CoefficientField,
     Mesh,
     assemble_F,
@@ -25,7 +28,8 @@ class TestMesh:
     def test_1d(self):
         m = build_mesh(1, 30)
         assert m.n_elements == 30 and m.n_interior == 29
-        assert np.allclose(m.element_midpoints()[:, 0], (np.arange(30) + 0.5) / 30)
+        x1, x2 = m.midpoints()
+        assert np.allclose(x1, (np.arange(30) + 0.5) / 30) and x2 is None
 
     def test_2d(self):
         m = build_mesh(2, (20, 20))
@@ -143,19 +147,50 @@ class TestCoefficients:
         b = compute_mu(CoefficientField(3.7 * vals))
         assert a == pytest.approx(b, rel=1e-14)
 
-    def test_fine_sampling_refine_one_matches_element_midpoints(self):
-        m = build_mesh(1, 30)
-        assert mu_from_exprs(SETTING1, m, refine=1) == pytest.approx(
-            compute_mu(sample_coefficients(SETTING1, m)), abs=1e-15
-        )
+    def test_fine_grid_contains_element_midpoints(self):
+        centre = MU_REFINE // 2
+        assert MU_REFINE % 2 == 1
+        line = build_mesh(1, 30)
+        assert np.array_equal(line.midpoints(MU_REFINE)[0][centre::MU_REFINE], line.midpoints()[0])
+        m = build_mesh(2, (21, 21))
+        side = 21 * MU_REFINE
+        for fine, coarse in zip(m.midpoints(MU_REFINE), m.midpoints()):
+            picked = fine.reshape(side, side)[centre::MU_REFINE, centre::MU_REFINE]
+            assert np.array_equal(picked.ravel(), coarse)
 
     def test_fine_sampling_approaches_continuous_sup(self):
         m = build_mesh(2, (20, 20))
         exprs = ["1", "0.3*sin(1*pi*x1)", "0.3*sin(2*pi*x2)", "0.3*sin(2*pi*x1)"]
-        mu, _ = mu_from_exprs(exprs, m, refine=64)
+        mu, _ = mu_from_exprs(exprs, m)
         assert mu == pytest.approx(0.8280525, abs=5e-5)
-        coarse, _ = mu_from_exprs(exprs, m, refine=1)
+        coarse, _ = compute_mu(sample_coefficients(exprs, m))
         assert coarse < mu
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_mu_is_never_below_the_assembled_ratio(self, path):
+        cfg = load_config(path)
+        m = build_mesh(cfg.dim, cfg.elements, cfg.element)
+        mu, mu_class = mu_from_exprs(cfg.coefficients, m)
+        assembled_mu, assembled_class = compute_mu(sample_coefficients(cfg.coefficients, m))
+        assert mu >= assembled_mu and mu_class >= assembled_class
+
+    def test_compute_mu_matches_the_stacked_formula(self):
+        rng = np.random.default_rng(5)
+        for nterms in (1, 3, 7, 12):
+            vals = np.vstack([rng.uniform(0.1, 3.0, 500), rng.standard_normal((nterms, 500))])
+            fluct = np.abs(vals[1:])
+            mu = float(np.max(fluct.sum(axis=0) / vals[0]))
+            mu_class = float(fluct.max(axis=1).sum() / vals[0].min())
+            assert compute_mu(CoefficientField(vals)) == (mu, mu_class)
+
+    def test_non_finite_value_rejected_with_row_and_element(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = np.ones((3, 5))
+            vals[2, 3] = bad
+            with pytest.raises(CoefficientError, match="row 2 is not finite on element 3"):
+                CoefficientField(vals)
+        with pytest.raises(CoefficientError, match="row 0 is not finite on element 1"):
+            CoefficientField(np.array([[1.0, np.nan], [0.1, 0.1]]))
 
 
 class TestAssembly:

@@ -4,7 +4,10 @@ operator itself, plus a preconditioned conjugate gradient solver.
 The generalized solver runs the Lanczos iteration for the pencil (A, M) in
 the M inner product, tracking both the M-orthonormal basis and its image
 under M so that only products with A and solves with M are needed.  Full
-reorthogonalization keeps desk-scale runs clean.
+reorthogonalization keeps desk-scale runs clean.  A run can stop once one
+end alone has converged, for a pencil whose other end is known: the
+Schur-complement pencil of the two-block Gauss-Seidel sweep is bounded
+above by 1, so only its low end is iterated to tolerance.
 
 For kappa(A) the largest eigenvalue of A comes from the same Lanczos
 iteration with M the identity, and the smallest from LOBPCG (Knyazev 2001)
@@ -12,7 +15,7 @@ preconditioned by solves with a block preconditioner the caller has
 already factored.
 
 Every operator passed in exposes ``matvec`` and ``shape``; every
-preconditioner exposes ``solve`` (M^-1 r).
+preconditioner exposes ``solve`` (M^-1 r).  One object may be both.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, UsageError
 from .orthopoly import _tridiag_eig
 
 __all__ = ["EigEstimate", "extreme_eigs_generalized", "extreme_eigs", "pcg"]
 
 CHECK_EVERY = 5  # Lanczos steps between two Ritz solves of the tridiagonal matrix
+ENDS = ("both", "min", "max")  # the values of ``which``
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,12 @@ def _ritz_extremes(alphas, betas):
 def _lanczos(a, m, tol, max_iter, rng, which="both", return_basis=False):
     """Lanczos for the pencil (A, M); M=None means the identity.
 
-    Returns (EigEstimate, basis or None).  ``which`` is "both" or "max":
-    the ends that must meet the residual tolerance.
+    Returns (EigEstimate, basis or None).  ``which`` is "both", "min" or
+    "max": the ends that must meet the residual tolerance.  The estimate
+    always carries both extreme Ritz values and both residuals.
     """
+    if which not in ENDS:
+        raise UsageError(f"which must be one of {', '.join(ENDS)}, not {which!r}")
     n = a.shape[0]
     max_iter = min(max_iter, n)
     p = rng.standard_normal(n)
@@ -97,7 +104,8 @@ def _lanczos(a, m, tol, max_iter, rng, which="both", return_basis=False):
             res_hi = beta * last[-1] / max(abs(w[-1]), 1e-300)
             estimate = EigEstimate(float(w[0]), float(w[-1]), (res_lo, res_hi), j + 1)
             ok_lo = res_lo <= tol or which == "max"
-            if ok_lo and res_hi <= tol and j >= 1:
+            ok_hi = res_hi <= tol or which == "min"
+            if ok_lo and ok_hi and j >= 1:
                 basis = (qs[:, : j + 2], ps[:, : j + 2]) if return_basis else None
                 return estimate, basis
     if exhausted:
@@ -118,13 +126,16 @@ def extreme_eigs_generalized(
     max_iter: int = 300,
     seed: int = 42,
     return_basis: bool = False,
+    which: str = "both",
 ):
     """Extreme eigenvalues of the pencil (A, M) with M positive definite.
 
-    ``m`` must expose solve(); None means the identity.  Returns an
-    EigEstimate (and the Lanczos basis pair when requested)."""
+    ``m`` must expose solve(); None means the identity.  ``which`` names the
+    ends that must meet ``tol``: "both", or "min" or "max" when the other
+    end is known by other means.  Returns an EigEstimate (and the Lanczos
+    basis pair when requested)."""
     rng = np.random.default_rng(seed)
-    estimate, basis = _lanczos(a, m, tol, max_iter, rng, return_basis=return_basis)
+    estimate, basis = _lanczos(a, m, tol, max_iter, rng, which, return_basis)
     if return_basis:
         return estimate, basis
     return estimate

@@ -24,8 +24,10 @@ most p - 2:
 
 One index gives F0, since G_k[0, 0] = 0 for k >= 1.  Because every
 recurrence has alpha_n = 0, the detail block of each splitting equals its
-repeated block exactly.  A problem factors each leading block at most once,
-keyed by its index count, whichever preconditioner asks for it first.
+repeated block exactly; ``SchurPencil`` checks this and reads the gs2
+spectrum off the Schur complement of the coarse block.  A problem factors
+each leading block at most once, keyed by its index count, whichever
+preconditioner asks for it first.
 
 Each block is factored without pivoting in a minimum-degree order: F0 in the
 multiple-minimum-degree order SuperLU computes for it, and every other block
@@ -42,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G, splitting_cut
-from .errors import FactorizationError, UsageError
+from .errors import EnclosureError, FactorizationError, UsageError
 from .fem import CoefficientField, Mesh, assemble_F
 from .orthopoly import RecurrenceFamily
 
@@ -50,6 +52,7 @@ __all__ = [
     "GalerkinOperator",
     "DiscreteProblem",
     "Preconditioner",
+    "SchurPencil",
     "block_layout",
     "build_preconditioner",
     "MEAN_BASED",
@@ -292,6 +295,55 @@ class Preconditioner:
             y1 = y1 + self.coupling.T.dot(v[cut:])
             y2 = y2 + self.coupling.dot(self._lu11.solve(y1))
         return np.concatenate([y1, y2])
+
+
+class SchurPencil:
+    """The pencil (S, D2) of a two-block Gauss-Seidel preconditioner with a
+    coarse block: S = A22 - B A11^-1 B^T and D2 = I_count (x) T.
+
+    The congruence by [[I, 0], [-B A11^-1, I]] takes A to diag(A11, S) and
+    M = L D^-1 L^T to diag(A11, D2), so the spectrum of M^-1 A is 1 on the
+    coarse dofs and that of (S, D2) on the rest.  A22 = D2 exactly, which
+    the constructor checks on the stochastic couplings, so S <= D2 and the
+    largest eigenvalue of M^-1 A is 1.  A product costs one A11 solve; a
+    solve is one multi-column T solve.  Both reuse the preconditioner's
+    factors and coupling; only A22 = A[cut:, cut:] is sliced anew.
+    """
+
+    def __init__(self, problem: DiscreteProblem, prec: Preconditioner):
+        _check_detail_block(problem, prec.kind)
+        cut = prec.split_index
+        self.kind = prec.kind
+        self._prec = prec
+        self.a22 = problem.operator.matrix[cut:, cut:]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a22.shape
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """S v for a vector."""
+        b = self._prec.coupling
+        return self.a22 @ v - b @ self._prec._lu11.solve(b.T @ v)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """D2^-1 r for a vector."""
+        return self._prec._repeated(self._prec._lu.solve, r)
+
+
+def _check_detail_block(problem: DiscreteProblem, kind: str) -> None:
+    """Raise EnclosureError unless every G_k of the problem equals
+    I_count (x) G_k[:lead, :lead] on the detail indices of ``kind``'s
+    layout, so that the detail block of A is exactly its repeated block."""
+    iset = problem.index_set
+    lead, cut = block_layout(kind, iset)
+    eye = sp.identity((iset.size - cut) // lead, format="csr")
+    for k, g in enumerate(problem.operator.gs):
+        if (g[cut:, cut:] != sp.kron(eye, g[:lead, :lead], format="csr")).nnz:
+            raise EnclosureError(
+                f"{kind}: G_{k} on the detail indices is not I (x) its leading "
+                f"{lead} x {lead} block, so the detail block of A is not D2"
+            )
 
 
 def block_layout(kind: str, index_set: MultiIndexSet) -> tuple[int, int]:

@@ -67,6 +67,16 @@ def dense_preconditioner_matrix(problem: DiscreteProblem, prec):
     return np.column_stack(cols)
 
 
+def dense_gs2_matrix(a, cut):
+    """L D^-1 L^T for the dense matrix a with L = [[A11, 0], [B, A22]] and
+    D = diag(A11, A22), the blocks split after the first ``cut`` rows."""
+    zero = np.zeros((cut, a.shape[0] - cut))
+    d1, d2 = a[:cut, :cut], a[cut:, cut:]
+    lower = np.block([[d1, zero], [a[cut:, :cut], d2]])
+    dinv = np.linalg.inv(np.block([[d1, zero], [zero.T, d2]]))
+    return lower @ dinv @ lower.T
+
+
 def indefinite_shift(mat):
     """mat - s I with s midway between the two largest eigenvalues of the
     symmetric mat: nonsingular, one positive eigenvalue, the rest negative."""
@@ -80,6 +90,7 @@ __all__ = [
     "random_instance",
     "dense_pencil_extremes",
     "dense_preconditioner_matrix",
+    "dense_gs2_matrix",
     "indefinite_shift",
     "compute_mu",
 ]

@@ -120,6 +120,17 @@ class TestBoundsCommand:
         assert row["ratio_class"] == "-"
 
 
+    def test_last_order_one_keeps_the_full_pencil(self, tmp_path, capsys):
+        # tensor orders (3, 1): gs2 has no coarse block and M = A
+        text = SMALL.replace("basis = complete\ndegree = 2", "basis = tensor\ndegrees = 2 0")
+        path = tmp_path / "cut0.cfg"
+        path.write_text(text.replace("splitting_complete", "splitting_tp"))
+        assert main(["verify", "--config", str(path), "--format", "raw"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["kappa_SB"]) == float(row["kappa_GS2"]) == 1.0
+
+
 class TestSolveCommand:
     def test_iterations_ranked_by_bound(self, small_cfg, capsys):
         assert main(["solve", "--config", str(small_cfg)]) == 0
@@ -323,14 +334,15 @@ class TestExitCodes:
         assert "numerical failure" in err and "the mean block is not positive definite" in err
 
     def test_cbs_identity_violation_is_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
-        # kappa_GS2 lowered by 1%: still under its analytic bound, but off
-        # the two-block CBS identity with kappa_SB
+        # the low end of the gs2 Schur pencil raised by 1%, which lowers
+        # kappa_GS2 by 1%: still under its analytic bound, but off the
+        # two-block CBS identity with kappa_SB
         generalized = eigsolve.extreme_eigs_generalized
 
         def moved(a, m, **kwargs):
             est = generalized(a, m, **kwargs)
             if m.kind == GAUSS_SEIDEL_2:
-                est = dataclasses.replace(est, lambda_max=0.99 * est.lambda_max)
+                est = dataclasses.replace(est, lambda_min=est.lambda_min / 0.99)
             return est
 
         monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", moved)
@@ -338,20 +350,37 @@ class TestExitCodes:
         assert "breaks the CBS identity" in capsys.readouterr().err
 
     def test_gs2_extremes_above_one_are_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
-        # both gs2 extremes scaled by 1.02: kappa_GS2 is unchanged, but
-        # lambda_max leaves [1 - gamma^2, 1]
+        # the top of the gs2 Schur pencil moved to 1.02: lambda_max leaves
+        # [1 - gamma^2, 1]
         generalized = eigsolve.extreme_eigs_generalized
 
         def scaled(a, m, **kwargs):
             est = generalized(a, m, **kwargs)
             if m.kind == GAUSS_SEIDEL_2:
-                est = dataclasses.replace(est, lambda_min=1.02 * est.lambda_min,
-                                          lambda_max=1.02 * est.lambda_max)
+                est = dataclasses.replace(est, lambda_max=1.02)
             return est
 
         monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", scaled)
         assert main(["verify", "--config", str(small_cfg)]) == 4
         assert "gs2 (degree 2): computed extremes" in capsys.readouterr().err
+
+    def test_detail_coupling_is_an_enclosure_failure(self, tmp_path, monkeypatch, capsys):
+        # G_2 joins two indices of top total degree, so the detail block of A
+        # is no longer D2 and the gs2 Schur pencil may reach above 1
+        assemble_G = operator.assemble_G
+
+        def coupled(family, iset, k):
+            g = assemble_G(family, iset, k)
+            if k == 2:
+                g = g.tolil()
+                g[4, 5] = g[5, 4] = 0.1
+            return g.tocsr()
+
+        monkeypatch.setattr(operator, "assemble_G", coupled)
+        path = tmp_path / "gs2.cfg"
+        path.write_text(SMALL.replace("mean_based splitting_complete gs2", "gs2"))
+        assert main(["verify", "--config", str(path)]) == 4
+        assert "gs2: G_2 on the detail indices" in capsys.readouterr().err
 
     def test_asymmetric_splitting_extremes_are_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
         # lambda_min raised by 1%: still inside the splitting bounds, but the

@@ -5,7 +5,7 @@ import scipy.linalg
 from helpers import dense_preconditioner_matrix
 from sgprecond.basis import MultiIndexSet
 from sgprecond.eigsolve import extreme_eigs, extreme_eigs_generalized, pcg
-from sgprecond.errors import ConvergenceError
+from sgprecond.errors import ConvergenceError, UsageError
 from sgprecond.fem import build_mesh, load_vector, sample_coefficients
 from sgprecond.operator import MEAN_BASED, DiscreteProblem, build_preconditioner
 from sgprecond.orthopoly import legendre
@@ -54,6 +54,28 @@ class TestGeneralizedLanczos:
             est = extreme_eigs_generalized(_DenseOp(a), _DenseSolve(m), tol=1e-10, max_iter=n)
             assert est.lambda_min == pytest.approx(w[0], rel=1e-8)
             assert est.lambda_max == pytest.approx(w[-1], rel=1e-8)
+
+    def test_low_end_alone_meets_tol_in_no_more_steps(self):
+        rng = np.random.default_rng(5)
+        for n in (60, 150):
+            q = rng.standard_normal((n, n))
+            a = q @ q.T + n * np.eye(n)
+            q2 = rng.standard_normal((n, n))
+            m = q2 @ q2.T + n * np.eye(n)
+            w = scipy.linalg.eigh(a, m, eigvals_only=True)
+            ends = {which: extreme_eigs_generalized(_DenseOp(a), _DenseSolve(m), tol=1e-8,
+                                                    max_iter=n, which=which)
+                    for which in ("min", "both")}
+            low = ends["min"]
+            assert low.residual_norms[0] <= 1e-8
+            assert low.lambda_min == pytest.approx(w[0], rel=1e-7)
+            assert low.iterations <= ends["both"].iterations
+
+    def test_unknown_end_is_a_usage_error(self):
+        a = np.diag([1.0, 2.0, 3.0])
+        for which in ("low", "", None):
+            with pytest.raises(UsageError, match="which must be one of both, min, max"):
+                extreme_eigs_generalized(_DenseOp(a), None, which=which)
 
     def test_problem_pencil_matches_dense(self):
         prob = make_problem(["1", "0.3*sin(pi*x1)", "0.2*x1"], n=7, order=3)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from helpers import dense_gs2_matrix
+from sgprecond import eigsolve, operator
+from sgprecond.basis import MultiIndexSet
 from sgprecond.config import parse_config
 from sgprecond.eigsolve import EigEstimate
 from sgprecond.errors import EnclosureError
@@ -8,11 +12,13 @@ from sgprecond.experiments import (
     Cell,
     ResultTable,
     _check_enclosure,
+    _preconditioned_extremes,
     quadrature_report,
     run_bounds,
     run_solve,
     run_verify,
 )
+from sgprecond.fem import build_mesh, sample_coefficients
 from sgprecond.orthopoly import legendre
 
 CFG = """sgp-config v1
@@ -158,6 +164,46 @@ class TestRunVerify:
         for column in ("kappa_TR", "kappa_SB", "kappa_GS2", "oracle_min", "oracle_max"):
             assert t.value(0, column) is not None
         assert t.value(0, "kappa_TR") == pytest.approx(t.value(0, "kappa_SB"), rel=1e-12)
+
+
+class TestGs2SchurPath:
+    @pytest.mark.parametrize("iset", (MultiIndexSet.complete(2, 3), MultiIndexSet.complete(2, 4),
+                                      MultiIndexSet.tensor((3, 2)), MultiIndexSet.tensor((2, 3))),
+                             ids=("complete3", "complete4", "tensor32", "tensor23"))
+    def test_extremes_match_the_dense_pencil(self, iset):
+        mesh = build_mesh(1, 5)
+        field = sample_coefficients(["1", "0.4*chi(0,1/2)", "0.3*sin(pi*x1)"], mesh)
+        prob = operator.DiscreteProblem.build(legendre(), iset, mesh, field)
+        m = operator.build_preconditioner(prob, operator.GAUSS_SEIDEL_2)
+        a = prob.operator.matrix.toarray()
+        w = scipy.linalg.eigh(a, dense_gs2_matrix(a, m.split_index), eigvals_only=True)
+        est = _preconditioned_extremes(prob, m, tol=1e-10, max_iter=300, seed=42)
+        assert est.lambda_min == pytest.approx(w[0], rel=1e-8)
+        assert est.lambda_max == pytest.approx(w[-1], rel=1e-12)
+
+    def test_one_coarse_solve_per_lanczos_step(self, cfg, monkeypatch):
+        # complete order 3: A11 is A on the three indices of total degree at
+        # most 1, the only factor of the run in the nodes' order
+        from dataclasses import replace
+
+        solve = operator._OrderedLU.solve
+        generalized = eigsolve.extreme_eigs_generalized
+        solves, steps = [], []
+
+        def counted(self, b):
+            solves.append(1)
+            return solve(self, b)
+
+        def stepped(a, m, **kwargs):
+            est = generalized(a, m, **kwargs)
+            steps.append(est.iterations)
+            return est
+
+        monkeypatch.setattr(operator._OrderedLU, "solve", counted)
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", stepped)
+        run_verify(replace(cfg, preconditioners=("gs2",), degrees=(2,), kappa_a=False))
+        assert len(steps) == 1 and steps[0] > 0
+        assert len(solves) == steps[0]
 
 
 class TestRunSolve:

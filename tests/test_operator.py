@@ -7,7 +7,12 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import aslinearoperator
 
-from helpers import dense_preconditioner_matrix, indefinite_shift, random_instance
+from helpers import (
+    dense_gs2_matrix,
+    dense_preconditioner_matrix,
+    indefinite_shift,
+    random_instance,
+)
 from sgprecond import operator
 from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.errors import FactorizationError, UsageError
@@ -22,7 +27,7 @@ from sgprecond.operator import (
     GalerkinOperator,
     build_preconditioner,
 )
-from sgprecond.orthopoly import legendre
+from sgprecond.orthopoly import chebyshev_u, hermite, legendre
 
 B1 = 1 / math.sqrt(3)
 B2 = 2 / math.sqrt(15)
@@ -217,15 +222,7 @@ class TestPreconditioners:
             prob = small_problem(basis=basis, exprs=("1", "0.5", "0.2"), n=3, order=3)
             a = prob.operator.matrix.toarray()
             m = build_preconditioner(prob, GAUSS_SEIDEL_2)
-            cut = m.split_index
-            d1, d2 = a[:cut, :cut], a[cut:, cut:]
-            b = a[cut:, :cut]
-            lower = np.block([[d1, np.zeros((cut, a.shape[0] - cut))], [b, d2]])
-            dinv = np.linalg.inv(np.block([
-                [d1, np.zeros((cut, a.shape[0] - cut))],
-                [np.zeros((a.shape[0] - cut, cut)), d2],
-            ]))
-            expect = lower @ dinv @ lower.T
+            expect = dense_gs2_matrix(a, m.split_index)
             assert np.allclose(dense_preconditioner_matrix(prob, m), expect, atol=1e-10)
 
     def test_gs2_condition_follows_cbs_identity(self):
@@ -352,3 +349,30 @@ class TestPreconditioners:
             build_preconditioner(tens, SPLITTING_COMPLETE)
         with pytest.raises(UsageError):
             build_preconditioner(comp, "jacobi")
+
+
+class TestSchurPencil:
+    ISETS = [MultiIndexSet.complete(3, order) for order in (2, 3, 6)] + [
+        MultiIndexSet.tensor(orders) for orders in ((3, 2, 4), (2, 3, 3), (4, 1), (1, 3))
+    ]
+
+    @pytest.mark.parametrize("family", (legendre(), hermite(), chebyshev_u()),
+                             ids=("legendre", "hermite", "chebyshev_u"))
+    def test_detail_block_is_the_repeated_block(self, family):
+        mesh = build_mesh(1, 2)
+        for iset in self.ISETS:
+            field = sample_coefficients(["1"] + ["0.1"] * iset.nvars, mesh)
+            prob = DiscreteProblem.build(family, iset, mesh, field)
+            operator._check_detail_block(prob, GAUSS_SEIDEL_2)
+
+    def test_pencil_is_the_schur_complement(self):
+        prob = small_2d_problem(elements=4, nvars=2, order=3)
+        m = build_preconditioner(prob, GAUSS_SEIDEL_2)
+        pencil = operator.SchurPencil(prob, m)
+        a = prob.operator.matrix.toarray()
+        cut = m.split_index
+        schur = a[cut:, cut:] - a[cut:, :cut] @ np.linalg.solve(a[:cut, :cut], a[:cut, cut:])
+        v = np.random.default_rng(3).standard_normal(pencil.shape[0])
+        assert pencil.shape == schur.shape
+        assert np.allclose(pencil.matvec(v), schur @ v, atol=1e-12)
+        assert np.allclose(a[cut:, cut:] @ pencil.solve(v), v, atol=1e-10)

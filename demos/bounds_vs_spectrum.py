@@ -18,7 +18,6 @@ from sgprecond import (
     DiscreteProblem,
     MultiIndexSet,
     build_mesh,
-    build_preconditioner,
     classical_bounds,
     compute_mu,
     element_equivalence_oracle,
@@ -26,6 +25,7 @@ from sgprecond import (
     mean_based_bounds,
     sample_coefficients,
 )
+from sgprecond.operator import kept_couplings
 
 mesh = build_mesh(1, 30)
 exprs = ["1", "0.5*chi(0,1/3)", "0.3*chi(1/3,2/3)", "0.1*chi(2/3,1)"]
@@ -36,14 +36,17 @@ print(f"piecewise-constant setting: mu = {mu}, mu_class = {mu_class}")
 for degree in (1, 2, 4):
     iset = MultiIndexSet.complete(3, degree + 1)
     problem = DiscreteProblem.build(legendre(), iset, mesh, field)
-    m = build_preconditioner(problem, "mean_based")
 
     analytic = mean_based_bounds(legendre(), iset, mu)
     classical = classical_bounds(legendre(), iset, mu_class)
     oracle_lo, oracle_hi = element_equivalence_oracle(legendre(), iset, field, "mean_based")
 
-    a = problem.operator.matrix.toarray()
-    m_dense = np.column_stack([m.matvec(col) for col in np.eye(a.shape[0])])
+    # M = sum_k kron(G_k on the couplings mean_based keeps, F_k) = I (x) F0
+    keep = kept_couplings("mean_based", iset)
+    op = problem.operator
+    a = op.matrix.toarray()
+    m_dense = sum(np.kron(np.where(keep, g.toarray(), 0.0), f.toarray())
+                  for g, f in zip(op.gs, op.fs))
     w = scipy.linalg.eigh(a, m_dense, eigvals_only=True)
 
     print(f"\ntotal degree {degree} ({a.shape[0]} unknowns)")

@@ -1,6 +1,7 @@
 """Show the block anatomy of a small assembled operator: the coupling
-matrices over tensor-product and complete bases, their annihilated variants,
-and the sparsity patterns of the block preconditioners.
+matrices over tensor-product and complete bases, their annihilated variants
+(the couplings the two-block splitting keeps), and the sparsity patterns of
+the block preconditioners built from the couplings each kind keeps.
 
 Run:  python3 demos/small_operator_anatomy.py
 """
@@ -11,13 +12,12 @@ from sgprecond import (
     DiscreteProblem,
     MultiIndexSet,
     assemble_G,
-    assemble_G_tilde,
     build_mesh,
-    build_preconditioner,
     legendre,
     sample_coefficients,
 )
 from sgprecond.cli import coordinate_text
+from sgprecond.operator import block_layout, kept_couplings
 
 
 def pattern(mat, cut=None):
@@ -37,9 +37,10 @@ print("tensor basis with orders (3, 3): first coordinate changes fastest")
 tset = MultiIndexSet.tensor((3, 3))
 print(f"  indices: {[tuple(r) for r in tset.indices.tolist()]}")
 print("\ncoupling matrix of the second coordinate:")
-print(pattern(assemble_G(fam, tset, 2).toarray()))
+g2 = assemble_G(fam, tset, 2).toarray()
+print(pattern(g2))
 print("\nits annihilated variant drops the top-order coupling:")
-print(pattern(assemble_G_tilde(fam, tset, 2).toarray()))
+print(pattern(np.where(kept_couplings("splitting_tp", tset), g2, 0.0)))
 
 print("\ncomplete basis with total order 3 groups indices by degree:")
 cset = MultiIndexSet.complete(2, 3)
@@ -48,20 +49,25 @@ g1 = assemble_G(fam, cset, 1)
 print("\ncoupling matrix of the first coordinate and its annihilated variant:")
 print(pattern(g1.toarray()))
 print()
-print(pattern(assemble_G_tilde(fam, cset, 1).toarray()))
+print(pattern(np.where(kept_couplings("splitting_complete", cset), g1.toarray(), 0.0)))
 
 mesh = build_mesh(1, 4)
 field = sample_coefficients(["1", "0.4", "0.25"], mesh)
 problem = DiscreteProblem.build(fam, cset, mesh, field)
-a = problem.operator.matrix.toarray()
+op = problem.operator
+a = op.matrix.toarray()
 print(f"\nassembled operator: {a.shape[0]} unknowns "
       f"({cset.size} basis polynomials x {mesh.n_interior} interior nodes)")
 
 for kind in ("mean_based", "splitting_complete", "gs2"):
-    m = build_preconditioner(problem, kind)
-    mat = np.column_stack([m.matvec(col) for col in np.eye(a.shape[0])])
+    # D = sum_k kron(G_k on the kept couplings, F_k); gs2 is L D^-1 L^T with
+    # L = D plus the dropped couplings below the diagonal
+    keep = kept_couplings(kind, cset)
+    d = sum(np.kron(np.where(keep, g.toarray(), 0.0), f.toarray()) for g, f in zip(op.gs, op.fs))
+    lower = d + np.tril(a - d)
+    mat = lower @ np.linalg.solve(d, lower.T) if kind == "gs2" else d
     print(f"\n{kind} preconditioner pattern:")
-    print(pattern(mat, cut=m.split_index))
+    print(pattern(mat, cut=block_layout(kind, cset)[1] * op.n_fe or None))
 
 print("\ncoordinate text dump of the first coupling matrix:")
 print(coordinate_text(g1))

@@ -22,8 +22,6 @@ from .orthopoly import RecurrenceFamily
 __all__ = [
     "MultiIndexSet",
     "assemble_G",
-    "assemble_G_tilde",
-    "splitting_cut",
 ]
 
 DEFAULT_SIZE_CAP = 2_000_000
@@ -118,16 +116,6 @@ class MultiIndexSet:
         return f"MultiIndexSet(complete, K={self.nvars}, order={self.order}, size={self.size})"
 
 
-def splitting_cut(index_set: MultiIndexSet) -> int:
-    """Number of leading indices in the coarse group of the two-block
-    splitting: every index below the top order of the last coordinate
-    (tensor) or below the top total degree (complete)."""
-    if index_set.kind == TENSOR:
-        s_last = index_set.orders[-1]
-        return (s_last - 1) * (index_set.size // s_last)
-    return int(np.count_nonzero(index_set.total_degrees() <= index_set.order - 2))
-
-
 def assemble_G(family: RecurrenceFamily, index_set: MultiIndexSet, k: int) -> sp.csr_matrix:
     """Coupling matrix of coordinate k over the basis (identity for k = 0),
     with sorted indices.
@@ -156,21 +144,5 @@ def assemble_G(family: RecurrenceFamily, index_set: MultiIndexSet, k: int) -> sp
         vals += [v, v]
     n = index_set.size
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.sort_indices()
-    return mat
-
-
-def assemble_G_tilde(family: RecurrenceFamily, index_set: MultiIndexSet, k: int) -> sp.csr_matrix:
-    """G_k without the couplings across the splitting cut: the annihilated
-    coupling matrix of the two-block splitting preconditioners.
-
-    On a tensor set only G_K changes (the coupling between the two highest
-    orders of the last coordinate goes); on a complete set every coupling
-    between total degree s-2 and total degree s-1 goes.
-    """
-    g = assemble_G(family, index_set, k).tocoo()
-    cut = splitting_cut(index_set)
-    keep = (g.row < cut) == (g.col < cut)
-    mat = sp.csr_matrix((g.data[keep], (g.row[keep], g.col[keep])), shape=g.shape)
     mat.sort_indices()
     return mat

@@ -17,17 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import TENSOR, MultiIndexSet, assemble_G
+from .basis import MultiIndexSet, assemble_G
 from .errors import DominanceError, ParameterDomainError, SizeError, UsageError
 from .fem import CoefficientField
 from .operator import (
     GAUSS_SEIDEL_2,
     MEAN_BASED,
     SPLITTING_COMPLETE,
+    SPLITTING_OF_BASIS,
     SPLITTING_TP,
     TRUNCATED_TP,
-    block_layout,
     check_basis,
+    kept_couplings,
 )
 from .orthopoly import RecurrenceFamily, check_mu, d_sequence, max_root
 
@@ -130,8 +131,7 @@ def bounds_for(kind: str, family: RecurrenceFamily, index_set: MultiIndexSet, mu
     if kind == TRUNCATED_TP:
         return truncated_bounds(family, index_set.orders[-1], mu)
     if kind == GAUSS_SEIDEL_2:
-        split_kind = SPLITTING_TP if index_set.kind == TENSOR else SPLITTING_COMPLETE
-        split = bounds_for(split_kind, family, index_set, mu)
+        split = bounds_for(SPLITTING_OF_BASIS[index_set.kind], family, index_set, mu)
         gamma = split.c_upper - 1.0
         c_lo = 1.0 - gamma * gamma
         vacuous = not c_lo > 0.0
@@ -142,15 +142,6 @@ def bounds_for(kind: str, family: RecurrenceFamily, index_set: MultiIndexSet, mu
     if kind == SPLITTING_COMPLETE:
         return splitting_bounds_complete(family, index_set.order, mu)
     raise UsageError(f"unknown preconditioner kind {kind!r}")
-
-
-def _layout_mask(kind: str, index_set: MultiIndexSet) -> np.ndarray:
-    """Boolean matrix of the stochastic couplings that preconditioner
-    ``kind`` keeps: (i, j) with i and j in one group of its block layout."""
-    lead, cut = block_layout(kind, index_set)
-    i = np.arange(index_set.size)
-    label = np.where(i < cut, -1, (i - cut) // lead)
-    return label[:, None] == label[None, :]
 
 
 def element_equivalence_oracle(
@@ -164,8 +155,8 @@ def element_equivalence_oracle(
 
     For every element, solves the dense generalized eigenproblem between the
     element's coupling combination and the same combination restricted to
-    the couplings the preconditioner keeps (``_layout_mask``), and returns
-    the global (min, max).  These constants are what lifts to
+    the couplings the preconditioner keeps (``operator.kept_couplings``),
+    and returns the global (min, max).  These constants are what lifts to
     the full operator, so they always sit inside the analytic bounds and
     outside the true eigenvalues.
     """
@@ -176,7 +167,7 @@ def element_equivalence_oracle(
     if field.nterms != index_set.nvars:
         raise UsageError("field and basis disagree on the number of variables")
     gs = [assemble_G(family, index_set, k).toarray() for k in range(index_set.nvars + 1)]
-    keep = _layout_mask(kind, index_set)
+    keep = kept_couplings(kind, index_set)
     lo = math.inf
     hi = -math.inf
     for j in range(field.n_elements):

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import experiments
-from .basis import assemble_G, assemble_G_tilde
+from .basis import assemble_G
 from .config import load_config
 from .errors import (
     ConfigError,
@@ -31,6 +31,7 @@ from .errors import (
     SgprecondError,
 )
 from .fem import assemble_F
+from .operator import SPLITTING_OF_BASIS, kept_couplings
 from .orthopoly import family_from_name
 
 EXIT_OK = 0
@@ -142,7 +143,10 @@ def _dump_matrix(args) -> str:
     if kind == "G":
         return coordinate_text(assemble_G(cfg.family, iset, k))
     if kind == "Gt":
-        return coordinate_text(assemble_G_tilde(cfg.family, iset, k))
+        keep = kept_couplings(SPLITTING_OF_BASIS[iset.kind], iset)
+        gt = assemble_G(cfg.family, iset, k).multiply(keep).tocsr()
+        gt.eliminate_zeros()
+        return coordinate_text(gt)
     mesh, field, _mu, _mu_class = experiments._mesh_and_field(cfg)
     return coordinate_text(assemble_F(mesh, field, k))
 

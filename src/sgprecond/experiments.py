@@ -6,10 +6,10 @@ preconditioners, estimates the true extreme eigenvalues (those of ``gs2``
 on the Schur complement of its coarse block) and asserts the guaranteed
 enclosure chain, failing with EnclosureError if any computed eigenvalue
 escapes its bounds beyond a small slack, if the detail block of A is not
-the repeated block that ``gs2`` relies on, if the splitting extremes are
-not symmetric about 1, or if the splitting and two-block Gauss-Seidel
-conditions break the CBS identity that ties them.  With
-``oracle`` set it also fails if the per-element constants of a
+the repeated block that ``gs2`` relies on, if the extremes of a
+block-diagonal kind are not symmetric about 1, or if the splitting and
+two-block Gauss-Seidel conditions break the CBS identity that ties them.
+With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
 preconditioners.
@@ -169,7 +169,7 @@ def _analytic_cells(cfg, degree, iset, mu, mu_class):
     records keyed by preconditioner kind."""
     cells = {"degree": Cell(float(degree)), "K": Cell(float(cfg.nterms)), "mu": Cell(mu)}
     kinds = list(cfg.preconditioners)
-    split_kind = SPLITTING_TP if cfg.basis == "tensor" else SPLITTING_COMPLETE
+    split_kind = operator.SPLITTING_OF_BASIS[cfg.basis]
     if {split_kind, GAUSS_SEIDEL_2} & set(kinds):
         kinds += [split_kind, GAUSS_SEIDEL_2]  # both write the splitting columns
     by_kind = {kind: bnd.bounds_for(kind, cfg.family, iset, mu) for kind in dict.fromkeys(kinds)}
@@ -247,9 +247,14 @@ def _check_cbs_identity(degree, kappa_sb, kappa_gs2, tol):
         )
 
 
-def _check_splitting_symmetry(label, est, tol):
-    """The splitting detail block equals its repeated block exactly, so the
-    spectrum is 1 -+ gamma_i and lambda_min + lambda_max = 2.
+def _check_symmetry(label, est, tol):
+    """lambda_min + lambda_max = 2 for every block-diagonal kind.
+
+    M is block diagonal, and A - M joins only two colors of the stochastic
+    indices: the parity of the total degree (mean_based), of the last
+    degree (truncated_tp), or coarse against detail (the splittings, whose
+    detail block equals their repeated block exactly).  So M^-1 A - I is
+    2-cyclic (Varga 1962) and the spectrum is 1 -+ sigma_i.
 
     Lanczos stops once each extreme Ritz value theta is within relative
     ``tol`` of an eigenvalue, so |theta_min + theta_max - 2| is at most
@@ -323,8 +328,8 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
             b = by_kind[kind]
             if not b.vacuous:
                 _check_enclosure(f"{kind} (degree {degree})", b.c_lower, b.c_upper, est)
-            if kind in (SPLITTING_TP, SPLITTING_COMPLETE):
-                _check_splitting_symmetry(f"{kind} (degree {degree})", est, lanczos_tol)
+            if kind != GAUSS_SEIDEL_2:
+                _check_symmetry(f"{kind} (degree {degree})", est, lanczos_tol)
             if kind == MEAN_BASED and cfg.classical:
                 cb = by_kind["classical"]
                 if not cb.vacuous:

@@ -11,9 +11,11 @@ block A11 followed by one block T repeated along the diagonal.  Both are
 leading blocks of A: the operator on the first so many stochastic indices.
 The two-block Gauss-Seidel variant also keeps the coupling B between the
 two groups.  ``block_layout`` gives each kind's (lead, cut), the
-repeated-block and coarse index counts.  With N_P basis indices, s the last
-tensor order and c the number of complete-basis indices of total degree at
-most p - 2:
+repeated-block and coarse index counts, and is the one place that says
+which stochastic couplings a kind keeps: ``kept_couplings`` turns it into
+the N_P x N_P mask, so that a block-diagonal M is sum_k (G_k masked) (x)
+F_k.  With N_P basis indices, s the last tensor order and c the number of
+complete-basis indices of total degree at most p - 2:
 
     kind                coarse indices  repeated-block indices  copies
     mean_based          none            1 (F0)                  N_P
@@ -43,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G, splitting_cut
+from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
 from .errors import EnclosureError, FactorizationError, UsageError
 from .fem import CoefficientField, Mesh, assemble_F
 from .orthopoly import RecurrenceFamily
@@ -54,6 +56,7 @@ __all__ = [
     "Preconditioner",
     "SchurPencil",
     "block_layout",
+    "kept_couplings",
     "build_preconditioner",
     "MEAN_BASED",
     "TRUNCATED_TP",
@@ -79,6 +82,8 @@ PRECONDITIONER_KINDS = (
 
 # the basis kind a preconditioner kind needs; the kinds not listed take either
 BASIS_OF_KIND = {TRUNCATED_TP: TENSOR, SPLITTING_TP: TENSOR, SPLITTING_COMPLETE: COMPLETE}
+# the two-block splitting of each basis kind
+SPLITTING_OF_BASIS = {TENSOR: SPLITTING_TP, COMPLETE: SPLITTING_COMPLETE}
 
 
 def check_basis(kind: str, basis: str) -> None:
@@ -232,7 +237,7 @@ def _leading_block(problem: DiscreteProblem, count: int):
 
 
 class Preconditioner:
-    """M = diag(A11, I_count (x) T) with exact solves and products.
+    """M = diag(A11, I_count (x) T) with exact solves.
 
     T is ``block``, repeated ``count`` times along the diagonal; the optional
     coarse block A11 = A[:cut, :cut] comes first.  With the ``coupling``
@@ -258,7 +263,7 @@ class Preconditioner:
         return (n, n)
 
     def _repeated(self, apply, v: np.ndarray) -> np.ndarray:
-        """``apply`` (T or T^-1) on each of the count segments of v."""
+        """``apply`` (a T^-1 solve) on each of the count segments of v."""
         return apply(v.reshape(self.count, -1).T).T.ravel()
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -279,22 +284,6 @@ class Preconditioner:
         if self.coupling is not None:
             x1 = x1 - self._lu11.solve(self.coupling.T.dot(x2))
         return np.concatenate([x1, x2])
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """M v for a vector or an (n, 1) column; the result has v's shape."""
-        v = _vector(v, self.shape[0])
-        return self._matvec(v.ravel()).reshape(v.shape)
-
-    def _matvec(self, v: np.ndarray) -> np.ndarray:
-        cut = self.split_index or 0
-        y2 = self._repeated(self.block.dot, v[cut:])
-        if self.coarse is None:
-            return y2
-        y1 = self.coarse.dot(v[:cut])
-        if self.coupling is not None:
-            y1 = y1 + self.coupling.T.dot(v[cut:])
-            y2 = y2 + self.coupling.dot(self._lu11.solve(y1))
-        return np.concatenate([y1, y2])
 
 
 class SchurPencil:
@@ -349,15 +338,32 @@ def _check_detail_block(problem: DiscreteProblem, kind: str) -> None:
 def block_layout(kind: str, index_set: MultiIndexSet) -> tuple[int, int]:
     """(lead, cut) of preconditioner ``kind``: the first ``cut`` stochastic
     indices form the coarse group, and the rest fall into consecutive groups
-    of ``lead`` indices each.  The kind keeps exactly the couplings inside
-    each group (see the module docstring)."""
+    of ``lead`` indices each.  The coarse group of a splitting holds every
+    index below the top order of the last coordinate (tensor) or below the
+    top total degree (complete)."""
     if kind not in PRECONDITIONER_KINDS:
         raise UsageError(f"unknown preconditioner kind {kind!r}")
     check_basis(kind, index_set.kind)
-    tensor = index_set.kind == TENSOR and kind != MEAN_BASED
-    lead = index_set.size // index_set.orders[-1] if tensor else 1
-    cut = 0 if kind in (MEAN_BASED, TRUNCATED_TP) else splitting_cut(index_set)
+    tensor = index_set.kind == TENSOR
+    lead = index_set.size // index_set.orders[-1] if tensor and kind != MEAN_BASED else 1
+    if kind in (MEAN_BASED, TRUNCATED_TP):
+        cut = 0
+    elif tensor:
+        cut = index_set.size - lead
+    else:
+        cut = int(np.count_nonzero(index_set.total_degrees() <= index_set.order - 2))
     return lead, cut
+
+
+def kept_couplings(kind: str, index_set: MultiIndexSet) -> np.ndarray:
+    """Boolean matrix of the stochastic couplings (i, j) that preconditioner
+    ``kind`` keeps: i and j in one group of its ``block_layout``.  A
+    block-diagonal kind is M = sum_k (G_k masked by it) (x) F_k; gs2 keeps
+    these couplings in D and adds B through L D^-1 L^T."""
+    lead, cut = block_layout(kind, index_set)
+    i = np.arange(index_set.size)
+    label = np.where(i < cut, -1, (i - cut) // lead)
+    return label[:, None] == label[None, :]
 
 
 def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:

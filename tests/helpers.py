@@ -4,9 +4,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from sgprecond.basis import MultiIndexSet
+from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.fem import CoefficientField, build_mesh, compute_mu
-from sgprecond.operator import DiscreteProblem
+from sgprecond.operator import (
+    GAUSS_SEIDEL_2,
+    SPLITTING_OF_BASIS,
+    DiscreteProblem,
+    block_layout,
+    kept_couplings,
+)
 from sgprecond.orthopoly import jacobi_matrix
 
 
@@ -60,11 +66,26 @@ def dense_pencil_extremes(problem: DiscreteProblem, m_dense):
     return float(w[0]), float(w[-1])
 
 
-def dense_preconditioner_matrix(problem: DiscreteProblem, prec):
-    """Materialize a preconditioner by applying it to the identity columns."""
-    n = problem.operator.shape[0]
-    cols = [prec.matvec(col) for col in np.eye(n)]
-    return np.column_stack(cols)
+def dense_preconditioner_matrix(problem: DiscreteProblem, kind):
+    """Dense M of preconditioner ``kind`` from the couplings it keeps:
+    sum_k kron(G_k masked, F_k) for a block-diagonal kind, and for gs2 the
+    sweep L D^-1 L^T split after its coarse indices."""
+    a = problem.operator
+    if kind == GAUSS_SEIDEL_2:
+        _lead, cut = block_layout(kind, problem.index_set)
+        return dense_gs2_matrix(a.matrix.toarray(), cut * a.n_fe)
+    keep = kept_couplings(kind, problem.index_set)
+    return sum(np.kron(np.where(keep, g.toarray(), 0.0), f.toarray()) for g, f in zip(a.gs, a.fs))
+
+
+def masked_G(family, index_set, k):
+    """G_k with only the couplings that the two-block splitting of the
+    basis keeps, without stored zeros: the matrix ``sgp dump-matrix``
+    writes for Gt<k>."""
+    keep = kept_couplings(SPLITTING_OF_BASIS[index_set.kind], index_set)
+    mat = assemble_G(family, index_set, k).multiply(keep).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def dense_gs2_matrix(a, cut):
@@ -90,6 +111,7 @@ __all__ = [
     "random_instance",
     "dense_pencil_extremes",
     "dense_preconditioner_matrix",
+    "masked_G",
     "dense_gs2_matrix",
     "indefinite_shift",
     "compute_mu",

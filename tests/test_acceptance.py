@@ -254,8 +254,9 @@ class TestCriterion6RandomizedPropertySuite:
                 for kind in self.ORACLE_KINDS[iset.kind]:
                     bound = bounds_for(kind, family, iset, mu)
                     lo, hi = element_equivalence_oracle(family, iset, field, kind)
-                    m = build_preconditioner(problem, kind)
-                    m_dense = dense_preconditioner_matrix(problem, m)
+                    m_dense = dense_preconditioner_matrix(problem, kind)
+                    x = build_preconditioner(problem, kind).solve(m_dense @ v)
+                    assert np.allclose(x, v, rtol=1e-10, atol=1e-10)
                     w = scipy.linalg.eigh(dense, m_dense, eigvals_only=True)
                     slack = 1e-8
                     assert bound.c_lower - slack <= lo + slack
@@ -265,8 +266,9 @@ class TestCriterion6RandomizedPropertySuite:
 
                 # GS2 spectrum lies in [1 - gamma^2, 1]
                 gb = bounds_for(GAUSS_SEIDEL_2, family, iset, mu)
-                g = build_preconditioner(problem, GAUSS_SEIDEL_2)
-                g_dense = dense_preconditioner_matrix(problem, g)
+                g_dense = dense_preconditioner_matrix(problem, GAUSS_SEIDEL_2)
+                x = build_preconditioner(problem, GAUSS_SEIDEL_2).solve(g_dense @ v)
+                assert np.allclose(x, v, rtol=1e-10, atol=1e-10)
                 wg = scipy.linalg.eigh(dense, g_dense, eigvals_only=True)
                 assert gb.c_lower - 1e-8 <= wg[0]
                 assert wg[-1] <= gb.c_upper + 1e-8

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgprecond.basis import MultiIndexSet, assemble_G, assemble_G_tilde
+from helpers import masked_G
+from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.cli import coordinate_text
 from sgprecond.errors import ParameterDomainError, SizeError
 from sgprecond.fem import assemble_F, build_mesh, sample_coefficients
@@ -135,19 +136,21 @@ class TestAssembleG:
 
 
 class TestAssembleGTilde:
+    """G_k masked by the couplings its basis's two-block splitting keeps."""
+
     def test_tensor_variant_zeroes_top_coupling(self):
         fam = legendre()
         s = MultiIndexSet.tensor((3, 3))
         jt = jacobi_matrix(fam, 3)
         jt[1, 2] = jt[2, 1] = 0.0
         expect = sp.kron(sp.csr_matrix(jt), sp.identity(3, format="csr"))
-        got = assemble_G_tilde(fam, s, 2)
+        got = masked_G(fam, s, 2)
         assert abs(got - expect).max() == pytest.approx(0.0, abs=1e-15)
 
     def test_complete_variant_zeroes_top_degree_couplings(self):
         fam = legendre()
         s = MultiIndexSet.complete(2, 3)
-        gt1 = assemble_G_tilde(fam, s, 1).toarray()
+        gt1 = masked_G(fam, s, 1).toarray()
         expect = np.zeros((6, 6))
         expect[0, 1] = expect[1, 0] = B1  # degree 0-1 coupling kept
         assert np.allclose(gt1, expect, atol=1e-15)
@@ -155,10 +158,10 @@ class TestAssembleGTilde:
     def test_degenerate_order_keeps_everything(self):
         fam = legendre()
         s = MultiIndexSet.complete(2, 1)
-        gt = assemble_G_tilde(fam, s, 1)
+        gt = masked_G(fam, s, 1)
         assert gt.nnz == 0 and gt.shape == (1, 1)
         t = MultiIndexSet.tensor((2, 1))
-        gt2 = assemble_G_tilde(fam, t, 2)
+        gt2 = masked_G(fam, t, 2)
         assert abs(gt2 - assemble_G(fam, t, 2)).max() == 0.0
 
     def test_sparsity_contained_in_original(self):
@@ -166,7 +169,7 @@ class TestAssembleGTilde:
         s = MultiIndexSet.complete(3, 4)
         for k in range(1, 4):
             g = assemble_G(fam, s, k).toarray() != 0.0
-            gt = assemble_G_tilde(fam, s, k).toarray() != 0.0
+            gt = masked_G(fam, s, k).toarray() != 0.0
             assert np.all(g | ~gt)
 
     def test_coordinate_range(self):
@@ -174,8 +177,8 @@ class TestAssembleGTilde:
         for iset in (MultiIndexSet.complete(2, 3), MultiIndexSet.tensor((3, 3))):
             for k in (-1, 3):
                 with pytest.raises(ParameterDomainError):
-                    assemble_G_tilde(fam, iset, k)
-            gt0 = assemble_G_tilde(fam, iset, 0)
+                    masked_G(fam, iset, k)
+            gt0 = masked_G(fam, iset, 0)
             assert abs(gt0 - assemble_G(fam, iset, 0)).max() == 0.0
 
     def test_tensor_keeps_every_coupling_below_the_last_coordinate(self):
@@ -183,10 +186,10 @@ class TestAssembleGTilde:
         iset = MultiIndexSet.tensor((3, 2, 4))
         for k in range(1, 3):
             g = assemble_G(fam, iset, k)
-            gt = assemble_G_tilde(fam, iset, k)
+            gt = masked_G(fam, iset, k)
             assert gt.nnz == g.nnz and abs(gt - g).max() == 0.0
         g3 = assemble_G(fam, iset, 3)
-        assert assemble_G_tilde(fam, iset, 3).nnz == g3.nnz - 2 * 3 * 2  # one coupling per (i1, i2)
+        assert masked_G(fam, iset, 3).nnz == g3.nnz - 2 * 3 * 2  # one coupling per (i1, i2)
 
     def test_shifted_identity_stays_semidefinite(self):
         # I +- mu_bar * J has no negative eigenvalues for the top admissible mu
@@ -207,7 +210,7 @@ class TestCoordinateText:
         s = MultiIndexSet.complete(2, 3)
         mesh = build_mesh(1, 4)
         f0 = assemble_F(mesh, sample_coefficients(["1", "0.3", "0.2"], mesh), 0)
-        for mat in (assemble_G(fam, s, 1), assemble_G_tilde(fam, s, 1), f0):
+        for mat in (assemble_G(fam, s, 1), masked_G(fam, s, 1), f0):
             lines = coordinate_text(mat).strip().splitlines()
             n, m, nnz = (int(x) for x in lines[0].split())
             assert (n, m, nnz) == (*mat.shape, mat.nnz)

@@ -8,7 +8,8 @@ from conftest import CONFIG_DIR
 from helpers import indefinite_shift
 from sgprecond import bounds, eigsolve, operator
 from sgprecond.cli import bundled_openblas, main
-from sgprecond.operator import GAUSS_SEIDEL_2, SPLITTING_COMPLETE
+from sgprecond.basis import MultiIndexSet
+from sgprecond.operator import GAUSS_SEIDEL_2, MEAN_BASED, SPLITTING_COMPLETE
 
 SMALL = """sgp-config v1
 
@@ -178,11 +179,22 @@ class TestDumpMatrix:
         assert first[0] == first[1] == "6"  # complete basis, two variables, order 3
 
     def test_annihilated_dump_is_sparser(self, small_cfg, capsys):
-        assert main(["dump-matrix", "--config", str(small_cfg), "--matrix", "G1"]) == 0
-        nnz_full = int(capsys.readouterr().out.splitlines()[0].split()[2])
-        assert main(["dump-matrix", "--config", str(small_cfg), "--matrix", "Gt1"]) == 0
-        nnz_tilde = int(capsys.readouterr().out.splitlines()[0].split()[2])
-        assert nnz_tilde < nnz_full
+        # complete basis, K = 2, s = 3: Gt<k> drops exactly the couplings
+        # between total degrees 1 and 2 and stores no zeros
+        entries = {}
+        for name in ("G1", "Gt1", "G2", "Gt2"):
+            assert main(["dump-matrix", "--config", str(small_cfg), "--matrix", name]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert int(lines[0].split()[2]) == len(lines) - 1
+            cells = {(int(i) - 1, int(j) - 1): v for i, j, v in (ln.split() for ln in lines[1:])}
+            assert all(float(v) != 0.0 for v in cells.values())
+            entries[name] = cells
+        degree = MultiIndexSet.complete(2, 3).total_degrees()
+        for k in "12":
+            full, tilde = entries[f"G{k}"], entries[f"Gt{k}"]
+            across = {ij for ij in full if {degree[ij[0]], degree[ij[1]]} == {1, 2}}
+            assert across and set(full) - set(tilde) == across
+            assert all(tilde[ij] == full[ij] for ij in tilde)
 
     def test_f_matrix_dump(self, small_cfg, capsys):
         assert main(["dump-matrix", "--config", str(small_cfg), "--matrix", "F0"]) == 0
@@ -396,6 +408,23 @@ class TestExitCodes:
         monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", shifted)
         assert main(["verify", "--config", str(small_cfg)]) == 4
         assert "are not symmetric about 1" in capsys.readouterr().err
+
+    def test_asymmetric_mean_based_extremes_are_an_enclosure_failure(self, small_cfg, monkeypatch,
+                                                                     capsys):
+        # lambda_min raised by 1%: still inside the mean-based bounds, but
+        # M^-1 A - I is 2-cyclic over the parity of the total degree
+        generalized = eigsolve.extreme_eigs_generalized
+
+        def shifted(a, m, **kwargs):
+            est = generalized(a, m, **kwargs)
+            if m.kind == MEAN_BASED:
+                est = dataclasses.replace(est, lambda_min=1.01 * est.lambda_min)
+            return est
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", shifted)
+        assert main(["verify", "--config", str(small_cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "mean_based (degree 2)" in err and "are not symmetric about 1" in err
 
     def test_nonpositive_tol_override_is_a_config_error(self, small_cfg, capsys):
         for tol in ("0", "-1", "nan"):

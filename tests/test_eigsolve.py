@@ -81,7 +81,7 @@ class TestGeneralizedLanczos:
         prob = make_problem(["1", "0.3*sin(pi*x1)", "0.2*x1"], n=7, order=3)
         m = build_preconditioner(prob, MEAN_BASED)
         a = prob.operator.matrix.toarray()
-        md = dense_preconditioner_matrix(prob, m)
+        md = dense_preconditioner_matrix(prob, MEAN_BASED)
         w = scipy.linalg.eigh(a, md, eigvals_only=True)
         est = extreme_eigs_generalized(prob.operator, m, tol=1e-9)
         assert est.lambda_min == pytest.approx(w[0], rel=1e-8)

@@ -15,14 +15,14 @@ import numpy as np
 import scipy.linalg
 
 from sgprecond import (
+    MEAN_BASED,
     DiscreteProblem,
     MultiIndexSet,
+    bounds_for,
     build_mesh,
-    classical_bounds,
     compute_mu,
     element_equivalence_oracle,
     legendre,
-    mean_based_bounds,
     sample_coefficients,
 )
 from sgprecond.operator import kept_couplings
@@ -37,8 +37,9 @@ for degree in (1, 2, 4):
     iset = MultiIndexSet.complete(3, degree + 1)
     problem = DiscreteProblem.build(legendre(), iset, mesh, field)
 
-    analytic = mean_based_bounds(legendre(), iset, mu)
-    classical = classical_bounds(legendre(), iset, mu_class)
+    analytic = bounds_for(MEAN_BASED, legendre(), iset, mu)
+    # the classical constants are the same formula for the global ratio
+    classical = bounds_for(MEAN_BASED, legendre(), iset, mu_class)
     oracle_lo, oracle_hi = element_equivalence_oracle(legendre(), iset, field, "mean_based")
 
     # M = sum_k kron(G_k on the couplings mean_based keeps, F_k) = I (x) F0

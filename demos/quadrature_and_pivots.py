@@ -8,6 +8,9 @@ Run:  python3 demos/quadrature_and_pivots.py
 import numpy as np
 
 from sgprecond import (
+    SPLITTING_TP,
+    MultiIndexSet,
+    bounds_for,
     chebyshev_u,
     d_last_via_quadrature,
     d_sequence,
@@ -17,7 +20,6 @@ from sgprecond import (
     jacobi_matrix,
     legendre,
     mu_bar,
-    splitting_bounds_tp,
 )
 
 families = [hermite(), legendre(), chebyshev_u(), gegenbauer(2.0)]
@@ -48,7 +50,7 @@ for fam, mu in ((legendre(), 1.0), (legendre(), 0.83), (hermite(), 0.3)):
 
 print("\nextreme eigenvalues 1 -/+ sqrt(1 - d_s) of the coarse/detail block:")
 for mu in (0.5, 0.83, 0.95):
-    b = splitting_bounds_tp(legendre(), 3, mu)
+    b = bounds_for(SPLITTING_TP, legendre(), MultiIndexSet.tensor((3,)), mu)
     lo, hi = b.c_lower, b.c_upper
     print(f"  legendre, order 3, mu={mu}: ({lo:.6f}, {hi:.6f}), ratio {hi/lo:.4f}")
 

@@ -2,11 +2,12 @@
 and a brute-force per-element oracle that computes the sharp equivalence
 constants for a concrete coefficient field.
 
-All analytic bounds depend only on the dominance ratio mu, the polynomial
-family and the basis orders.  They are valid for every admissible
-coefficient field with that mu, hence they enclose the per-element oracle
-values, which in turn enclose the true eigenvalues of the preconditioned
-operator.
+``bounds_for`` builds every bounds record: one per preconditioner kind, and
+the classical record as the mean_based one for mu_class.  Each depends only
+on the dominance ratio, the polynomial family and the basis orders.  The
+records are valid for every admissible coefficient field with that ratio,
+hence they enclose the per-element oracle values, which in turn enclose the
+true eigenvalues of the preconditioned operator.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import MultiIndexSet, assemble_G
-from .errors import DominanceError, ParameterDomainError, SizeError, UsageError
+from .errors import DominanceError, SizeError, UsageError
 from .fem import CoefficientField
 from .operator import (
     GAUSS_SEIDEL_2,
@@ -35,11 +36,6 @@ from .orthopoly import RecurrenceFamily, check_mu, d_sequence, max_root
 __all__ = [
     "SpectralBounds",
     "bounds_for",
-    "mean_based_bounds",
-    "classical_bounds",
-    "truncated_bounds",
-    "splitting_bounds_tp",
-    "splitting_bounds_complete",
     "element_equivalence_oracle",
 ]
 
@@ -61,87 +57,58 @@ class SpectralBounds:
     same gamma.
     """
 
-    kind: str
     c_lower: float
     c_upper: float
-    vacuous: bool
-    kappa_bound: float
     t_arg: int | None = None
 
+    @property
+    def vacuous(self) -> bool:
+        return not self.c_lower > 0.0
 
-def _symmetric_bounds(kind: str, reach: float, t_arg: int | None = None) -> SpectralBounds:
-    c_lo = 1.0 - reach
-    c_hi = 1.0 + reach
-    vacuous = not c_lo > 0.0
-    kappa = math.inf if vacuous else c_hi / c_lo
-    return SpectralBounds(kind, c_lo, c_hi, vacuous, kappa, t_arg)
-
-
-def mean_based_bounds(family: RecurrenceFamily, index_set: MultiIndexSet, mu: float) -> SpectralBounds:
-    """Bounds for the block-diagonal mean preconditioner: 1 -+ mu times the
-    largest root at the highest order appearing in the basis."""
-    check_mu(mu)
-    return _symmetric_bounds(MEAN_BASED, mu * max_root(family, index_set.max_order))
-
-
-def classical_bounds(family: RecurrenceFamily, index_set: MultiIndexSet, mu_class: float) -> SpectralBounds:
-    """Counterpart bounds from the global-norm dominance ratio."""
-    check_mu(mu_class, "mu_class")
-    return _symmetric_bounds("classical", mu_class * max_root(family, index_set.max_order))
-
-
-def truncated_bounds(family: RecurrenceFamily, s_last: int, mu: float) -> SpectralBounds:
-    """Bounds for the preconditioner that drops the last expansion term of a
-    tensor-product basis; controlled by the last coordinate's order only."""
-    check_mu(mu)
-    if s_last < 1:
-        raise ParameterDomainError("order must be >= 1")
-    return _symmetric_bounds(TRUNCATED_TP, mu * max_root(family, s_last))
-
-
-def splitting_bounds_tp(family: RecurrenceFamily, s_last: int, mu: float) -> SpectralBounds:
-    """Bounds for the two-block splitting of a tensor-product basis along the
-    top order of the last coordinate."""
-    d_last = float(d_sequence(family, mu, s_last)[-1])
-    return _symmetric_bounds(SPLITTING_TP, math.sqrt(max(1.0 - d_last, 0.0)), t_arg=s_last)
-
-
-def splitting_bounds_complete(family: RecurrenceFamily, order: int, mu: float) -> SpectralBounds:
-    """Bounds for the two-block splitting of a complete basis at its top
-    total degree; the extremes sweep the comparison blocks of every order
-    t <= s and are attained at the smallest pivot."""
-    pivots = d_sequence(family, mu, order)
-    t = int(np.argmin(pivots)) + 1  # ties resolve to the smaller order
-    return _symmetric_bounds(SPLITTING_COMPLETE, math.sqrt(max(1.0 - float(pivots[t - 1]), 0.0)), t_arg=t)
+    @property
+    def kappa_bound(self) -> float:
+        return math.inf if self.vacuous else self.c_upper / self.c_lower
 
 
 def bounds_for(kind: str, family: RecurrenceFamily, index_set: MultiIndexSet, mu: float) -> SpectralBounds:
     """The bounds record of preconditioner ``kind`` on ``index_set``.
 
-    The tensor kinds are controlled by the last coordinate's order and the
-    complete splitting by the total order.  gs2 takes gamma = c_upper - 1 of
-    the splitting of its basis: M_gs2 - A = diag(0, B A11^-1 B^T) is positive
-    semidefinite and the detail block of the splitting equals A22, so the
-    spectrum of M_gs2^-1 A lies in [1 - gamma^2, 1] (Eijkhout-Vassilevski
-    1991; Axelsson 1994, ch. 9).
+    The block-diagonal kinds have the record [1 - r, 1 + r] for a reach r:
+    mu times the largest root at the highest order of the basis (mean_based)
+    or of the last coordinate (truncated_tp); sqrt(1 - d_t) for the pivot
+    d_t of the splitting at the last coordinate's order t (splitting_tp) or
+    the smallest pivot over the total orders t <= s (splitting_complete).
+    gs2 takes gamma = c_upper - 1 of the splitting of its basis:
+    M_gs2 - A = diag(0, B A11^-1 B^T) is positive semidefinite and the
+    detail block of the splitting equals A22, so the spectrum of M_gs2^-1 A
+    lies in [1 - gamma^2, 1] (Eijkhout-Vassilevski 1991; Axelsson 1994,
+    ch. 9).
+
+    The classical bound is the mean_based record with the global-norm ratio
+    mu_class in place of mu.
     """
     check_basis(kind, index_set.kind)
+    t_arg = None
     if kind == MEAN_BASED:
-        return mean_based_bounds(family, index_set, mu)
-    if kind == TRUNCATED_TP:
-        return truncated_bounds(family, index_set.orders[-1], mu)
-    if kind == GAUSS_SEIDEL_2:
+        check_mu(mu)
+        reach = mu * max_root(family, index_set.max_order)
+    elif kind == TRUNCATED_TP:
+        check_mu(mu)
+        reach = mu * max_root(family, index_set.orders[-1])
+    elif kind == SPLITTING_TP:
+        t_arg = index_set.orders[-1]
+        reach = math.sqrt(max(1.0 - float(d_sequence(family, mu, t_arg)[-1]), 0.0))
+    elif kind == SPLITTING_COMPLETE:
+        pivots = d_sequence(family, mu, index_set.order)
+        t_arg = int(np.argmin(pivots)) + 1  # ties resolve to the smaller order
+        reach = math.sqrt(max(1.0 - float(pivots[t_arg - 1]), 0.0))
+    elif kind == GAUSS_SEIDEL_2:
         split = bounds_for(SPLITTING_OF_BASIS[index_set.kind], family, index_set, mu)
         gamma = split.c_upper - 1.0
-        c_lo = 1.0 - gamma * gamma
-        vacuous = not c_lo > 0.0
-        return SpectralBounds(GAUSS_SEIDEL_2, c_lo, 1.0, vacuous,
-                              math.inf if vacuous else 1.0 / c_lo, t_arg=split.t_arg)
-    if kind == SPLITTING_TP:
-        return splitting_bounds_tp(family, index_set.orders[-1], mu)
-    if kind == SPLITTING_COMPLETE:
-        return splitting_bounds_complete(family, index_set.order, mu)
-    raise UsageError(f"unknown preconditioner kind {kind!r}")
+        return SpectralBounds(1.0 - gamma * gamma, 1.0, split.t_arg)
+    else:
+        raise UsageError(f"unknown preconditioner kind {kind!r}")
+    return SpectralBounds(1.0 - reach, 1.0 + reach, t_arg)
 
 
 def element_equivalence_oracle(
@@ -149,7 +116,6 @@ def element_equivalence_oracle(
     index_set: MultiIndexSet,
     field: CoefficientField,
     kind: str,
-    cap: int = ORACLE_CAP,
 ) -> tuple[float, float]:
     """Sharp per-element equivalence constants for a concrete field.
 
@@ -162,8 +128,8 @@ def element_equivalence_oracle(
     """
     if kind == GAUSS_SEIDEL_2:
         raise UsageError("the per-element oracle applies to block-diagonal kinds only")
-    if index_set.size > cap:
-        raise SizeError(f"oracle needs a dense basis solve; {index_set.size} > cap {cap}")
+    if index_set.size > ORACLE_CAP:
+        raise SizeError(f"oracle needs a dense basis solve; {index_set.size} > cap {ORACLE_CAP}")
     if field.nterms != index_set.nvars:
         raise UsageError("field and basis disagree on the number of variables")
     gs = [assemble_G(family, index_set, k).toarray() for k in range(index_set.nvars + 1)]

@@ -36,7 +36,6 @@ class ExperimentConfig:
     coefficients: tuple | None  # expression strings a0..aK
     table_path: str | None
     preconditioners: tuple
-    classical: bool = False
     kappa_a: bool = True
     oracle: bool = False
     tol: float = 1e-6
@@ -134,7 +133,6 @@ _RUN_KEYS = {
     "max_iter": _to_int,
     "seed": _to_int,
     "rhs": _to_expr,
-    "classical": _to_bool,
     "kappa_A": _to_bool,
     "oracle": _to_bool,
 }
@@ -262,7 +260,6 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, convert in converters.items()
         if key in run
     }
-    options.setdefault("classical", "mean_based" in precs)
 
     return ExperimentConfig(
         dim=dim,
@@ -303,7 +300,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     out.append("")
     out.append("[run]")
     out.append("preconditioners = " + " ".join(cfg.preconditioners))
-    out.append(f"classical = {str(cfg.classical).lower()}")
     out.append(f"kappa_A = {str(cfg.kappa_a).lower()}")
     out.append(f"oracle = {str(cfg.oracle).lower()}")
     out.append(f"tol = {cfg.tol!r}")

@@ -193,10 +193,10 @@ def gauss_rule(family: RecurrenceFamily, s: int) -> GaussRule:
     return GaussRule(values, weights)
 
 
-def check_mu(mu: float, name: str = "mu") -> None:
+def check_mu(mu: float) -> None:
     """Reject a dominance ratio that is negative, NaN or infinite."""
     if not (math.isfinite(mu) and mu >= 0.0):
-        raise ParameterDomainError(f"{name} must be finite and nonnegative, got {mu!r}")
+        raise ParameterDomainError(f"mu must be finite and nonnegative, got {mu!r}")
 
 
 def d_sequence(family: RecurrenceFamily, mu: float, s: int) -> np.ndarray:

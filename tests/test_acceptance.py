@@ -18,12 +18,7 @@ import scipy.linalg
 from conftest import record_criterion
 from helpers import dense_h_matrix, dense_preconditioner_matrix, random_instance
 from sgprecond.basis import MultiIndexSet
-from sgprecond.bounds import (
-    bounds_for,
-    element_equivalence_oracle,
-    mean_based_bounds,
-    splitting_bounds_tp,
-)
+from sgprecond.bounds import bounds_for, element_equivalence_oracle
 from sgprecond.eigsolve import pcg
 from sgprecond.fem import build_mesh, compute_mu, load_vector, sample_coefficients
 from sgprecond.operator import (
@@ -183,9 +178,9 @@ class TestCriterion4ClosedForms:
     def test_single_variable_closed_forms(self):
         with criterion(4, "closed-form condition bounds and sharp element constants"):
             iset = MultiIndexSet.complete(1, 3)
-            full = mean_based_bounds(legendre(), iset, 1.0)
+            full = bounds_for(MEAN_BASED, legendre(), iset, 1.0)
             assert full.kappa_bound == pytest.approx(4.0 + math.sqrt(15.0), abs=1e-12)
-            half = mean_based_bounds(legendre(), iset, 0.5)
+            half = bounds_for(MEAN_BASED, legendre(), iset, 0.5)
             assert half.kappa_bound == pytest.approx(
                 (23.0 + 4.0 * math.sqrt(15.0)) / 17.0, abs=1e-12
             )
@@ -283,7 +278,7 @@ class TestCriterion6RandomizedPropertySuite:
                         h_plus = dense_h_matrix(family, mu_h, s, +1)
                         w_h = np.sort(np.linalg.eigvals(h_plus).real)
                         assert np.sum(np.abs(w_h - 1.0) <= 1e-10) == s - 2
-                        b_h = splitting_bounds_tp(family, s, mu_h)
+                        b_h = bounds_for(SPLITTING_TP, family, MultiIndexSet.tensor((s,)), mu_h)
                         assert w_h[0] == pytest.approx(b_h.c_lower, abs=1e-10)
                         assert w_h[-1] == pytest.approx(b_h.c_upper, abs=1e-10)
                         w_minus = np.sort(
@@ -323,7 +318,7 @@ class TestCriterion8ConjugateGradients:
             problem = DiscreteProblem.build(legendre(), iset, mesh, field)
             m = build_preconditioner(problem, MEAN_BASED)
             mu, _ = compute_mu(field)
-            kappa_hat = mean_based_bounds(legendre(), iset, mu).kappa_bound
+            kappa_hat = bounds_for(MEAN_BASED, legendre(), iset, mu).kappa_bound
             rhs = np.zeros(problem.operator.shape[0])
             rhs[: mesh.n_interior] = load_vector(mesh, "1")
             tol = 1e-8

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,16 +6,9 @@ import pytest
 import scipy.linalg
 
 from helpers import dense_h_matrix, random_field
+from sgprecond import bounds
 from sgprecond.basis import MultiIndexSet, assemble_G
-from sgprecond.bounds import (
-    bounds_for,
-    classical_bounds,
-    element_equivalence_oracle,
-    mean_based_bounds,
-    splitting_bounds_complete,
-    splitting_bounds_tp,
-    truncated_bounds,
-)
+from sgprecond.bounds import SpectralBounds, bounds_for, element_equivalence_oracle
 from sgprecond.errors import DominanceError, ParameterDomainError, SizeError, UsageError
 from sgprecond.fem import CoefficientField, build_mesh, sample_coefficients
 from sgprecond.operator import (
@@ -27,115 +21,138 @@ from sgprecond.operator import (
     build_preconditioner,
     kept_couplings,
 )
-from sgprecond.orthopoly import d_last_via_quadrature, d_sequence
+from sgprecond.orthopoly import d_last_via_quadrature, d_sequence, max_root
 from sgprecond.orthopoly import chebyshev_u, gegenbauer, hermite, legendre
+
+
+def tensor_bounds(kind, family, s_last, mu):
+    """The record of a tensor kind on a one-coordinate basis of order s_last."""
+    return bounds_for(kind, family, MultiIndexSet.tensor((s_last,)), mu)
+
+
+def complete_bounds(kind, family, order, mu):
+    """The record of a kind on a two-variable complete basis of total order ``order``."""
+    return bounds_for(kind, family, MultiIndexSet.complete(2, order), mu)
+
+
+def test_bounds_for_is_the_only_builder():
+    assert sorted(bounds.__all__) == ["SpectralBounds", "bounds_for", "element_equivalence_oracle"]
+
+
+def test_record_stores_the_constants_and_block_order_only():
+    assert [f.name for f in dataclasses.fields(SpectralBounds)] == ["c_lower", "c_upper", "t_arg"]
+    b = SpectralBounds(-0.25, 2.25)
+    assert b.vacuous and math.isinf(b.kappa_bound)
+    b = SpectralBounds(0.5, 1.5, 3)
+    assert not b.vacuous and b.kappa_bound == 3.0
 
 
 class TestMeanBased:
     def test_full_dominance_closed_form(self):
         iset = MultiIndexSet.complete(1, 3)
-        b = mean_based_bounds(legendre(), iset, 1.0)
+        b = bounds_for(MEAN_BASED, legendre(), iset, 1.0)
         assert b.kappa_bound == pytest.approx(4.0 + math.sqrt(15.0), abs=1e-12)
         assert b.c_lower == pytest.approx(1.0 - math.sqrt(15.0) / 5.0, abs=1e-14)
 
     def test_half_dominance_closed_form(self):
         iset = MultiIndexSet.complete(1, 3)
-        b = mean_based_bounds(legendre(), iset, 0.5)
+        b = bounds_for(MEAN_BASED, legendre(), iset, 0.5)
         assert b.kappa_bound == pytest.approx((23.0 + 4.0 * math.sqrt(15.0)) / 17.0, abs=1e-12)
 
     def test_no_fluctuation(self):
         iset = MultiIndexSet.tensor((3, 2))
-        b = mean_based_bounds(legendre(), iset, 0.0)
+        b = bounds_for(MEAN_BASED, legendre(), iset, 0.0)
         assert (b.c_lower, b.c_upper, b.kappa_bound) == (1.0, 1.0, 1.0)
 
     def test_symmetric_about_one(self):
         iset = MultiIndexSet.complete(2, 4)
         for mu in (0.1, 0.4, 0.9):
-            b = mean_based_bounds(chebyshev_u(), iset, mu)
+            b = bounds_for(MEAN_BASED, chebyshev_u(), iset, mu)
             assert b.c_lower + b.c_upper == 2.0
 
     def test_tensor_uses_largest_order(self):
-        b_mixed = mean_based_bounds(legendre(), MultiIndexSet.tensor((2, 4, 3)), 0.5)
-        b_top = mean_based_bounds(legendre(), MultiIndexSet.tensor((4,)), 0.5)
+        b_mixed = bounds_for(MEAN_BASED, legendre(), MultiIndexSet.tensor((2, 4, 3)), 0.5)
+        b_top = bounds_for(MEAN_BASED, legendre(), MultiIndexSet.tensor((4,)), 0.5)
         assert b_mixed.c_lower == b_top.c_lower
 
     def test_vacuous_flag(self):
         iset = MultiIndexSet.complete(1, 6)
-        b = mean_based_bounds(hermite(), iset, 1.0)
+        b = bounds_for(MEAN_BASED, hermite(), iset, 1.0)
         assert b.vacuous and math.isinf(b.kappa_bound)
         assert b.c_lower < 0.0  # value still reported
 
 
 class TestClassical:
+    # the classical record is the mean-based one for the global ratio mu_class
     def test_setting1_degree1(self):
         iset = MultiIndexSet.complete(3, 2)
-        cb = classical_bounds(legendre(), iset, 0.4075118)
+        cb = bounds_for(MEAN_BASED, legendre(), iset, 0.4075118)
         assert cb.c_lower == pytest.approx(0.76, abs=0.005)
         assert cb.c_upper == pytest.approx(1.24, abs=0.005)
 
     def test_vacuous_when_reach_exceeds_one(self):
         iset = MultiIndexSet.complete(3, 2)
-        cb = classical_bounds(legendre(), iset, 2.85)
+        cb = bounds_for(MEAN_BASED, legendre(), iset, 2.85)
         assert cb.vacuous and cb.c_lower < 0.0
 
     def test_zero(self):
         iset = MultiIndexSet.complete(2, 3)
-        cb = classical_bounds(legendre(), iset, 0.0)
+        cb = bounds_for(MEAN_BASED, legendre(), iset, 0.0)
         assert (cb.c_lower, cb.c_upper) == (1.0, 1.0)
 
 
 class TestTruncated:
     def test_same_formula_as_mean_based_at_top_order(self):
-        b = truncated_bounds(legendre(), 3, 1.0)
+        b = tensor_bounds(TRUNCATED_TP, legendre(), 3, 1.0)
         assert b.kappa_bound == pytest.approx(4.0 + math.sqrt(15.0), abs=1e-12)
 
     def test_half_dominance(self):
-        b = truncated_bounds(legendre(), 2, 0.5)
+        b = tensor_bounds(TRUNCATED_TP, legendre(), 2, 0.5)
         assert b.c_lower == pytest.approx(1.0 - 0.5 / math.sqrt(3.0), abs=1e-14)
 
     def test_constant_last_variable(self):
-        b = truncated_bounds(legendre(), 1, 0.9)
+        b = bounds_for(TRUNCATED_TP, legendre(), MultiIndexSet.tensor((3, 1)), 0.9)
         assert (b.c_lower, b.c_upper) == (1.0, 1.0)
 
 
 class TestSplitting:
     def test_tensor_full_dominance(self):
-        b = splitting_bounds_tp(legendre(), 2, 1.0)
+        b = tensor_bounds(SPLITTING_TP, legendre(), 2, 1.0)
         assert b.c_lower == pytest.approx(1.0 - math.sqrt(1.0 / 3.0), abs=1e-14)
         assert b.c_upper == pytest.approx(1.0 + math.sqrt(1.0 / 3.0), abs=1e-14)
 
     def test_zero_mu(self):
-        b = splitting_bounds_tp(legendre(), 4, 0.0)
+        b = tensor_bounds(SPLITTING_TP, legendre(), 4, 0.0)
         assert (b.c_lower, b.c_upper) == (1.0, 1.0)
         assert bounds_for(GAUSS_SEIDEL_2, legendre(), MultiIndexSet.tensor((4,)), 0.0).kappa_bound == 1.0
 
     # 0.828052 is the refined dominance ratio of the 2D sine setting whose
     # rounded value 0.83 labels the published rows
     def test_complete_table_row(self):
-        b = splitting_bounds_complete(legendre(), 3, 0.828052)
+        b = complete_bounds(SPLITTING_COMPLETE, legendre(), 3, 0.828052)
         gs2 = bounds_for(GAUSS_SEIDEL_2, legendre(), MultiIndexSet.complete(2, 3), 0.828052)
         assert b.t_arg == 3
         assert gs2.kappa_bound == pytest.approx(1.31, abs=0.005)
         assert b.kappa_bound == pytest.approx(2.90, abs=0.01)
 
     def test_complete_low_order_row(self):
-        b = splitting_bounds_complete(legendre(), 2, 0.828052)
+        b = complete_bounds(SPLITTING_COMPLETE, legendre(), 2, 0.828052)
         gs2 = bounds_for(GAUSS_SEIDEL_2, legendre(), MultiIndexSet.complete(2, 2), 0.828052)
         assert b.t_arg == 2
         assert gs2.kappa_bound == pytest.approx(1.30, abs=0.005)
         assert b.kappa_bound == pytest.approx(2.83, abs=0.01)
 
     def test_argmin_moves_to_small_orders_for_small_mu(self):
-        b = splitting_bounds_complete(legendre(), 3, 0.766839)
+        b = complete_bounds(SPLITTING_COMPLETE, legendre(), 3, 0.766839)
         assert b.t_arg == 2  # the pivot minimum sits below the top order here
 
     def test_order_one(self):
-        b = splitting_bounds_complete(legendre(), 1, 0.9)
+        b = complete_bounds(SPLITTING_COMPLETE, legendre(), 1, 0.9)
         assert (b.c_lower, b.c_upper, b.t_arg) == (1.0, 1.0, 1)
 
     def test_cbs_identities(self):
         for order, mu in ((2, 0.83), (3, 0.9), (5, 0.5)):
-            b = splitting_bounds_complete(legendre(), order, mu)
+            b = complete_bounds(SPLITTING_COMPLETE, legendre(), order, mu)
             gs2 = bounds_for(GAUSS_SEIDEL_2, legendre(), MultiIndexSet.complete(2, order), mu)
             gamma = b.c_upper - 1.0
             assert gamma == pytest.approx(1.0 - b.c_lower, abs=1e-12)
@@ -144,7 +161,7 @@ class TestSplitting:
             assert gs2.kappa_bound == pytest.approx(1.0 / d, abs=1e-12)
 
     def test_example_numbers(self):
-        b = splitting_bounds_tp(legendre(), 3, 0.9)
+        b = tensor_bounds(SPLITTING_TP, legendre(), 3, 0.9)
         gamma = b.c_upper - 1.0
         assert 1.0 / (1.0 - gamma * gamma) == pytest.approx(1.42, abs=0.005)
 
@@ -155,9 +172,15 @@ def test_every_mu_entry_point_rejects_a_bad_ratio(mu):
     calls = [
         lambda: d_sequence(legendre(), mu, 3),
         lambda: d_last_via_quadrature(legendre(), mu, 3),
-        lambda: mean_based_bounds(legendre(), iset, mu),
-        lambda: classical_bounds(legendre(), iset, mu),
-        lambda: truncated_bounds(legendre(), 3, mu),
+    ] + [
+        lambda kind=kind, basis=basis: bounds_for(kind, legendre(), basis, mu)
+        for kind, basis in (
+            (MEAN_BASED, iset),
+            (TRUNCATED_TP, MultiIndexSet.tensor((2, 3))),
+            (SPLITTING_TP, MultiIndexSet.tensor((2, 3))),
+            (SPLITTING_COMPLETE, iset),
+            (GAUSS_SEIDEL_2, iset),
+        )
     ]
     for call in calls:
         with pytest.raises(ParameterDomainError, match="must be finite and nonnegative"):
@@ -169,10 +192,16 @@ class TestBoundsFor:
         fam = legendre()
         tensor = MultiIndexSet.tensor((4, 3))
         complete = MultiIndexSet.complete(2, 4)
-        assert bounds_for(MEAN_BASED, fam, tensor, 0.6) == mean_based_bounds(fam, tensor, 0.6)
-        assert bounds_for(TRUNCATED_TP, fam, tensor, 0.6) == truncated_bounds(fam, 3, 0.6)
-        assert bounds_for(SPLITTING_TP, fam, tensor, 0.6) == splitting_bounds_tp(fam, 3, 0.6)
-        assert bounds_for(SPLITTING_COMPLETE, fam, complete, 0.6) == splitting_bounds_complete(fam, 4, 0.6)
+        pivots = d_sequence(fam, 0.6, 4)
+        # mean_based reads the top order of the basis, truncated_tp and
+        # splitting_tp the last coordinate's, splitting_complete every total order
+        for kind, iset, reach, t_arg in (
+            (MEAN_BASED, tensor, 0.6 * max_root(fam, 4), None),
+            (TRUNCATED_TP, tensor, 0.6 * max_root(fam, 3), None),
+            (SPLITTING_TP, tensor, math.sqrt(1.0 - pivots[2]), 3),
+            (SPLITTING_COMPLETE, complete, math.sqrt(1.0 - pivots.min()), int(np.argmin(pivots)) + 1),
+        ):
+            assert bounds_for(kind, fam, iset, 0.6) == SpectralBounds(1.0 - reach, 1.0 + reach, t_arg)
 
     @pytest.mark.parametrize("split_kind, iset", [
         (SPLITTING_TP, MultiIndexSet.tensor((2, 5))),
@@ -182,7 +211,6 @@ class TestBoundsFor:
         split = bounds_for(split_kind, legendre(), iset, 0.8)
         gs2 = bounds_for(GAUSS_SEIDEL_2, legendre(), iset, 0.8)
         gamma = split.c_upper - 1.0
-        assert gs2.kind == GAUSS_SEIDEL_2
         assert (gs2.c_lower, gs2.c_upper, gs2.vacuous) == (1.0 - gamma * gamma, 1.0, False)
         assert gs2.kappa_bound == 1.0 / (1.0 - gamma * gamma)
         assert gs2.t_arg == split.t_arg
@@ -202,7 +230,7 @@ class TestDenseComparisonMatrix:
                 h = dense_h_matrix(fam, mu, s, +1)
                 w = np.sort(np.linalg.eigvals(h).real)
                 assert np.sum(np.abs(w - 1.0) <= 1e-10) == s - 2
-                b = splitting_bounds_tp(fam, s, mu)
+                b = tensor_bounds(SPLITTING_TP, fam, s, mu)
                 assert w[0] == pytest.approx(b.c_lower, abs=1e-11)
                 assert w[-1] == pytest.approx(b.c_upper, abs=1e-11)
                 w_minus = np.sort(np.linalg.eigvals(dense_h_matrix(fam, mu, s, -1)).real)
@@ -235,7 +263,7 @@ class TestElementOracle:
         )
         iset = MultiIndexSet.complete(3, 3)
         lo, hi = element_equivalence_oracle(legendre(), iset, field, MEAN_BASED)
-        b = mean_based_bounds(legendre(), iset, 0.5)
+        b = bounds_for(MEAN_BASED, legendre(), iset, 0.5)
         assert b.c_lower - 1e-12 <= lo <= hi <= b.c_upper + 1e-12
         # the indicator field attains the analytic constants on some element
         assert lo == pytest.approx(b.c_lower, abs=1e-12)
@@ -254,17 +282,17 @@ class TestElementOracle:
         assert lo < 0.0
 
     def test_cap(self):
-        iset = MultiIndexSet.complete(3, 8)
+        iset = MultiIndexSet.complete(3, 15)  # 680 indices > ORACLE_CAP = 600
         field = CoefficientField(np.array([[1.0], [0.1], [0.1], [0.1]]))
         with pytest.raises(SizeError):
-            element_equivalence_oracle(legendre(), iset, field, MEAN_BASED, cap=10)
+            element_equivalence_oracle(legendre(), iset, field, MEAN_BASED)
 
     def test_splitting_oracle_matches_block_eigensolve(self):
         rng = np.random.default_rng(17)
         iset = MultiIndexSet.complete(2, 3)
         field = random_field(rng, 2, 5, 0.8)
         lo, hi = element_equivalence_oracle(legendre(), iset, field, SPLITTING_COMPLETE)
-        b = splitting_bounds_complete(legendre(), 3, 0.8)
+        b = bounds_for(SPLITTING_COMPLETE, legendre(), iset, 0.8)
         assert b.c_lower - 1e-12 <= lo <= hi <= b.c_upper + 1e-12
 
     @pytest.mark.parametrize("kind, iset", [

@@ -28,7 +28,6 @@ a2 = 0.3*sin(pi*x1)
 
 [run]
 preconditioners = mean_based splitting_complete gs2
-classical = true
 kappa_A = true
 tol = 1e-8
 max_iter = 200
@@ -326,7 +325,7 @@ class TestExitCodes:
         text = SMALL.replace("a1 = 0.4*chi(0,1/2)", "a1 = 2.5*chi(0,1/2)").replace(
             "preconditioners = mean_based splitting_complete gs2",
             "preconditioners = splitting_complete",
-        ).replace("classical = true", "classical = false")
+        )
         path = tmp_path / "indef.cfg"
         path.write_text(text)
         assert main(["verify", "--config", str(path)]) == 3

@@ -36,7 +36,6 @@ class TestParse:
         assert cfg.family.kind == "legendre"
         assert cfg.degrees == (1, 2) and cfg.nterms == 3
         assert cfg.preconditioners == ("mean_based",)
-        assert cfg.classical is True  # implied by mean_based
         assert cfg.seed == 7
 
     def test_round_trip_is_fixed_point(self):
@@ -51,10 +50,11 @@ class TestParse:
             parse_config(GOOD.replace("sgp-config v1", "config"))
 
     def test_unknown_key_rejected_with_line(self):
-        bad = GOOD.replace("tol = 1e-6", "tolerance = 1e-6")
-        with pytest.raises(ConfigError) as err:
-            parse_config(bad)
-        assert err.value.line is not None
+        # the classical columns follow from mean_based; there is no key for them
+        for bad in (GOOD.replace("tol = 1e-6", "tolerance = 1e-6"), GOOD + "classical = true\n"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(bad)
+            assert err.value.line is not None
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError):

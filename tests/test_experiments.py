@@ -38,7 +38,6 @@ a2 = 0.3*sin(pi*x1)
 
 [run]
 preconditioners = mean_based splitting_complete gs2
-classical = true
 kappa_A = true
 tol = 1e-8
 max_iter = 300

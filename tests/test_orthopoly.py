@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sgprecond.bounds import splitting_bounds_tp
+from sgprecond.basis import MultiIndexSet
+from sgprecond.bounds import bounds_for
 from sgprecond.errors import ConvergenceError, DominanceError, ParameterDomainError
+from sgprecond.operator import SPLITTING_TP
 from sgprecond.orthopoly import (
     chebyshev_u,
     d_last_via_quadrature,
@@ -261,21 +263,26 @@ class TestDSequence:
             d_sequence(legendre(), -0.1, 3)
 
 
+def splitting_tp_bounds(family, s, mu):
+    """The splitting_tp record on a one-coordinate tensor basis of order s."""
+    return bounds_for(SPLITTING_TP, family, MultiIndexSet.tensor((s,)), mu)
+
+
 class TestHExtremes:
     def test_legendre_full_dominance(self):
-        b = splitting_bounds_tp(legendre(), 2, 1.0)
+        b = splitting_tp_bounds(legendre(), 2, 1.0)
         assert b.c_lower == pytest.approx(1 - math.sqrt(1 / 3), abs=1e-14)
         assert b.c_upper == pytest.approx(1 + math.sqrt(1 / 3), abs=1e-14)
 
     def test_no_fluctuation(self):
         for fam in FAMILIES:
-            b = splitting_bounds_tp(fam, 5, 0.0)
+            b = splitting_tp_bounds(fam, 5, 0.0)
             assert (b.c_lower, b.c_upper) == (1.0, 1.0)
-            b = splitting_bounds_tp(fam, 1, 0.7 * min(mu_bar(fam, "complete", 5), 1.0))
+            b = splitting_tp_bounds(fam, 1, 0.7 * min(mu_bar(fam, "complete", 5), 1.0))
             assert (b.c_lower, b.c_upper) == (1.0, 1.0)
 
     def test_table_ratio(self):
-        b = splitting_bounds_tp(legendre(), 3, 0.90)
+        b = splitting_tp_bounds(legendre(), 3, 0.90)
         assert b.c_upper / b.c_lower == pytest.approx(3.38, abs=0.01)
 
 

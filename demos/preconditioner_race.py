@@ -1,9 +1,11 @@
 """Race the block preconditioners inside conjugate gradients on one 2D
 problem and compare iteration counts with the analytic condition bounds.
+Each solve's wall time goes to stderr, so stdout is the same on every run.
 
 Run:  python3 demos/preconditioner_race.py
 """
 
+import sys
 import time
 
 import numpy as np
@@ -32,14 +34,15 @@ print(f"problem size {problem.operator.shape[0]}, dominance ratio mu = {mu:.4f}"
 rhs = np.zeros(problem.operator.shape[0])
 rhs[: mesh.n_interior] = load_vector(mesh, "1")
 
-print(f"{'preconditioner':<20} {'cond. bound':>12} {'iterations':>11} {'seconds':>9}")
+print(f"{'preconditioner':<20} {'cond. bound':>12} {'iterations':>11}")
 for kind in ("mean_based", "splitting_complete", "gs2"):
     bound = bounds_for(kind, legendre(), iset, mu).kappa_bound
     m = build_preconditioner(problem, kind)
     start = time.perf_counter()
     _x, iterations, history = pcg(problem.operator, m, rhs, tol=1e-10)
     elapsed = time.perf_counter() - start
-    print(f"{kind:<20} {bound:>12.3f} {iterations:>11d} {elapsed:>9.3f}")
+    print(f"{kind:<20} {bound:>12.3f} {iterations:>11d}")
+    print(f"{kind}: {elapsed:.3f} s", file=sys.stderr)
 
 print("\nsmaller guaranteed condition numbers buy fewer iterations;")
 print("the two-block Gauss-Seidel sweep pays more per application instead.")

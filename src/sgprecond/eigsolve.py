@@ -9,10 +9,10 @@ end alone has converged, for a pencil whose other end is known: the
 Schur-complement pencil of the two-block Gauss-Seidel sweep is bounded
 above by 1, so only its low end is iterated to tolerance.
 
-For kappa(A) the largest eigenvalue of A comes from the same Lanczos
-iteration with M the identity, and the smallest from LOBPCG (Knyazev 2001)
-preconditioned by solves with a block preconditioner the caller has
-already factored.
+For kappa(A) the largest eigenvalue of A comes from ARPACK's implicitly
+restarted Lanczos (Lehoucq, Sorensen & Yang 1998, through scipy's eigsh),
+and the smallest from LOBPCG (Knyazev 2001) preconditioned by solves with a
+block preconditioner the caller has already factored.
 
 Every operator passed in exposes ``matvec`` and ``shape``; every
 preconditioner exposes ``solve`` (M^-1 r).  One object may be both.
@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg
 
 from .errors import ConvergenceError, UsageError
 from .orthopoly import _tridiag_eig
@@ -33,7 +33,7 @@ from .orthopoly import _tridiag_eig
 __all__ = ["EigEstimate", "extreme_eigs_generalized", "extreme_eigs", "pcg"]
 
 CHECK_EVERY = 5  # Lanczos steps between two Ritz solves of the tridiagonal matrix
-ENDS = ("both", "min", "max")  # the values of ``which``
+ENDS = ("both", "min")  # the values of ``which``
 
 
 @dataclass(frozen=True)
@@ -44,39 +44,34 @@ class EigEstimate:
     iterations: int
 
 
-def _ritz_extremes(alphas, betas):
-    t_diag = np.asarray(alphas)
-    t_off = np.asarray(betas)
-    w, z = _tridiag_eig(t_diag, t_off, vectors=True)
-    return w, np.abs(z[-1, :])
+def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed: int = 42,
+                             return_basis: bool = False, which: str = "both"):
+    """Extreme eigenvalues of the pencil (A, M) with M positive definite.
 
-
-def _lanczos(a, m, tol, max_iter, rng, which="both", return_basis=False):
-    """Lanczos for the pencil (A, M); M=None means the identity.
-
-    Returns (EigEstimate, basis or None).  ``which`` is "both", "min" or
-    "max": the ends that must meet the residual tolerance.  The estimate
-    always carries both extreme Ritz values and both residuals.
+    ``m`` must expose solve().  ``which`` names the ends that must meet
+    ``tol``: "both", or "min" when the high end is known by other means.
+    ``max_iter`` caps the Lanczos steps, which ``iterations`` counts;
+    ``residual_norms`` are the Ritz estimates for (lambda_min, lambda_max).
+    With ``return_basis`` the Lanczos vectors q_j and p_j = M q_j come back
+    too, as (estimate, (Q, P)).
     """
     if which not in ENDS:
         raise UsageError(f"which must be one of {', '.join(ENDS)}, not {which!r}")
+    rng = np.random.default_rng(seed)
     n = a.shape[0]
     max_iter = min(max_iter, n)
     p = rng.standard_normal(n)
-    q = m.solve(p) if m is not None else p.copy()
+    q = m.solve(p)
     norm = np.sqrt(q @ p)
     if not norm > 0.0:
         raise ConvergenceError("Lanczos start vector degenerated")
-    q /= norm
-    p /= norm
     # column-major, so that only the columns a run fills become resident
     qs = np.empty((n, max_iter + 1), order="F")
-    ps = np.empty((n, max_iter + 1), order="F") if m is not None else qs  # without M, q_j = p_j
-    qs[:, 0] = q
-    ps[:, 0] = p
+    ps = np.empty((n, max_iter + 1), order="F")
+    qs[:, 0] = q / norm
+    ps[:, 0] = p / norm
     alphas = []
     betas = []
-    exhausted = False
     estimate = None
     for j in range(max_iter):
         z = a.matvec(qs[:, j])
@@ -88,57 +83,27 @@ def _lanczos(a, m, tol, max_iter, rng, which="both", return_basis=False):
         for _ in range(2):  # full reorthogonalization, twice
             coeffs = qs[:, : j + 1].T @ pt
             pt -= ps[:, : j + 1] @ coeffs
-        qt = m.solve(pt) if m is not None else pt
+        qt = m.solve(pt)
         b2 = float(qt @ pt)
         scale = max(abs(alpha), betas[-1] if betas else 0.0, 1e-300)
-        if b2 <= (1e-14 * scale) ** 2:
-            exhausted = True
-            break
-        beta = np.sqrt(b2)
-        betas.append(beta)
-        qs[:, j + 1] = qt / beta
-        ps[:, j + 1] = pt / beta
-        if (j + 1) % CHECK_EVERY == 0 or j + 1 == max_iter:
-            w, last = _ritz_extremes(alphas, betas[:-1])
+        # an exhausted Krylov space is invariant: its Ritz values are exact
+        exhausted = b2 <= (1e-14 * scale) ** 2
+        beta = 0.0 if exhausted else np.sqrt(b2)
+        if exhausted or (j + 1) % CHECK_EVERY == 0 or j + 1 == max_iter:
+            w, z = _tridiag_eig(np.asarray(alphas), np.asarray(betas), vectors=True)
+            last = np.abs(z[-1, :])
             res_lo = beta * last[0] / max(abs(w[0]), 1e-300)
             res_hi = beta * last[-1] / max(abs(w[-1]), 1e-300)
             estimate = EigEstimate(float(w[0]), float(w[-1]), (res_lo, res_hi), j + 1)
-            ok_lo = res_lo <= tol or which == "max"
-            ok_hi = res_hi <= tol or which == "min"
-            if ok_lo and ok_hi and j >= 1:
-                basis = (qs[:, : j + 2], ps[:, : j + 2]) if return_basis else None
-                return estimate, basis
-    if exhausted:
-        w, _ = _ritz_extremes(alphas, betas)
-        estimate = EigEstimate(float(w[0]), float(w[-1]), (0.0, 0.0), len(alphas))
-        basis = (qs[:, : len(alphas)], ps[:, : len(alphas)]) if return_basis else None
-        return estimate, basis
+            if exhausted or (res_lo <= tol and (res_hi <= tol or which == "min") and j >= 1):
+                return (estimate, (qs[:, : j + 1], ps[:, : j + 1])) if return_basis else estimate
+        betas.append(beta)
+        qs[:, j + 1] = qt / beta
+        ps[:, j + 1] = pt / beta
     raise ConvergenceError(
         f"Lanczos did not reach tolerance {tol:g} in {max_iter} iterations",
         estimate=estimate,
     )
-
-
-def extreme_eigs_generalized(
-    a,
-    m,
-    tol: float = 1e-8,
-    max_iter: int = 300,
-    seed: int = 42,
-    return_basis: bool = False,
-    which: str = "both",
-):
-    """Extreme eigenvalues of the pencil (A, M) with M positive definite.
-
-    ``m`` must expose solve(); None means the identity.  ``which`` names the
-    ends that must meet ``tol``: "both", or "min" or "max" when the other
-    end is known by other means.  Returns an EigEstimate (and the Lanczos
-    basis pair when requested)."""
-    rng = np.random.default_rng(seed)
-    estimate, basis = _lanczos(a, m, tol, max_iter, rng, which, return_basis)
-    if return_basis:
-        return estimate, basis
-    return estimate
 
 
 def extreme_eigs(
@@ -150,24 +115,46 @@ def extreme_eigs(
 ) -> EigEstimate:
     """Extreme eigenvalues of the operator itself.
 
-    The largest comes from a plain Lanczos run.  The smallest comes from
-    single-vector LOBPCG preconditioned by ``accel.solve``, started from the
-    smooth vector M^-1 1 plus a small seeded perturbation: the low end of A's
-    spectrum clusters, and a purely random start makes the iteration count
-    depend strongly on the seed.  ``max_iter`` caps both the Lanczos steps
-    and the LOBPCG iterations (scipy's LOBPCG takes ``maxiter + 1``
+    The largest comes from ARPACK's implicitly restarted Lanczos (scipy's
+    ``eigsh``), started from the seeded generator's first draw and stopped by
+    ARPACK's own Ritz estimate at ``tol``; any ARPACK failure, including
+    running out of restarts, raises ConvergenceError.  The smallest comes
+    from single-vector LOBPCG preconditioned by ``accel.solve``, started from
+    the smooth vector M^-1 1 plus a small seeded perturbation: the low end of
+    A's spectrum clusters, and a purely random start makes the iteration
+    count depend strongly on the seed.  ``max_iter`` caps both ARPACK's
+    restarts and the LOBPCG iterations (scipy's LOBPCG takes ``maxiter + 1``
     preconditioned steps, so it gets ``max_iter - 1``).  LOBPCG only warns
-    when it stops short, so the relative residual
+    when it stops short, so its relative residual
     ||Ax - theta x|| / (|theta| ||x||) is checked here and ConvergenceError
     raised, with the estimate attached, above ``tol``.
 
-    ``iterations`` counts the Lanczos steps plus the LOBPCG iterations;
-    ``residual_norms`` is (LOBPCG relative residual, Lanczos lambda_max
-    residual).
+    ``iterations`` counts ARPACK's products with A plus the LOBPCG
+    iterations; ``residual_norms`` holds the true relative residuals of
+    (lambda_min, lambda_max) in that same form.  A 1 x 1 operator is its own
+    eigenvalue and is answered with one product.
     """
     n = a.shape[0]
+    if n == 1:  # ARPACK needs k < n
+        lam = float(a.matvec(np.ones(1))[0])
+        if not math.isfinite(lam):
+            raise ConvergenceError("the 1 x 1 operator is NaN or inf")
+        return EigEstimate(lam, lam, (0.0, 0.0), 1)
     rng = np.random.default_rng(seed)
-    est_hi, _ = _lanczos(a, None, tol, max_iter, rng, which="max")
+    products = 0
+
+    def product(v):
+        nonlocal products
+        products += 1
+        return a.matvec(v)
+
+    try:
+        lam_hi, x_hi = eigsh(LinearOperator(a.shape, matvec=product, dtype=float), k=1,
+                             which="LA", tol=tol, maxiter=max_iter, v0=rng.standard_normal(n))
+    except ArpackError as err:
+        raise ConvergenceError(f"ARPACK did not find the largest eigenvalue: {err}") from err
+    lam_max = float(lam_hi[0])
+    res_hi = _relative_residual(a, lam_max, x_hi[:, 0])
     solves = 0
 
     def precondition(r):
@@ -191,12 +178,8 @@ def extreme_eigs(
             maxiter=max_iter - 1,
         )
     lam_min = float(lam[0])
-    x = x[:, 0]
-    r = a.matvec(x) - lam_min * x
-    res_lo = math.sqrt(r @ r) / (abs(lam_min) * math.sqrt(x @ x))
-    estimate = EigEstimate(
-        lam_min, est_hi.lambda_max, (res_lo, est_hi.residual_norms[1]), est_hi.iterations + solves
-    )
+    res_lo = _relative_residual(a, lam_min, x[:, 0])
+    estimate = EigEstimate(lam_min, lam_max, (res_lo, res_hi), products + solves)
     if not res_lo <= tol:
         raise ConvergenceError(
             f"LOBPCG for the smallest eigenvalue stopped after {solves} iterations at "
@@ -204,6 +187,11 @@ def extreme_eigs(
             estimate=estimate,
         )
     return estimate
+
+
+def _relative_residual(a, theta, x):
+    r = a.matvec(x) - theta * x
+    return math.sqrt(r @ r) / (abs(theta) * math.sqrt(x @ x))
 
 
 def pcg(a, m, b, tol: float = 1e-8, max_iter: int = 1000, callback=None):

@@ -45,6 +45,7 @@ ENCLOSURE_SLACK = 1e-8
 
 ANALYTIC = "analytic"
 LANCZOS = "lanczos"
+CG = "cg"
 DENSE = "dense"
 VACUOUS = "vacuous"
 
@@ -384,9 +385,9 @@ def run_solve(cfg: ExperimentConfig) -> ResultTable:
             "preconditioner": Cell(kind),
             "degree": Cell(float(degree)),
             "N": Cell(float(problem.operator.shape[0])),
-            "iterations": Cell(float(iterations), LANCZOS),
-            "residual": Cell(history[-1], LANCZOS),
-            "seconds": Cell(elapsed, LANCZOS),
+            "iterations": Cell(float(iterations), CG),
+            "residual": Cell(history[-1], CG),
+            "seconds": Cell(elapsed, CG),
             "kappa_bound": Cell(bound, VACUOUS if math.isinf(bound) else ANALYTIC),
         }
         table.add_row(row)

@@ -143,6 +143,15 @@ class TestSolveCommand:
         assert all(int(r["iterations"]) >= 1 for r in rows)
         assert all(float(r["residual"]) <= 1e-8 for r in rows)
 
+    def test_raw_tags_the_cg_cells_cg(self, small_cfg, capsys):
+        assert main(["solve", "--config", str(small_cfg), "--format", "raw"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["iterations_src"] == row["residual_src"] == row["seconds_src"] == "cg"
+            assert row["kappa_bound_src"] == "analytic"
+
 
 class TestQuadratureCommand:
     def test_prints_rule_and_pivots(self, capsys):

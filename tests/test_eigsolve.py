@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import dense_preconditioner_matrix
 from sgprecond.basis import MultiIndexSet
@@ -33,6 +34,13 @@ class _DenseSolve:
 
     def solve(self, r):
         return scipy.linalg.cho_solve(self.factor, r)
+
+
+class _NoSolve:
+    """M = I: the plain Lanczos pencil, or LOBPCG without a preconditioner."""
+
+    def solve(self, r):
+        return np.array(r, dtype=float)
 
 
 class TestGeneralizedLanczos:
@@ -73,9 +81,9 @@ class TestGeneralizedLanczos:
 
     def test_unknown_end_is_a_usage_error(self):
         a = np.diag([1.0, 2.0, 3.0])
-        for which in ("low", "", None):
-            with pytest.raises(UsageError, match="which must be one of both, min, max"):
-                extreme_eigs_generalized(_DenseOp(a), None, which=which)
+        for which in ("low", "max", "", None):
+            with pytest.raises(UsageError, match="which must be one of both, min"):
+                extreme_eigs_generalized(_DenseOp(a), _NoSolve(), which=which)
 
     def test_problem_pencil_matches_dense(self):
         prob = make_problem(["1", "0.3*sin(pi*x1)", "0.2*x1"], n=7, order=3)
@@ -104,19 +112,12 @@ class TestGeneralizedLanczos:
         assert np.abs(off).max() <= 1e-8
         assert np.allclose(np.diag(gram), 1.0, atol=1e-8)
 
-    def test_identity_m_keeps_one_basis(self):
-        prob = make_problem(["1", "0.4", "0.2"], n=6, order=3)
-        _, (qs, ps) = extreme_eigs_generalized(prob.operator, None, tol=1e-9, return_basis=True)
-        assert np.shares_memory(qs, ps)
-        gram = qs.T @ qs
-        assert np.allclose(gram, np.eye(gram.shape[0]), atol=1e-8)
-
     def test_nonconvergence_carries_estimate(self):
         rng = np.random.default_rng(5)
         q = rng.standard_normal((60, 60))
         a = q @ q.T + 60 * np.eye(60)
         with pytest.raises(ConvergenceError) as err:
-            extreme_eigs_generalized(_DenseOp(a), None, tol=1e-14, max_iter=4)
+            extreme_eigs_generalized(_DenseOp(a), _NoSolve(), tol=1e-14, max_iter=4)
         assert err.value.estimate is not None
         assert err.value.estimate.iterations == 4
 
@@ -124,14 +125,7 @@ class TestGeneralizedLanczos:
         a = np.eye(30)
         a[3, 7] = np.nan
         with pytest.raises(ConvergenceError):
-            extreme_eigs_generalized(_DenseOp(a), None, tol=1e-8)
-
-
-class _NoSolve:
-    """M = I: LOBPCG without a preconditioner."""
-
-    def solve(self, r):
-        return np.array(r, dtype=float)
+            extreme_eigs_generalized(_DenseOp(a), _NoSolve(), tol=1e-8)
 
 
 class TestExtremeEigs:
@@ -190,6 +184,24 @@ class TestExtremeEigs:
 
         with pytest.raises(ConvergenceError):
             extreme_eigs(prob.operator, _NanSolve(), tol=1e-8)
+
+    def test_one_unknown_is_answered_directly(self):
+        # ARPACK needs more unknowns than wanted eigenvalues
+        mesh = build_mesh(1, 2)
+        field = sample_coefficients(["1", "0.3"], mesh)
+        prob = DiscreteProblem.build(legendre(), MultiIndexSet.tensor((1,)), mesh, field)
+        assert prob.operator.shape == (1, 1)
+        est = extreme_eigs(prob.operator, build_preconditioner(prob, MEAN_BASED), tol=1e-8)
+        assert est.lambda_min == pytest.approx(4.0, rel=1e-12)
+        assert est.lambda_max == pytest.approx(4.0, rel=1e-12)
+
+    def test_arpack_out_of_restarts_is_a_convergence_failure(self):
+        prob = make_problem(["1", "0.3", "0.2"], n=30, order=4)
+        assert prob.operator.shape == (290, 290)
+        m = build_preconditioner(prob, MEAN_BASED)
+        with pytest.raises(ConvergenceError, match="ARPACK") as err:
+            extreme_eigs(prob.operator, m, tol=1e-8, max_iter=1)
+        assert isinstance(err.value.__cause__, ArpackNoConvergence)
 
     def test_identity_like_problem(self):
         # single interior node: blocks are scalars, operator is diagonal;

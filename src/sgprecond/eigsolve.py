@@ -3,19 +3,25 @@ operator itself, plus a preconditioned conjugate gradient solver.
 
 The generalized solver runs the Lanczos iteration for the pencil (A, M) in
 the M inner product, tracking both the M-orthonormal basis and its image
-under M so that only products with A and solves with M are needed.  Full
-reorthogonalization keeps desk-scale runs clean.  A run can stop once one
-end alone has converged, for a pencil whose other end is known: the
-Schur-complement pencil of the two-block Gauss-Seidel sweep is bounded
-above by 1, so only its low end is iterated to tolerance.
+under M so that only products with A and solves with M are needed.  Every
+step reorthogonalizes fully by one classical Gram-Schmidt pass, and by a
+second only when the first cancels more than 1 - 1/sqrt(2) of the vector's
+Euclidean norm (the test of Daniel, Gragg, Kaufman & Stewart 1976).  A run
+can stop once one end alone has converged, for a pencil whose other end is
+known: the Schur-complement pencil of the two-block Gauss-Seidel sweep is
+bounded above by 1, so only its low end is iterated to tolerance.
 
 For kappa(A) the largest eigenvalue of A comes from ARPACK's implicitly
 restarted Lanczos (Lehoucq, Sorensen & Yang 1998, through scipy's eigsh),
 and the smallest from LOBPCG (Knyazev 2001) preconditioned by solves with a
-block preconditioner the caller has already factored.
+block preconditioner the caller has already factored.  LOBPCG starts near
+the separable vector s (x) u that minimizes A's Rayleigh quotient for u the
+finite-element part of M^-1 1, read off A's terms sum_k G_k (x) F_k.
 
 Every operator passed in exposes ``matvec`` and ``shape``; every
 preconditioner exposes ``solve`` (M^-1 r).  One object may be both.
+``extreme_eigs`` also reads the terms ``gs`` and ``fs`` and the size
+``n_fe`` of a GalerkinOperator.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg
 
 from .errors import ConvergenceError, UsageError
@@ -80,9 +87,12 @@ def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed:
         pt = z - alpha * ps[:, j]
         if j > 0:
             pt -= betas[-1] * ps[:, j - 1]
-        for _ in range(2):  # full reorthogonalization, twice
-            coeffs = qs[:, : j + 1].T @ pt
-            pt -= ps[:, : j + 1] @ coeffs
+        # full reorthogonalization, repeated only when the first pass leaves
+        # less than 1/sqrt(2) of pt's Euclidean norm (the DGKS test)
+        before = pt @ pt
+        pt -= ps[:, : j + 1] @ (qs[:, : j + 1].T @ pt)
+        if 2.0 * (pt @ pt) < before:
+            pt -= ps[:, : j + 1] @ (qs[:, : j + 1].T @ pt)
         qt = m.solve(pt)
         b2 = float(qt @ pt)
         scale = max(abs(alpha), betas[-1] if betas else 0.0, 1e-300)
@@ -118,11 +128,17 @@ def extreme_eigs(
     The largest comes from ARPACK's implicitly restarted Lanczos (scipy's
     ``eigsh``), started from the seeded generator's first draw and stopped by
     ARPACK's own Ritz estimate at ``tol``; any ARPACK failure, including
-    running out of restarts, raises ConvergenceError.  The smallest comes
-    from single-vector LOBPCG preconditioned by ``accel.solve``, started from
-    the smooth vector M^-1 1 plus a small seeded perturbation: the low end of
-    A's spectrum clusters, and a purely random start makes the iteration
-    count depend strongly on the seed.  ``max_iter`` caps both ARPACK's
+    running out of restarts, raises ConvergenceError, and so does a NaN or
+    inf product, before ARPACK sees it.  The smallest comes from
+    single-vector LOBPCG preconditioned by ``accel.solve``.  Its start is one
+    Rayleigh-Ritz step of A on the rank-one tensor space: u is the first
+    ``a.n_fe`` entries of M^-1 1, s the lowest eigenvector of the
+    N_P x N_P matrix H = sum_k (u^T F_k u) G_k built from ``a.gs`` and
+    ``a.fs``, and LOBPCG starts from s (x) u plus a seeded perturbation of
+    1e-3 of its largest entry.  M^-1 1 alone is smooth in space but flat
+    across the stochastic indices, and took up to 2.5 times the iterations;
+    a purely random start makes the count depend strongly on the seed.  A
+    NaN or inf H raises ConvergenceError.  ``max_iter`` caps both ARPACK's
     restarts and the LOBPCG iterations (scipy's LOBPCG takes ``maxiter + 1``
     preconditioned steps, so it gets ``max_iter - 1``).  LOBPCG only warns
     when it stops short, so its relative residual
@@ -146,7 +162,10 @@ def extreme_eigs(
     def product(v):
         nonlocal products
         products += 1
-        return a.matvec(v)
+        z = a.matvec(v)
+        if not np.isfinite(z).all():  # before ARPACK's LAPACK sees it
+            raise ConvergenceError("the operator returned a NaN or inf")
+        return z
 
     try:
         lam_hi, x_hi = eigsh(LinearOperator(a.shape, matvec=product, dtype=float), k=1,
@@ -165,7 +184,13 @@ def extreme_eigs(
             raise ConvergenceError("the LOBPCG preconditioner returned a NaN or inf")
         return z
 
-    x0 = precondition(np.ones(n)) + 1e-3 * rng.standard_normal(n)
+    # Rayleigh-Ritz on the tensor space {s (x) u}, u the FE part of M^-1 1
+    u = precondition(np.ones(n))[: a.n_fe]
+    h = sum(float(u @ (f @ u)) * g.toarray() for g, f in zip(a.gs, a.fs))
+    if not np.isfinite(h).all():
+        raise ConvergenceError("the stochastic Rayleigh quotient matrix is NaN or inf")
+    start = np.kron(eigh(h, subset_by_index=[0, 0])[1][:, 0], u)
+    x0 = start + 1e-3 * np.abs(start).max() * rng.standard_normal(n)
     solves = 0  # count LOBPCG iterations only
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

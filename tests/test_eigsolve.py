@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,11 +7,14 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from helpers import dense_preconditioner_matrix
 from sgprecond.basis import MultiIndexSet
+from sgprecond.config import load_config
 from sgprecond.eigsolve import extreme_eigs, extreme_eigs_generalized, pcg
 from sgprecond.errors import ConvergenceError, UsageError
 from sgprecond.fem import build_mesh, load_vector, sample_coefficients
 from sgprecond.operator import MEAN_BASED, DiscreteProblem, build_preconditioner
 from sgprecond.orthopoly import legendre
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 def make_problem(exprs, n=6, order=3, nvars=None):
@@ -84,6 +89,18 @@ class TestGeneralizedLanczos:
         for which in ("low", "max", "", None):
             with pytest.raises(UsageError, match="which must be one of both, min"):
                 extreme_eigs_generalized(_DenseOp(a), _NoSolve(), which=which)
+
+    def test_dgks_reorthogonalization_keeps_the_basis_m_orthonormal(self):
+        # the first pencil of test_random_pencils_match_dense, run to exhaustion
+        rng = np.random.default_rng(123)
+        n = 40
+        q = rng.standard_normal((n, n))
+        a = q @ q.T + n * np.eye(n)
+        q2 = rng.standard_normal((n, n))
+        m = q2 @ q2.T + n * np.eye(n)
+        _, (qs, ps) = extreme_eigs_generalized(_DenseOp(a), _DenseSolve(m), tol=1e-14,
+                                               max_iter=n, return_basis=True)
+        assert np.abs(qs.T @ ps - np.eye(qs.shape[1])).max() <= 1e-12
 
     def test_problem_pencil_matches_dense(self):
         prob = make_problem(["1", "0.3*sin(pi*x1)", "0.2*x1"], n=7, order=3)
@@ -169,11 +186,27 @@ class TestExtremeEigs:
         assert est.iterations > 40
         assert "after 40 iterations" in str(err.value) and "residual" in str(err.value)
 
-    def test_nan_operator_is_a_convergence_failure(self):
+    def test_nan_operator_is_a_convergence_failure(self, capfd):
         a = np.eye(30)
         a[3, 7] = np.nan
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="NaN"):
             extreme_eigs(_DenseOp(a), _NoSolve(), tol=1e-8)
+        # raised before ARPACK's LAPACK complains about the NaN on fd 1
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err
+
+    def test_separable_start_bounds_the_iterations(self):
+        # table3_setting1 at degree 7 (N = 3480): the start M^-1 1 took 302-313
+        cfg = load_config(CONFIG_DIR / "table3_setting1.cfg")
+        mesh = build_mesh(cfg.dim, cfg.elements, cfg.element)
+        field = sample_coefficients(cfg.coefficients, mesh)
+        prob = DiscreteProblem.build(cfg.family, MultiIndexSet.complete(cfg.nterms, 8), mesh, field)
+        assert prob.operator.shape == (3480, 3480)
+        m = build_preconditioner(prob, MEAN_BASED)
+        for seed in (42, 1, 7, 8101):
+            est = extreme_eigs(prob.operator, m, tol=cfg.tol, max_iter=cfg.max_iter, seed=seed)
+            assert est.iterations <= 220, seed
+            assert est.residual_norms[0] <= cfg.tol, seed
 
     def test_nan_preconditioner_is_a_convergence_failure(self):
         prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
@@ -184,6 +217,17 @@ class TestExtremeEigs:
 
         with pytest.raises(ConvergenceError):
             extreme_eigs(prob.operator, _NanSolve(), tol=1e-8)
+
+    def test_overflowing_start_is_a_convergence_failure(self):
+        # a finite but huge M^-1 1 makes u^T F_k u overflow
+        prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
+
+        class _HugeSolve:
+            def solve(self, r):
+                return 1e300 * np.asarray(r)
+
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="Rayleigh quotient"):
+            extreme_eigs(prob.operator, _HugeSolve(), tol=1e-8)
 
     def test_one_unknown_is_answered_directly(self):
         # ARPACK needs more unknowns than wanted eigenvalues

@@ -7,9 +7,9 @@ under M so that only products with A and solves with M are needed.  Every
 step reorthogonalizes fully by one classical Gram-Schmidt pass, and by a
 second only when the first cancels more than 1 - 1/sqrt(2) of the vector's
 Euclidean norm (the test of Daniel, Gragg, Kaufman & Stewart 1976).  A run
-can stop once one end alone has converged, for a pencil whose other end is
-known: the Schur-complement pencil of the two-block Gauss-Seidel sweep is
-bounded above by 1, so only its low end is iterated to tolerance.
+stops once its low end has converged: the Schur-complement pencils it is
+given have spectrum 1 - sigma_i^2, and their low end alone gives both
+extremes of the preconditioned operator.
 
 For kappa(A) the largest eigenvalue of A comes from ARPACK's implicitly
 restarted Lanczos (Lehoucq, Sorensen & Yang 1998, through scipy's eigsh),
@@ -34,13 +34,12 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg
 
-from .errors import ConvergenceError, UsageError
+from .errors import ConvergenceError
 from .orthopoly import _tridiag_eig
 
 __all__ = ["EigEstimate", "extreme_eigs_generalized", "extreme_eigs", "pcg"]
 
 CHECK_EVERY = 5  # Lanczos steps between two Ritz solves of the tridiagonal matrix
-ENDS = ("both", "min")  # the values of ``which``
 
 
 @dataclass(frozen=True)
@@ -52,18 +51,16 @@ class EigEstimate:
 
 
 def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed: int = 42,
-                             return_basis: bool = False, which: str = "both"):
-    """Extreme eigenvalues of the pencil (A, M) with M positive definite.
+                             return_basis: bool = False):
+    """Extreme Ritz values of the pencil (A, M) with M positive definite.
 
-    ``m`` must expose solve().  ``which`` names the ends that must meet
-    ``tol``: "both", or "min" when the high end is known by other means.
-    ``max_iter`` caps the Lanczos steps, which ``iterations`` counts;
-    ``residual_norms`` are the Ritz estimates for (lambda_min, lambda_max).
-    With ``return_basis`` the Lanczos vectors q_j and p_j = M q_j come back
-    too, as (estimate, (Q, P)).
+    ``m`` must expose solve().  The run stops once the smallest Ritz value
+    meets ``tol``; the largest is then a lower bound of the largest
+    eigenvalue, with its own Ritz estimate.  ``max_iter`` caps the Lanczos
+    steps, which ``iterations`` counts; ``residual_norms`` are the Ritz
+    estimates for (lambda_min, lambda_max).  With ``return_basis`` the
+    Lanczos vectors q_j and p_j = M q_j come back too, as (estimate, (Q, P)).
     """
-    if which not in ENDS:
-        raise UsageError(f"which must be one of {', '.join(ENDS)}, not {which!r}")
     rng = np.random.default_rng(seed)
     n = a.shape[0]
     max_iter = min(max_iter, n)
@@ -105,7 +102,7 @@ def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed:
             res_lo = beta * last[0] / max(abs(w[0]), 1e-300)
             res_hi = beta * last[-1] / max(abs(w[-1]), 1e-300)
             estimate = EigEstimate(float(w[0]), float(w[-1]), (res_lo, res_hi), j + 1)
-            if exhausted or (res_lo <= tol and (res_hi <= tol or which == "min") and j >= 1):
+            if exhausted or (res_lo <= tol and j >= 1):
                 return (estimate, (qs[:, : j + 1], ps[:, : j + 1])) if return_basis else estimate
         betas.append(beta)
         qs[:, j + 1] = qt / beta

@@ -2,13 +2,13 @@
 
 ``run_bounds`` evaluates only the analytic quantities (no assembly).
 ``run_verify`` additionally assembles the problem, builds the requested
-preconditioners, estimates the true extreme eigenvalues (those of ``gs2``
-on the Schur complement of its coarse block) and asserts the guaranteed
-enclosure chain, failing with EnclosureError if any computed eigenvalue
-escapes its bounds beyond a small slack, if the detail block of A is not
-the repeated block that ``gs2`` relies on, if the extremes of a
-block-diagonal kind are not symmetric about 1, or if the splitting and
-two-block Gauss-Seidel conditions break the CBS identity that ties them.
+preconditioners and estimates the true extremes of each from the low end
+of its Schur-complement pencil over the kind's two-coloring.  It asserts
+the guaranteed enclosure chain, failing with EnclosureError if any computed
+eigenvalue escapes its bounds beyond a small slack, if A and M differ
+inside one color of the coloring, if a pencil's top Ritz value exceeds 1,
+or if the splitting and two-block Gauss-Seidel conditions, computed on
+opposite sides of the coloring, break the CBS identity that ties them.
 With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
@@ -250,28 +250,6 @@ def _check_cbs_identity(degree, kappa_sb, kappa_gs2, tol):
         )
 
 
-def _check_symmetry(label, est, tol):
-    """lambda_min + lambda_max = 2 for every block-diagonal kind.
-
-    M is block diagonal, and A - M joins only two colors of the stochastic
-    indices: the parity of the total degree (mean_based), of the last
-    degree (truncated_tp), or coarse against detail (the splittings, whose
-    detail block equals their repeated block exactly).  So M^-1 A - I is
-    2-cyclic (Varga 1962) and the spectrum is 1 -+ sigma_i.
-
-    Lanczos stops once each extreme Ritz value theta is within relative
-    ``tol`` of an eigenvalue, so |theta_min + theta_max - 2| is at most
-    tol*(theta_min + theta_max) unless one end settled on an interior
-    eigenvalue.
-    """
-    total = est.lambda_min + est.lambda_max
-    if abs(total - 2.0) > tol * total:
-        raise EnclosureError(
-            f"{label}: computed extremes ({est.lambda_min:.12g}, {est.lambda_max:.12g}) "
-            f"are not symmetric about 1; their sum is {total:.12g}"
-        )
-
-
 def _check_oracle(label, b, lo, hi, est):
     """c_lower <= lo <= lambda_min and lambda_max <= hi <= c_upper for the
     sharp per-element constants (lo, hi); a vacuous record drops its links."""
@@ -285,19 +263,37 @@ def _check_oracle(label, b, lo, hi, est):
 
 
 def _preconditioned_extremes(problem, m, **lanczos):
-    """Lanczos extremes of M^-1 A.
+    """Lanczos extremes of M^-1 A, read off the low end of the kind's
+    Schur-complement pencil, and the pencil's top Ritz value.
 
-    A gs2 preconditioner with a coarse block runs on its Schur-complement
-    pencil (S, D2) instead: the spectrum of M^-1 A is 1 together with that
-    of the pencil, which lies at or below 1, so only the low end is iterated
-    to tolerance and the pencil's extremes are widened to contain 1.
-    ``lanczos`` goes to ``eigsolve.extreme_eigs_generalized``.
+    Lanczos iterates only the low end theta_min = 1 - sigma_max^2 to
+    tolerance.  A block-diagonal kind's spectrum is 1 -+ sigma_i, so its
+    extremes are 1 -+ sqrt(1 - theta_min); gs2's is 1 with the pencil's, so
+    its extremes are theta_min and max(1, theta_max).  With one color empty,
+    M = A and the spectrum is {1}, with no Lanczos run.  ``lanczos`` goes to
+    ``eigsolve.extreme_eigs_generalized``.
     """
-    if m.kind != GAUSS_SEIDEL_2 or m.split_index is None:
-        return eigsolve.extreme_eigs_generalized(problem.operator, m, **lanczos)
-    pencil = operator.SchurPencil(problem, m)
-    est = eigsolve.extreme_eigs_generalized(pencil, pencil, which="min", **lanczos)
-    return replace(est, lambda_min=min(1.0, est.lambda_min), lambda_max=max(1.0, est.lambda_max))
+    pencil = operator.ColoredPencil(problem, m)
+    if 0 in pencil.color_sizes:
+        return eigsolve.EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0
+    est = eigsolve.extreme_eigs_generalized(pencil, pencil, **lanczos)
+    theta = est.lambda_min
+    if m.kind == GAUSS_SEIDEL_2:
+        ends = min(1.0, theta), max(1.0, est.lambda_max)
+    else:
+        sigma = math.sqrt(max(0.0, 1.0 - theta))
+        ends = theta / (1.0 + sigma), 1.0 + sigma  # 1 -+ sigma, without cancellation
+    return replace(est, lambda_min=ends[0], lambda_max=ends[1]), est.lambda_max
+
+
+def _check_pencil_top(label, top):
+    """A Ritz value never exceeds the largest eigenvalue, and every pencil's
+    eigenvalues are 1 - sigma_i^2 <= 1, so a top Ritz value above 1 is a
+    fault of the operator, the preconditioner or the coloring."""
+    if top > 1.0 + ENCLOSURE_SLACK:
+        raise EnclosureError(
+            f"{label}: the top Ritz value {top:.12g} of its Schur-complement pencil exceeds 1"
+        )
 
 
 _EIG_COLUMN = {MEAN_BASED: "kappa_MB", TRUNCATED_TP: "kappa_TR",
@@ -319,7 +315,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         estimates = {}
         for kind in cfg.preconditioners:
             m = operator.build_preconditioner(problem, kind)
-            est = _preconditioned_extremes(
+            est, top = _preconditioned_extremes(
                 problem, m, tol=lanczos_tol, max_iter=cfg.max_iter, seed=cfg.seed
             )
             estimates[kind] = est
@@ -331,8 +327,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
             b = by_kind[kind]
             if not b.vacuous:
                 _check_enclosure(f"{kind} (degree {degree})", b.c_lower, b.c_upper, est)
-            if kind != GAUSS_SEIDEL_2:
-                _check_symmetry(f"{kind} (degree {degree})", est, lanczos_tol)
+            _check_pencil_top(f"{kind} (degree {degree})", top)
             if kind == MEAN_BASED:
                 cb = by_kind["classical"]
                 if not cb.vacuous:

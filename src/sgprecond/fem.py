@@ -75,14 +75,21 @@ class Mesh:
             n *= e - 1
         return n
 
-    def midpoints(self, refine: int = 1) -> tuple[np.ndarray, np.ndarray | None]:
+    def midpoint_axes(self, refine: int = 1) -> tuple[np.ndarray, np.ndarray | None]:
         """x1 and x2 (None in 1D) of the midpoints of ``refine`` cells per
-        element and axis, x index fastest; refine=1 gives element midpoints."""
+        element and axis, in 2D as a row and a column that broadcast to the
+        grid, x index fastest; refine=1 gives element midpoints."""
         axes = [(np.arange(e * refine) + 0.5) / (e * refine) for e in self.extents]
         if self.dim == 1:
             return axes[0], None
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-        return xg.ravel(), yg.ravel()
+        return axes[0][None, :], axes[1][:, None]
+
+    def midpoints(self, refine: int = 1) -> tuple[np.ndarray, np.ndarray | None]:
+        """``midpoint_axes`` spread over the grid and flattened."""
+        x1, x2 = self.midpoint_axes(refine)
+        if x2 is None:
+            return x1, None
+        return tuple(x.ravel() for x in np.broadcast_arrays(x1, x2))
 
     def element_nodes(self) -> np.ndarray:
         """(N_elem, nodes_per_element) global node ids; 1D order (left,
@@ -263,7 +270,9 @@ def mu_from_exprs(exprs, mesh: Mesh) -> tuple[float, float]:
     every element midpoint bit for bit and the result is at least
     compute_mu(sample_coefficients(exprs, mesh)) of the assembled field."""
     exprs = _as_exprs(exprs)
-    x1, x2 = mesh.midpoints(MU_REFINE)
+    # each expression is read on the axes and broadcast to the grid, so an
+    # expression of x1 alone costs one evaluation per column
+    x1, x2 = mesh.midpoint_axes(MU_REFINE)
     a0 = coeffexpr.evaluate_on(exprs[0], x1, x2)
     if np.any(a0 <= 0.0):
         raise CoefficientError("mean coefficient is nonpositive on the sampling grid")

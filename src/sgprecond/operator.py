@@ -24,12 +24,21 @@ complete-basis indices of total degree at most p - 2:
     splitting_complete  c               1 (F0)                  N_P - c
     gs2                 as for the splitting, with the coupling B
 
-One index gives F0, since G_k[0, 0] = 0 for k >= 1.  Because every
-recurrence has alpha_n = 0, the detail block of each splitting equals its
-repeated block exactly; ``SchurPencil`` checks this and reads the gs2
-spectrum off the Schur complement of the coarse block.  A problem factors
+One index gives F0, since G_k[0, 0] = 0 for k >= 1.  A problem factors
 each leading block at most once, keyed by its index count, whichever
-preconditioner asks for it first.
+preconditioner asks for it first, and slices the coupling B between the
+coarse and detail dofs at most once.
+
+Every recurrence has alpha_n = 0, so G_k (k >= 1) joins only indices whose
+k-th degree differs by one.  ``coloring`` gives each kind a two-coloring of
+the stochastic indices, in which M (for gs2 its block diagonal D) is block
+diagonal and A - M (A - D) joins only the two colors: the parity of the total degree (mean_based), of the last
+degree (truncated_tp), or coarse against detail (the splittings and gs2).
+``_check_coloring`` asserts this exactly on the G_k.  In color order
+A = [[M1, C^T], [C, M2]], so M^-1 A - I is 2-cyclic and its spectrum is
+1 -+ sigma_i.  ``ColoredPencil`` is the Schur-complement pencil of one
+color, whose eigenvalues are 1 - sigma_i^2; each color's solves touch only
+that color's blocks.
 
 Each block is factored without pivoting in a minimum-degree order: F0 in the
 multiple-minimum-degree order SuperLU computes for it, and every other block
@@ -54,8 +63,9 @@ __all__ = [
     "GalerkinOperator",
     "DiscreteProblem",
     "Preconditioner",
-    "SchurPencil",
+    "ColoredPencil",
     "block_layout",
+    "coloring",
     "kept_couplings",
     "build_preconditioner",
     "MEAN_BASED",
@@ -147,6 +157,7 @@ class DiscreteProblem:
         self.field = field
         self.operator = operator
         self._factors = {}  # leading index count -> (block, LU factors)
+        self._couplings = {}  # coarse index count -> A[detail dofs, coarse dofs]
 
     @classmethod
     def build(
@@ -286,52 +297,126 @@ class Preconditioner:
         return np.concatenate([x1, x2])
 
 
-class SchurPencil:
-    """The pencil (S, D2) of a two-block Gauss-Seidel preconditioner with a
-    coarse block: S = A22 - B A11^-1 B^T and D2 = I_count (x) T.
+class ColoredPencil:
+    """The Schur-complement pencil of a preconditioner on one color of
+    ``coloring``: (M_s - C^T M_o^-1 C, M_s) with C = A[other color, this
+    color] and M_s, M_o the preconditioner's diagonal blocks on the two
+    colors.
 
-    The congruence by [[I, 0], [-B A11^-1, I]] takes A to diag(A11, S) and
-    M = L D^-1 L^T to diag(A11, D2), so the spectrum of M^-1 A is 1 on the
-    coarse dofs and that of (S, D2) on the rest.  A22 = D2 exactly, which
-    the constructor checks on the stochastic couplings, so S <= D2 and the
-    largest eigenvalue of M^-1 A is 1.  A product costs one A11 solve; a
-    solve is one multi-column T solve.  Both reuse the preconditioner's
-    factors and coupling; only A22 = A[cut:, cut:] is sliced anew.
+    In color order A = [[M_s, C^T], [C, M_o]], as ``_check_coloring``
+    asserts, so M^-1 A - I is 2-cyclic and the spectrum of M^-1 A is
+    1 -+ sigma_i, and 1 for any dof left over, where the pencil's
+    eigenvalues are 1 - sigma_i^2 and 1.  For gs2 the congruence by
+    [[I, 0], [-B A11^-1, I]] takes A to diag(A11, S) and M to diag(A11, D2),
+    so the spectrum of M^-1 A is 1 with that of its detail-side pencil
+    (S, D2).  mean_based and truncated_tp run on the smaller color, ties
+    going to color 0, the splittings on the coarse side and gs2 on the
+    detail side.
+
+    A product is one solve on the other color and two sparse products with
+    C; a solve is one solve on this color.  Each color's M is the coarse
+    block A11 or I (x) T on its groups, whose stored blocks and factors the
+    pencil reuses; only C is sliced, and the coarse/detail coupling is
+    sliced once per problem and shared with the gs2 preconditioner.
     """
 
     def __init__(self, problem: DiscreteProblem, prec: Preconditioner):
-        _check_detail_block(problem, prec.kind)
-        cut = prec.split_index
-        self.kind = prec.kind
-        self._prec = prec
-        self.a22 = problem.operator.matrix[cut:, cut:]
+        kind = self.kind = prec.kind
+        _check_coloring(problem, kind)
+        iset, n_fe = problem.index_set, problem.operator.n_fe
+        _lead, cut = block_layout(kind, iset)
+        color = coloring(kind, iset)
+        indices = [np.flatnonzero(color == c) for c in (0, 1)]
+        self.color_sizes = tuple(idx.size for idx in indices)
+        side = self._side = _SIDE.get(kind, int(self.color_sizes[1] < self.color_sizes[0]))
+        # with a coarse group, color 0 is that group: one copy of A11
+        self._blocks = [(prec.coarse, prec._lu11) if cut and c == 0 else (prec.block, prec._lu)
+                        for c in (0, 1)]
+        if cut:
+            coupling = _coupling(problem, cut)  # A[detail, coarse]
+            self._c = coupling if side == 0 else coupling.T
+        else:
+            dofs = [(idx[:, None] * n_fe + np.arange(n_fe)).ravel() for idx in indices]
+            self._c = problem.operator.matrix[dofs[1 - side]][:, dofs[side]]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.a22.shape
+        n = self._c.shape[1]
+        return (n, n)
+
+    def _each_copy(self, color: int, solve: bool, v: np.ndarray) -> np.ndarray:
+        """M on ``color`` (or its inverse) applied to v: the block, or its
+        factors, on each consecutive segment of v the block's size."""
+        block, lu = self._blocks[color]
+        apply = lu.solve if solve else block.__matmul__
+        return apply(v.reshape(-1, block.shape[0]).T).T.ravel()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """S v for a vector."""
-        b = self._prec.coupling
-        return self.a22 @ v - b @ self._prec._lu11.solve(b.T @ v)
+        """(M_s - C^T M_o^-1 C) v for a vector."""
+        other = self._each_copy(1 - self._side, True, self._c @ v)
+        return self._each_copy(self._side, False, v) - self._c.T @ other
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """D2^-1 r for a vector."""
-        return self._prec._repeated(self._prec._lu.solve, r)
+        """M_s^-1 r for a vector."""
+        return self._each_copy(self._side, True, r)
 
 
-def _check_detail_block(problem: DiscreteProblem, kind: str) -> None:
-    """Raise EnclosureError unless every G_k of the problem equals
-    I_count (x) G_k[:lead, :lead] on the detail indices of ``kind``'s
-    layout, so that the detail block of A is exactly its repeated block."""
+# the color each kind's pencil runs on; the others take the smaller color
+_SIDE = {SPLITTING_TP: 0, SPLITTING_COMPLETE: 0, GAUSS_SEIDEL_2: 1}
+# what the two colors of each kind are, for messages
+_COLOR_NAMES = {MEAN_BASED: ("even total degree", "odd total degree"),
+                TRUNCATED_TP: ("even last degree", "odd last degree")}
+
+
+def _coupling(problem: DiscreteProblem, cut: int) -> sp.csr_matrix:
+    """B = A[detail dofs, coarse dofs] of a split after the first ``cut``
+    stochastic indices, sliced the first time a preconditioner or pencil of
+    the problem asks for it."""
+    if cut not in problem._couplings:
+        n11 = cut * problem.operator.n_fe
+        problem._couplings[cut] = problem.operator.matrix[n11:, :n11].tocsr()
+    return problem._couplings[cut]
+
+
+def coloring(kind: str, index_set: MultiIndexSet) -> np.ndarray:
+    """Color, 0 or 1, of each stochastic index for preconditioner ``kind``:
+    the parity of the total degree (mean_based), of the group of
+    ``block_layout``, which is the last degree (truncated_tp), or coarse 0
+    against detail 1 (the splittings and gs2).  Every group of the layout
+    lies inside one color, so M is block diagonal over the colors."""
+    lead, cut = block_layout(kind, index_set)
+    if kind == MEAN_BASED:
+        return index_set.total_degrees() % 2
+    i = np.arange(index_set.size)
+    if kind == TRUNCATED_TP:
+        return (i // lead) % 2
+    return (i >= cut).astype(int)
+
+
+def _check_coloring(problem: DiscreteProblem, kind: str) -> None:
+    """Raise EnclosureError unless A and M agree inside each color of
+    ``coloring``: on the stochastic indices of one color, every G_k equals
+    what the preconditioner keeps of it, G_k[:cut, :cut] on the coarse group
+    and G_k[:lead, :lead] on every repeated group.  So every coupling that
+    ``kind`` drops joins two colors, and every coupling inside a color is
+    kept exactly.  Every recurrence has alpha_n = 0, so this holds for the
+    assembled G_k; the check is exact and costs nothing next to A."""
     iset = problem.index_set
     lead, cut = block_layout(kind, iset)
+    color = coloring(kind, iset)
     eye = sp.identity((iset.size - cut) // lead, format="csr")
     for k, g in enumerate(problem.operator.gs):
-        if (g[cut:, cut:] != sp.kron(eye, g[:lead, :lead], format="csr")).nnz:
+        kept = sp.kron(eye, g[:lead, :lead], format="csr")
+        if cut:
+            kept = sp.block_diag([g[:cut, :cut], kept], format="csr")
+        diff = (g - kept).tocoo()
+        inside = (diff.data != 0.0) & (color[diff.row] == color[diff.col])
+        if inside.any():
+            i, j = diff.row[inside][0], diff.col[inside][0]
+            names = _COLOR_NAMES.get(kind, ("coarse", "detail"))
             raise EnclosureError(
-                f"{kind}: G_{k} on the detail indices is not I (x) its leading "
-                f"{lead} x {lead} block, so the detail block of A is not D2"
+                f"{kind}: G_{k} on the {names[color[i]]} indices joins {i} and {j} "
+                f"unlike the preconditioner, so A and M differ inside one color"
             )
 
 
@@ -374,6 +459,5 @@ def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
     block, count = _leading_block(problem, lead), (iset.size - cut) // lead
     if cut == 0:
         return Preconditioner(kind, block, count)
-    n11 = cut * problem.operator.n_fe
-    coupling = problem.operator.matrix[n11:, :n11].tocsr() if kind == GAUSS_SEIDEL_2 else None
+    coupling = _coupling(problem, cut) if kind == GAUSS_SEIDEL_2 else None
     return Preconditioner(kind, block, count, _leading_block(problem, cut), coupling)

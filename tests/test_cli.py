@@ -9,7 +9,7 @@ from helpers import indefinite_shift
 from sgprecond import bounds, eigsolve, operator
 from sgprecond.cli import bundled_openblas, main
 from sgprecond.basis import MultiIndexSet
-from sgprecond.operator import GAUSS_SEIDEL_2, MEAN_BASED, SPLITTING_COMPLETE
+from sgprecond.operator import GAUSS_SEIDEL_2, SPLITTING_COMPLETE
 
 SMALL = """sgp-config v1
 
@@ -384,55 +384,61 @@ class TestExitCodes:
         assert main(["verify", "--config", str(small_cfg)]) == 4
         assert "gs2 (degree 2): computed extremes" in capsys.readouterr().err
 
-    def test_detail_coupling_is_an_enclosure_failure(self, tmp_path, monkeypatch, capsys):
-        # G_2 joins two indices of top total degree, so the detail block of A
-        # is no longer D2 and the gs2 Schur pencil may reach above 1
+    def _coupled_G(self, monkeypatch, k, i, j):
+        """assemble_G with G_k[i, j] = G_k[j, i] = 0.1."""
         assemble_G = operator.assemble_G
 
-        def coupled(family, iset, k):
-            g = assemble_G(family, iset, k)
-            if k == 2:
+        def coupled(family, iset, kk):
+            g = assemble_G(family, iset, kk)
+            if kk == k:
                 g = g.tolil()
-                g[4, 5] = g[5, 4] = 0.1
+                g[i, j] = g[j, i] = 0.1
             return g.tocsr()
 
         monkeypatch.setattr(operator, "assemble_G", coupled)
+
+    def test_detail_coupling_is_an_enclosure_failure(self, tmp_path, monkeypatch, capsys):
+        # G_2 joins two indices of top total degree, so the detail block of A
+        # is no longer D2 and the gs2 Schur pencil may reach above 1
+        self._coupled_G(monkeypatch, 2, 4, 5)
         path = tmp_path / "gs2.cfg"
         path.write_text(SMALL.replace("mean_based splitting_complete gs2", "gs2"))
         assert main(["verify", "--config", str(path)]) == 4
         assert "gs2: G_2 on the detail indices" in capsys.readouterr().err
 
-    def test_asymmetric_splitting_extremes_are_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
-        # lambda_min raised by 1%: still inside the splitting bounds, but the
-        # splitting spectrum 1 -+ gamma_i is symmetric about 1
-        generalized = eigsolve.extreme_eigs_generalized
-
-        def shifted(a, m, **kwargs):
-            est = generalized(a, m, **kwargs)
-            if m.kind == SPLITTING_COMPLETE:
-                est = dataclasses.replace(est, lambda_min=1.01 * est.lambda_min)
-            return est
-
-        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", shifted)
-        assert main(["verify", "--config", str(small_cfg)]) == 4
-        assert "are not symmetric about 1" in capsys.readouterr().err
+    def test_asymmetric_splitting_extremes_are_an_enclosure_failure(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        # G_1 joins two detail indices, so M^-1 A - I is no longer 2-cyclic
+        # and its extremes are no longer 1 -+ sigma_max
+        self._coupled_G(monkeypatch, 1, 3, 5)
+        path = tmp_path / "split.cfg"
+        path.write_text(SMALL.replace("mean_based splitting_complete gs2", "splitting_complete"))
+        assert main(["verify", "--config", str(path)]) == 4
+        assert "splitting_complete: G_1 on the detail indices" in capsys.readouterr().err
 
     def test_asymmetric_mean_based_extremes_are_an_enclosure_failure(self, small_cfg, monkeypatch,
                                                                      capsys):
-        # lambda_min raised by 1%: still inside the mean-based bounds, but
-        # M^-1 A - I is 2-cyclic over the parity of the total degree
+        # G_2 joins the two indices of total degree 1, so M^-1 A - I is no
+        # longer 2-cyclic over the parity of the total degree
+        self._coupled_G(monkeypatch, 2, 1, 2)
+        assert main(["verify", "--config", str(small_cfg)]) == 4
+        assert "mean_based: G_2 on the odd total degree indices" in capsys.readouterr().err
+
+    def test_pencil_top_above_one_is_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
+        # the top Ritz value of the splitting's pencil moved to 1.02; its
+        # extremes come from the low end alone, so only this check sees it
         generalized = eigsolve.extreme_eigs_generalized
 
-        def shifted(a, m, **kwargs):
+        def scaled(a, m, **kwargs):
             est = generalized(a, m, **kwargs)
-            if m.kind == MEAN_BASED:
-                est = dataclasses.replace(est, lambda_min=1.01 * est.lambda_min)
+            if m.kind == SPLITTING_COMPLETE:
+                est = dataclasses.replace(est, lambda_max=1.02)
             return est
 
-        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", shifted)
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", scaled)
         assert main(["verify", "--config", str(small_cfg)]) == 4
         err = capsys.readouterr().err
-        assert "mean_based (degree 2)" in err and "are not symmetric about 1" in err
+        assert "splitting_complete (degree 2): the top Ritz value 1.02" in err
 
     def test_nonpositive_tol_override_is_a_config_error(self, small_cfg, capsys):
         for tol in ("0", "-1", "nan"):

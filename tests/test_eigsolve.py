@@ -8,8 +8,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from helpers import dense_preconditioner_matrix
 from sgprecond.basis import MultiIndexSet
 from sgprecond.config import load_config
-from sgprecond.eigsolve import extreme_eigs, extreme_eigs_generalized, pcg
-from sgprecond.errors import ConvergenceError, UsageError
+from sgprecond.eigsolve import CHECK_EVERY, extreme_eigs, extreme_eigs_generalized, pcg
+from sgprecond.errors import ConvergenceError
 from sgprecond.fem import build_mesh, load_vector, sample_coefficients
 from sgprecond.operator import MEAN_BASED, DiscreteProblem, build_preconditioner
 from sgprecond.orthopoly import legendre
@@ -69,6 +69,7 @@ class TestGeneralizedLanczos:
             assert est.lambda_max == pytest.approx(w[-1], rel=1e-8)
 
     def test_low_end_alone_meets_tol_in_no_more_steps(self):
+        # the run stops at the first Ritz check where the low end meets tol
         rng = np.random.default_rng(5)
         for n in (60, 150):
             q = rng.standard_normal((n, n))
@@ -76,19 +77,14 @@ class TestGeneralizedLanczos:
             q2 = rng.standard_normal((n, n))
             m = q2 @ q2.T + n * np.eye(n)
             w = scipy.linalg.eigh(a, m, eigvals_only=True)
-            ends = {which: extreme_eigs_generalized(_DenseOp(a), _DenseSolve(m), tol=1e-8,
-                                                    max_iter=n, which=which)
-                    for which in ("min", "both")}
-            low = ends["min"]
+            low = extreme_eigs_generalized(_DenseOp(a), _DenseSolve(m), tol=1e-8, max_iter=n)
             assert low.residual_norms[0] <= 1e-8
             assert low.lambda_min == pytest.approx(w[0], rel=1e-7)
-            assert low.iterations <= ends["both"].iterations
-
-    def test_unknown_end_is_a_usage_error(self):
-        a = np.diag([1.0, 2.0, 3.0])
-        for which in ("low", "max", "", None):
-            with pytest.raises(UsageError, match="which must be one of both, min"):
-                extreme_eigs_generalized(_DenseOp(a), _NoSolve(), which=which)
+            assert low.iterations % CHECK_EVERY == 0 and low.iterations < n
+            with pytest.raises(ConvergenceError) as err:
+                extreme_eigs_generalized(_DenseOp(a), _DenseSolve(m), tol=1e-8,
+                                         max_iter=low.iterations - CHECK_EVERY)
+            assert err.value.estimate.residual_norms[0] > 1e-8
 
     def test_dgks_reorthogonalization_keeps_the_basis_m_orthonormal(self):
         # the first pencil of test_random_pencils_match_dense, run to exhaustion

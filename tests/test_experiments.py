@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import dense_gs2_matrix
+from helpers import dense_gs2_matrix, dense_preconditioner_matrix
 from sgprecond import eigsolve, operator
 from sgprecond.basis import MultiIndexSet
 from sgprecond.config import parse_config
@@ -176,7 +176,7 @@ class TestGs2SchurPath:
         m = operator.build_preconditioner(prob, operator.GAUSS_SEIDEL_2)
         a = prob.operator.matrix.toarray()
         w = scipy.linalg.eigh(a, dense_gs2_matrix(a, m.split_index), eigvals_only=True)
-        est = _preconditioned_extremes(prob, m, tol=1e-10, max_iter=300, seed=42)
+        est, _top = _preconditioned_extremes(prob, m, tol=1e-10, max_iter=300, seed=42)
         assert est.lambda_min == pytest.approx(w[0], rel=1e-8)
         assert est.lambda_max == pytest.approx(w[-1], rel=1e-12)
 
@@ -203,6 +203,86 @@ class TestGs2SchurPath:
         run_verify(replace(cfg, preconditioners=("gs2",), degrees=(2,), kappa_a=False))
         assert len(steps) == 1 and steps[0] > 0
         assert len(solves) == steps[0]
+
+
+class TestColoredPencilPath:
+    ISETS = [MultiIndexSet.tensor(orders) for orders in ((3, 2, 4), (2, 3, 3), (4, 4, 2))] + [
+        MultiIndexSet.complete(3, order) for order in (2, 3, 6)]
+
+    @staticmethod
+    def _kinds(iset):
+        split = operator.SPLITTING_OF_BASIS[iset.kind]
+        middle = (operator.TRUNCATED_TP,) if iset.kind == "tensor" else ()
+        return (operator.MEAN_BASED, *middle, split, operator.GAUSS_SEIDEL_2)
+
+    @staticmethod
+    def _problem(iset):
+        mesh = build_mesh(1, 4)
+        exprs = ["1", "0.3*sin(pi*x1)", "0.2*chi(0,1/2)", "0.25*x1"][: iset.nvars + 1]
+        return operator.DiscreteProblem.build(legendre(), iset, mesh, sample_coefficients(exprs, mesh))
+
+    @pytest.mark.parametrize("iset", ISETS, ids=lambda i: f"{i.kind}{i.orders or i.order}")
+    def test_every_kind_matches_the_dense_spectrum(self, iset):
+        prob = self._problem(iset)
+        a = prob.operator.matrix.toarray()
+        for kind in self._kinds(iset):
+            m = operator.build_preconditioner(prob, kind)
+            w = np.sort(scipy.linalg.eigvals(a, dense_preconditioner_matrix(prob, kind)).real)
+            est, top = _preconditioned_extremes(prob, m, tol=1e-12, max_iter=500, seed=42)
+            assert est.lambda_min == pytest.approx(w[0], rel=1e-8), kind
+            assert est.lambda_max == pytest.approx(w[-1], rel=1e-8), kind
+            assert top <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("iset", (MultiIndexSet.tensor((2, 2, 1)), MultiIndexSet.tensor((1,)),
+                                      MultiIndexSet.complete(2, 1)),
+                             ids=("tensor221", "tensor1", "complete1"))
+    def test_an_empty_color_is_the_unit_spectrum_without_lanczos(self, iset, monkeypatch):
+        prob = self._problem(iset)
+        runs = []
+        generalized = eigsolve.extreme_eigs_generalized
+
+        def counted(a, m, **kwargs):
+            runs.append(m.kind)
+            return generalized(a, m, **kwargs)
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", counted)
+        for kind in self._kinds(iset):
+            m = operator.build_preconditioner(prob, kind)
+            est, top = _preconditioned_extremes(prob, m, tol=1e-10, max_iter=300, seed=42)
+            sizes = operator.ColoredPencil(prob, m).color_sizes
+            if 0 in sizes:
+                assert (est.lambda_min, est.lambda_max, est.iterations, top) == (1.0, 1.0, 0, 1.0)
+                assert kind not in runs
+            else:  # mean_based on (2, 2, 1): both parities of the total degree occur
+                assert (iset.size, kind) == (4, operator.MEAN_BASED) and runs == [kind]
+        if iset.size > 1:
+            assert runs
+
+    def test_one_coarse_solve_per_lanczos_step_of_the_splitting(self, cfg, monkeypatch):
+        # complete order 3: the splitting runs on its coarse side, with one
+        # A11 solve per step and one for the start vector; the other color's
+        # solves are with F0, factored in SuperLU's own order
+        from dataclasses import replace
+
+        solve = operator._OrderedLU.solve
+        generalized = eigsolve.extreme_eigs_generalized
+        solves, steps = [], []
+
+        def counted(self, b):
+            solves.append(1)
+            return solve(self, b)
+
+        def stepped(a, m, **kwargs):
+            est = generalized(a, m, **kwargs)
+            steps.append(est.iterations)
+            return est
+
+        monkeypatch.setattr(operator._OrderedLU, "solve", counted)
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", stepped)
+        run_verify(replace(cfg, preconditioners=("splitting_complete",), degrees=(2,),
+                           kappa_a=False))
+        assert len(steps) == 1 and steps[0] > 0
+        assert len(solves) == steps[0] + 1
 
 
 class TestRunSolve:

@@ -158,6 +158,19 @@ class TestCoefficients:
             picked = fine.reshape(side, side)[centre::MU_REFINE, centre::MU_REFINE]
             assert np.array_equal(picked.ravel(), coarse)
 
+    @pytest.mark.parametrize("text", ("sin(pi*x1)*sin(pi*x2)", "chi(1/3, 2/3)",
+                                      "0.3*sin(2*pi*x2) + x1/(1 + x2)"))
+    def test_broadcast_axes_give_the_flat_bits(self, text):
+        from sgprecond import coeffexpr
+
+        m = Mesh(2, (7, 5))  # unequal extents, so a swapped axis shows
+        expr = coeffexpr.parse(text)
+        flat = coeffexpr.evaluate_on(expr, *m.midpoints(MU_REFINE))
+        grid = coeffexpr.evaluate_on(expr, *m.midpoint_axes(MU_REFINE))
+        assert grid.shape == (5 * MU_REFINE, 7 * MU_REFINE)
+        assert np.array_equal(grid.ravel(), flat)
+        assert np.array_equal(grid.ravel().view(np.int64), flat.view(np.int64))
+
     def test_fine_sampling_approaches_continuous_sup(self):
         m = build_mesh(2, (20, 20))
         exprs = ["1", "0.3*sin(1*pi*x1)", "0.3*sin(2*pi*x2)", "0.3*sin(2*pi*x1)"]

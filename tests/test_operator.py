@@ -15,7 +15,7 @@ from helpers import (
 )
 from sgprecond import operator
 from sgprecond.basis import MultiIndexSet, assemble_G
-from sgprecond.errors import FactorizationError, UsageError
+from sgprecond.errors import EnclosureError, FactorizationError, UsageError
 from sgprecond.fem import assemble_F, build_mesh, sample_coefficients
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
@@ -337,6 +337,12 @@ class TestPreconditioners:
             build_preconditioner(comp, "jacobi")
 
 
+def _kinds_of(iset):
+    if iset.kind == "complete":
+        return (MEAN_BASED, SPLITTING_COMPLETE, GAUSS_SEIDEL_2)
+    return (MEAN_BASED, TRUNCATED_TP, SPLITTING_TP, GAUSS_SEIDEL_2)
+
+
 class TestSchurPencil:
     ISETS = [MultiIndexSet.complete(3, order) for order in (2, 3, 6)] + [
         MultiIndexSet.tensor(orders) for orders in ((3, 2, 4), (2, 3, 3), (4, 1), (1, 3))
@@ -345,20 +351,81 @@ class TestSchurPencil:
     @pytest.mark.parametrize("family", (legendre(), hermite(), chebyshev_u()),
                              ids=("legendre", "hermite", "chebyshev_u"))
     def test_detail_block_is_the_repeated_block(self, family):
+        # every kind's M agrees with A inside each color of its coloring
         mesh = build_mesh(1, 2)
         for iset in self.ISETS:
             field = sample_coefficients(["1"] + ["0.1"] * iset.nvars, mesh)
             prob = DiscreteProblem.build(family, iset, mesh, field)
-            operator._check_detail_block(prob, GAUSS_SEIDEL_2)
+            for kind in _kinds_of(iset):
+                operator._check_coloring(prob, kind)
 
     def test_pencil_is_the_schur_complement(self):
         prob = small_2d_problem(elements=4, nvars=2, order=3)
-        m = build_preconditioner(prob, GAUSS_SEIDEL_2)
-        pencil = operator.SchurPencil(prob, m)
         a = prob.operator.matrix.toarray()
-        cut = m.split_index
-        schur = a[cut:, cut:] - a[cut:, :cut] @ np.linalg.solve(a[:cut, :cut], a[:cut, cut:])
-        v = np.random.default_rng(3).standard_normal(pencil.shape[0])
-        assert pencil.shape == schur.shape
-        assert np.allclose(pencil.matvec(v), schur @ v, atol=1e-12)
-        assert np.allclose(a[cut:, cut:] @ pencil.solve(v), v, atol=1e-10)
+        for kind in (GAUSS_SEIDEL_2, SPLITTING_COMPLETE):
+            m = build_preconditioner(prob, kind)
+            pencil = operator.ColoredPencil(prob, m)
+            cut = m.split_index
+            # gs2 on the detail side, the splitting on the coarse side
+            side, other = ((slice(cut, None), slice(None, cut)) if kind == GAUSS_SEIDEL_2
+                           else (slice(None, cut), slice(cut, None)))
+            schur = a[side, side] - a[side, other] @ np.linalg.solve(a[other, other],
+                                                                      a[other, side])
+            v = np.random.default_rng(3).standard_normal(pencil.shape[0])
+            assert pencil.shape == schur.shape
+            assert np.allclose(pencil.matvec(v), schur @ v, atol=1e-12)
+            assert np.allclose(a[side, side] @ pencil.solve(v), v, atol=1e-10)
+
+    @pytest.mark.parametrize("orders", ((3, 2, 4), (2, 3, 3)))
+    def test_block_diagonal_pencils_are_on_the_smaller_color(self, orders):
+        prob = small_problem(basis="tensor", exprs=("1", "0.3", "0.2", "0.1"), order=orders)
+        a = prob.operator.matrix.toarray()
+        n_fe = prob.operator.n_fe
+        for kind in (MEAN_BASED, TRUNCATED_TP):
+            color = operator.coloring(kind, prob.index_set)
+            pencil = operator.ColoredPencil(prob, build_preconditioner(prob, kind))
+            small = int(np.count_nonzero(color == 1) < np.count_nonzero(color == 0))
+            side = np.repeat(color == small, n_fe)
+            schur = a[np.ix_(side, side)] - a[np.ix_(side, ~side)] @ np.linalg.solve(
+                a[np.ix_(~side, ~side)], a[np.ix_(~side, side)])
+            v = np.random.default_rng(4).standard_normal(pencil.shape[0])
+            assert pencil.shape == schur.shape and 2 * side.sum() <= side.size
+            assert np.allclose(pencil.matvec(v), schur @ v, atol=1e-12)
+            assert np.allclose(a[np.ix_(side, side)] @ pencil.solve(v), v, atol=1e-10)
+
+    def test_colorings(self):
+        tensor = MultiIndexSet.tensor((2, 3))
+        degrees = tensor.indices
+        assert np.array_equal(operator.coloring(MEAN_BASED, tensor), degrees.sum(axis=1) % 2)
+        assert np.array_equal(operator.coloring(TRUNCATED_TP, tensor), degrees[:, -1] % 2)
+        assert np.array_equal(operator.coloring(SPLITTING_TP, tensor), degrees[:, -1] == 2)
+        complete = MultiIndexSet.complete(2, 3)
+        for kind in (SPLITTING_COMPLETE, GAUSS_SEIDEL_2):
+            assert np.array_equal(operator.coloring(kind, complete),
+                                  complete.total_degrees() == 2)
+
+    @pytest.mark.parametrize("iset, k, i, j", (
+        (MultiIndexSet.complete(2, 3), 2, 1, 2),
+        (MultiIndexSet.complete(2, 3), 1, 4, 5),
+        (MultiIndexSet.tensor((2, 2, 3)), 1, 0, 8),
+        (MultiIndexSet.tensor((2, 2, 3)), 3, 5, 6),
+    ), ids=("complete-odd", "complete-detail", "tensor-even-groups", "tensor-one-group"))
+    def test_a_coupling_inside_one_color_is_an_enclosure_failure(self, iset, k, i, j):
+        # a fault inside one color, outside the coarse group, is caught
+        mesh = build_mesh(1, 2)
+        field = sample_coefficients(["1"] + ["0.1"] * iset.nvars, mesh)
+        prob = DiscreteProblem.build(legendre(), iset, mesh, field)
+        g = prob.operator.gs[k].tolil()
+        g[i, j] = g[j, i] = 0.05
+        prob.operator.gs[k] = g.tocsr()
+        caught = []
+        for kind in _kinds_of(iset):
+            color = operator.coloring(kind, iset)
+            _lead, cut = operator.block_layout(kind, iset)
+            if color[i] != color[j] or max(i, j) < cut:
+                operator._check_coloring(prob, kind)  # joins two colors, or is in A11
+                continue
+            with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the .* indices joins"):
+                operator._check_coloring(prob, kind)
+            caught.append(kind)
+        assert caught

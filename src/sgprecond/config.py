@@ -244,16 +244,21 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("[coefficients] cannot mix 'table' with expressions")
 
     precs = tuple(run.get("preconditioners", "mean_based").split())
-    for p in precs:
+    precs_line = where("run", "preconditioners")
+    if not precs:
+        raise ConfigError("preconditioners names no kind", line=precs_line)
+    for i, p in enumerate(precs):
+        if p in precs[:i]:
+            raise ConfigError(f"preconditioner {p!r} is named twice", line=precs_line)
         if p not in PRECONDITIONER_KINDS:
             raise ConfigError(
                 f"unknown preconditioner {p!r} (choose from {', '.join(PRECONDITIONER_KINDS)})",
-                line=where("run", "preconditioners"),
+                line=precs_line,
             )
         try:
             check_basis(p, basis)
         except UsageError as exc:
-            raise ConfigError(str(exc), line=where("run", "preconditioners")) from None
+            raise ConfigError(str(exc), line=precs_line) from None
     converters = {**_RUN_KEYS, "rhs": partial(_to_expr, dim=dim)}
     options = {
         key.lower(): convert(run[key], where("run", key), key)

@@ -1,14 +1,16 @@
 """Experiment runners: turn a configuration into result tables.
 
 ``run_bounds`` evaluates only the analytic quantities (no assembly).
-``run_verify`` additionally assembles the problem, builds the requested
-preconditioners and estimates the true extremes of each from the low end
-of its Schur-complement pencil over the kind's two-coloring.  It asserts
-the guaranteed enclosure chain, failing with EnclosureError if any computed
-eigenvalue escapes its bounds beyond a small slack, if A and M differ
-inside one color of the coloring, if a pencil's top Ritz value exceeds 1,
-or if the splitting and two-block Gauss-Seidel conditions, computed on
-opposite sides of the coloring, break the CBS identity that ties them.
+``run_verify`` additionally assembles the problem and estimates the true
+extremes of each requested preconditioner from the low end of its
+Schur-complement pencil over the kind's two-coloring, which is sliced from
+A and solved through each color's own block-diagonal preconditioner.  It
+asserts the guaranteed enclosure chain, failing with EnclosureError if any
+computed eigenvalue escapes its bounds beyond a small slack, if A and M
+differ inside one color of the coloring, if a pencil's top Ritz value
+exceeds 1, or if the splitting and two-block Gauss-Seidel conditions,
+computed on opposite sides of the coloring, break the CBS identity that
+ties them.
 With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
@@ -262,9 +264,10 @@ def _check_oracle(label, b, lo, hi, est):
                              f"({est.lambda_min:.12g}, {est.lambda_max:.12g})")
 
 
-def _preconditioned_extremes(problem, m, **lanczos):
-    """Lanczos extremes of M^-1 A, read off the low end of the kind's
-    Schur-complement pencil, and the pencil's top Ritz value.
+def _preconditioned_extremes(problem, kind, **lanczos):
+    """Lanczos extremes of M^-1 A for preconditioner ``kind``, read off
+    the low end of its Schur-complement pencil, and the pencil's top Ritz
+    value.
 
     Lanczos iterates only the low end theta_min = 1 - sigma_max^2 to
     tolerance.  A block-diagonal kind's spectrum is 1 -+ sigma_i, so its
@@ -273,12 +276,12 @@ def _preconditioned_extremes(problem, m, **lanczos):
     M = A and the spectrum is {1}, with no Lanczos run.  ``lanczos`` goes to
     ``eigsolve.extreme_eigs_generalized``.
     """
-    pencil = operator.ColoredPencil(problem, m)
+    pencil = operator.ColoredPencil(problem, kind)
     if 0 in pencil.color_sizes:
         return eigsolve.EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0
     est = eigsolve.extreme_eigs_generalized(pencil, pencil, **lanczos)
     theta = est.lambda_min
-    if m.kind == GAUSS_SEIDEL_2:
+    if kind == GAUSS_SEIDEL_2:
         ends = min(1.0, theta), max(1.0, est.lambda_max)
     else:
         sigma = math.sqrt(max(0.0, 1.0 - theta))
@@ -314,9 +317,8 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         cells["N"] = Cell(float(problem.operator.shape[0]))
         estimates = {}
         for kind in cfg.preconditioners:
-            m = operator.build_preconditioner(problem, kind)
             est, top = _preconditioned_extremes(
-                problem, m, tol=lanczos_tol, max_iter=cfg.max_iter, seed=cfg.seed
+                problem, kind, tol=lanczos_tol, max_iter=cfg.max_iter, seed=cfg.seed
             )
             estimates[kind] = est
             kappa = est.lambda_max / est.lambda_min

@@ -26,8 +26,7 @@ complete-basis indices of total degree at most p - 2:
 
 One index gives F0, since G_k[0, 0] = 0 for k >= 1.  A problem factors
 each leading block at most once, keyed by its index count, whichever
-preconditioner asks for it first, and slices the coupling B between the
-coarse and detail dofs at most once.
+preconditioner or pencil asks for it first.
 
 Every recurrence has alpha_n = 0, so G_k (k >= 1) joins only indices whose
 k-th degree differs by one.  ``coloring`` gives each kind a two-coloring of
@@ -37,8 +36,8 @@ degree (truncated_tp), or coarse against detail (the splittings and gs2).
 ``_check_coloring`` asserts this exactly on the G_k.  In color order
 A = [[M1, C^T], [C, M2]], so M^-1 A - I is 2-cyclic and its spectrum is
 1 -+ sigma_i.  ``ColoredPencil`` is the Schur-complement pencil of one
-color, whose eigenvalues are 1 - sigma_i^2; each color's solves touch only
-that color's blocks.
+color, whose eigenvalues are 1 - sigma_i^2; it is sliced from A, and each
+color is solved through a block-diagonal Preconditioner of its own.
 
 Each block is factored without pivoting in a minimum-degree order: F0 in the
 multiple-minimum-degree order SuperLU computes for it, and every other block
@@ -157,7 +156,6 @@ class DiscreteProblem:
         self.field = field
         self.operator = operator
         self._factors = {}  # leading index count -> (block, LU factors)
-        self._couplings = {}  # coarse index count -> A[detail dofs, coarse dofs]
 
     @classmethod
     def build(
@@ -298,67 +296,55 @@ class Preconditioner:
 
 
 class ColoredPencil:
-    """The Schur-complement pencil of a preconditioner on one color of
-    ``coloring``: (M_s - C^T M_o^-1 C, M_s) with C = A[other color, this
-    color] and M_s, M_o the preconditioner's diagonal blocks on the two
-    colors.
+    """The Schur-complement pencil of preconditioner ``kind`` on one color
+    of ``coloring``: (A_ss - C^T A_oo^-1 C, A_ss) with A_ss and A_oo the
+    diagonal blocks of A on this color and the other, and C = A[other
+    color, this color].
 
-    In color order A = [[M_s, C^T], [C, M_o]], as ``_check_coloring``
-    asserts, so M^-1 A - I is 2-cyclic and the spectrum of M^-1 A is
-    1 -+ sigma_i, and 1 for any dof left over, where the pencil's
-    eigenvalues are 1 - sigma_i^2 and 1.  For gs2 the congruence by
+    ``_check_coloring`` asserts that M and A agree inside each color, so in
+    color order A = [[M_s, C^T], [C, M_o]] with M_s = A_ss and M_o = A_oo,
+    M^-1 A - I is 2-cyclic and the spectrum of M^-1 A is 1 -+ sigma_i, and
+    1 for any dof left over, where the pencil's eigenvalues are
+    1 - sigma_i^2 and 1.  For gs2 the congruence by
     [[I, 0], [-B A11^-1, I]] takes A to diag(A11, S) and M to diag(A11, D2),
     so the spectrum of M^-1 A is 1 with that of its detail-side pencil
     (S, D2).  mean_based and truncated_tp run on the smaller color, ties
     going to color 0, the splittings on the coarse side and gs2 on the
     detail side.
 
-    A product is one solve on the other color and two sparse products with
-    C; a solve is one solve on this color.  Each color's M is the coarse
-    block A11 or I (x) T on its groups, whose stored blocks and factors the
-    pencil reuses; only C is sliced, and the coarse/detail coupling is
-    sliced once per problem and shared with the gs2 preconditioner.
+    A product is one solve on the other color, one product with A_ss and
+    two sparse products with C; a solve is one solve on this color.  Each
+    color is solved through a block-diagonal Preconditioner: A11 alone on
+    the coarse group, or T on each of the color's groups.
     """
 
-    def __init__(self, problem: DiscreteProblem, prec: Preconditioner):
-        kind = self.kind = prec.kind
+    def __init__(self, problem: DiscreteProblem, kind: str):
         _check_coloring(problem, kind)
-        iset, n_fe = problem.index_set, problem.operator.n_fe
-        _lead, cut = block_layout(kind, iset)
+        self.kind = kind
+        iset, a = problem.index_set, problem.operator
+        lead, cut = block_layout(kind, iset)
         color = coloring(kind, iset)
         indices = [np.flatnonzero(color == c) for c in (0, 1)]
         self.color_sizes = tuple(idx.size for idx in indices)
-        side = self._side = _SIDE.get(kind, int(self.color_sizes[1] < self.color_sizes[0]))
-        # with a coarse group, color 0 is that group: one copy of A11
-        self._blocks = [(prec.coarse, prec._lu11) if cut and c == 0 else (prec.block, prec._lu)
-                        for c in (0, 1)]
-        if cut:
-            coupling = _coupling(problem, cut)  # A[detail, coarse]
-            self._c = coupling if side == 0 else coupling.T
-        else:
-            dofs = [(idx[:, None] * n_fe + np.arange(n_fe)).ravel() for idx in indices]
-            self._c = problem.operator.matrix[dofs[1 - side]][:, dofs[side]]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self._c.shape[1]
-        return (n, n)
-
-    def _each_copy(self, color: int, solve: bool, v: np.ndarray) -> np.ndarray:
-        """M on ``color`` (or its inverse) applied to v: the block, or its
-        factors, on each consecutive segment of v the block's size."""
-        block, lu = self._blocks[color]
-        apply = lu.solve if solve else block.__matmul__
-        return apply(v.reshape(-1, block.shape[0]).T).T.ravel()
+        side = _SIDE.get(kind, int(self.color_sizes[1] < self.color_sizes[0]))
+        # with a coarse group, color 0 is that group: A11 once
+        solvers = [Preconditioner(kind, _leading_block(problem, cut), 1) if cut and c == 0
+                   else Preconditioner(kind, _leading_block(problem, lead), size // lead)
+                   for c, size in enumerate(self.color_sizes)]
+        self._m_s, self._m_o = solvers[side], solvers[1 - side]
+        dofs = [(idx[:, None] * a.n_fe + np.arange(a.n_fe)).ravel() for idx in indices]
+        this, other = dofs[side], dofs[1 - side]
+        self._a = a.matrix[this][:, this]
+        self._c = a.matrix[other][:, this]
+        self.shape = self._a.shape
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """(M_s - C^T M_o^-1 C) v for a vector."""
-        other = self._each_copy(1 - self._side, True, self._c @ v)
-        return self._each_copy(self._side, False, v) - self._c.T @ other
+        """(A_ss - C^T A_oo^-1 C) v for a vector."""
+        return self._a @ v - self._c.T @ self._m_o.solve(self._c @ v)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """M_s^-1 r for a vector."""
-        return self._each_copy(self._side, True, r)
+        """A_ss^-1 r for a vector."""
+        return self._m_s.solve(r)
 
 
 # the color each kind's pencil runs on; the others take the smaller color
@@ -366,16 +352,6 @@ _SIDE = {SPLITTING_TP: 0, SPLITTING_COMPLETE: 0, GAUSS_SEIDEL_2: 1}
 # what the two colors of each kind are, for messages
 _COLOR_NAMES = {MEAN_BASED: ("even total degree", "odd total degree"),
                 TRUNCATED_TP: ("even last degree", "odd last degree")}
-
-
-def _coupling(problem: DiscreteProblem, cut: int) -> sp.csr_matrix:
-    """B = A[detail dofs, coarse dofs] of a split after the first ``cut``
-    stochastic indices, sliced the first time a preconditioner or pencil of
-    the problem asks for it."""
-    if cut not in problem._couplings:
-        n11 = cut * problem.operator.n_fe
-        problem._couplings[cut] = problem.operator.matrix[n11:, :n11].tocsr()
-    return problem._couplings[cut]
 
 
 def coloring(kind: str, index_set: MultiIndexSet) -> np.ndarray:
@@ -459,5 +435,6 @@ def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
     block, count = _leading_block(problem, lead), (iset.size - cut) // lead
     if cut == 0:
         return Preconditioner(kind, block, count)
-    coupling = _coupling(problem, cut) if kind == GAUSS_SEIDEL_2 else None
+    n11 = cut * problem.operator.n_fe
+    coupling = problem.operator.matrix[n11:, :n11] if kind == GAUSS_SEIDEL_2 else None
     return Preconditioner(kind, block, count, _leading_block(problem, cut), coupling)

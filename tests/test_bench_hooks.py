@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from sgprecond.basis import MultiIndexSet
+from sgprecond.config import parse_config
+from sgprecond.experiments import run_verify
 from sgprecond.fem import build_mesh, sample_coefficients
 from sgprecond.operator import DiscreteProblem
 from sgprecond.orthopoly import legendre
@@ -34,6 +36,44 @@ def test_every_wrapped_path_resolves(bench):
     for path in paths:
         owner, attr = tracing._resolve(path)
         inspect.getattr_static(owner, attr)  # AttributeError on a rename
+
+
+SPLIT_AND_GS2 = """sgp-config v1
+
+[problem]
+dim = 1
+elements = 8
+family = legendre
+basis = complete
+degree = 1 2
+K = 2
+
+[coefficients]
+a0 = 1
+a1 = 0.4*chi(0,1/2)
+a2 = 0.3*sin(pi*x1)
+
+[run]
+preconditioners = splitting_complete gs2
+kappa_A = false
+"""
+
+
+def test_precond_solve_span_sees_every_pencil_solve(bench, monkeypatch):
+    # a Lanczos run solves once for its start vector and twice per step:
+    # with the other color inside the pencil's product, and with this color
+    workload, tracing, _ = bench
+    tracer = tracing.Tracer()
+    for name in ("operator.precond_solve", "eigsolve.lanczos"):
+        path, counter, _aliases = workload.LAYERS[name]
+        owner, attr = tracing._resolve(path)
+        monkeypatch.setattr(owner, attr, inspect.getattr_static(owner, attr))
+        assert tracing.wrap(tracer, path, name, counter, aliases=False)
+    run_verify(parse_config(SPLIT_AND_GS2))
+    runs = tracer.durations("eigsolve.lanczos")[2]
+    steps = tracer.counts["eigsolve.lanczos"]["steps"]
+    assert runs == 4 and steps > 0  # two kinds at two degrees
+    assert tracer.durations("operator.precond_solve")[2] == runs + 2 * steps
 
 
 def test_residual_check_reads_the_operator_terms(bench):

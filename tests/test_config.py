@@ -87,6 +87,30 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    @staticmethod
+    def _rejected_preconditioners(tmp_path, capsys, value, message):
+        """``preconditioners = value`` fails to parse and makes ``sgp solve``
+        exit 2, both naming the line."""
+        from sgprecond.cli import main
+
+        text = GOOD.replace("preconditioners = mean_based", f"preconditioners = {value}")
+        line = GOOD.splitlines().index("preconditioners = mean_based") + 1
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config(text)
+        assert err.value.line == line
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"line {line}: " in captured.err
+
+    def test_empty_preconditioner_list_rejected_with_line(self, tmp_path, capsys):
+        self._rejected_preconditioners(tmp_path, capsys, "", "names no kind")
+
+    def test_preconditioner_named_twice_rejected_with_line(self, tmp_path, capsys):
+        self._rejected_preconditioners(tmp_path, capsys, "mean_based gs2 mean_based",
+                                       "'mean_based' is named twice")
+
     def test_kind_requires_matching_basis(self):
         bad = GOOD.replace("preconditioners = mean_based", "preconditioners = splitting_tp")
         with pytest.raises(ConfigError):

@@ -176,7 +176,8 @@ class TestGs2SchurPath:
         m = operator.build_preconditioner(prob, operator.GAUSS_SEIDEL_2)
         a = prob.operator.matrix.toarray()
         w = scipy.linalg.eigh(a, dense_gs2_matrix(a, m.split_index), eigvals_only=True)
-        est, _top = _preconditioned_extremes(prob, m, tol=1e-10, max_iter=300, seed=42)
+        est, _top = _preconditioned_extremes(prob, operator.GAUSS_SEIDEL_2, tol=1e-10,
+                                             max_iter=300, seed=42)
         assert est.lambda_min == pytest.approx(w[0], rel=1e-8)
         assert est.lambda_max == pytest.approx(w[-1], rel=1e-12)
 
@@ -226,9 +227,8 @@ class TestColoredPencilPath:
         prob = self._problem(iset)
         a = prob.operator.matrix.toarray()
         for kind in self._kinds(iset):
-            m = operator.build_preconditioner(prob, kind)
             w = np.sort(scipy.linalg.eigvals(a, dense_preconditioner_matrix(prob, kind)).real)
-            est, top = _preconditioned_extremes(prob, m, tol=1e-12, max_iter=500, seed=42)
+            est, top = _preconditioned_extremes(prob, kind, tol=1e-12, max_iter=500, seed=42)
             assert est.lambda_min == pytest.approx(w[0], rel=1e-8), kind
             assert est.lambda_max == pytest.approx(w[-1], rel=1e-8), kind
             assert top <= 1.0 + 1e-12
@@ -247,9 +247,8 @@ class TestColoredPencilPath:
 
         monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", counted)
         for kind in self._kinds(iset):
-            m = operator.build_preconditioner(prob, kind)
-            est, top = _preconditioned_extremes(prob, m, tol=1e-10, max_iter=300, seed=42)
-            sizes = operator.ColoredPencil(prob, m).color_sizes
+            est, top = _preconditioned_extremes(prob, kind, tol=1e-10, max_iter=300, seed=42)
+            sizes = operator.ColoredPencil(prob, kind).color_sizes
             if 0 in sizes:
                 assert (est.lambda_min, est.lambda_max, est.iterations, top) == (1.0, 1.0, 0, 1.0)
                 assert kind not in runs

@@ -28,7 +28,7 @@ class TestMesh:
     def test_1d(self):
         m = build_mesh(1, 30)
         assert m.n_elements == 30 and m.n_interior == 29
-        x1, x2 = m.midpoints()
+        x1, x2 = m.midpoint_axes()
         assert np.allclose(x1, (np.arange(30) + 0.5) / 30) and x2 is None
 
     def test_2d(self):
@@ -151,12 +151,13 @@ class TestCoefficients:
         centre = MU_REFINE // 2
         assert MU_REFINE % 2 == 1
         line = build_mesh(1, 30)
-        assert np.array_equal(line.midpoints(MU_REFINE)[0][centre::MU_REFINE], line.midpoints()[0])
+        assert np.array_equal(line.midpoint_axes(MU_REFINE)[0][centre::MU_REFINE],
+                              line.midpoint_axes()[0])
         m = build_mesh(2, (21, 21))
-        side = 21 * MU_REFINE
-        for fine, coarse in zip(m.midpoints(MU_REFINE), m.midpoints()):
-            picked = fine.reshape(side, side)[centre::MU_REFINE, centre::MU_REFINE]
-            assert np.array_equal(picked.ravel(), coarse)
+        for fine, coarse in zip(np.broadcast_arrays(*m.midpoint_axes(MU_REFINE)),
+                                np.broadcast_arrays(*m.midpoint_axes())):
+            picked = fine[centre::MU_REFINE, centre::MU_REFINE]
+            assert np.array_equal(picked.ravel(), coarse.ravel())
 
     @pytest.mark.parametrize("text", ("sin(pi*x1)*sin(pi*x2)", "chi(1/3, 2/3)",
                                       "0.3*sin(2*pi*x2) + x1/(1 + x2)"))
@@ -165,7 +166,8 @@ class TestCoefficients:
 
         m = Mesh(2, (7, 5))  # unequal extents, so a swapped axis shows
         expr = coeffexpr.parse(text)
-        flat = coeffexpr.evaluate_on(expr, *m.midpoints(MU_REFINE))
+        flat = coeffexpr.evaluate_on(
+            expr, *(x.ravel() for x in np.broadcast_arrays(*m.midpoint_axes(MU_REFINE))))
         grid = coeffexpr.evaluate_on(expr, *m.midpoint_axes(MU_REFINE))
         assert grid.shape == (5 * MU_REFINE, 7 * MU_REFINE)
         assert np.array_equal(grid.ravel(), flat)

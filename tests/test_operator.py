@@ -359,13 +359,13 @@ class TestSchurPencil:
             for kind in _kinds_of(iset):
                 operator._check_coloring(prob, kind)
 
-    def test_pencil_is_the_schur_complement(self):
-        prob = small_2d_problem(elements=4, nvars=2, order=3)
+    @pytest.mark.parametrize("basis", ("complete", "tensor"))
+    def test_pencil_is_the_schur_complement(self, basis):
+        prob = small_2d_problem(basis=basis, elements=4, nvars=2, order=3)
         a = prob.operator.matrix.toarray()
-        for kind in (GAUSS_SEIDEL_2, SPLITTING_COMPLETE):
-            m = build_preconditioner(prob, kind)
-            pencil = operator.ColoredPencil(prob, m)
-            cut = m.split_index
+        for kind in (GAUSS_SEIDEL_2, operator.SPLITTING_OF_BASIS[basis]):
+            pencil = operator.ColoredPencil(prob, kind)
+            cut = operator.block_layout(kind, prob.index_set)[1] * prob.operator.n_fe
             # gs2 on the detail side, the splitting on the coarse side
             side, other = ((slice(cut, None), slice(None, cut)) if kind == GAUSS_SEIDEL_2
                            else (slice(None, cut), slice(cut, None)))
@@ -383,7 +383,7 @@ class TestSchurPencil:
         n_fe = prob.operator.n_fe
         for kind in (MEAN_BASED, TRUNCATED_TP):
             color = operator.coloring(kind, prob.index_set)
-            pencil = operator.ColoredPencil(prob, build_preconditioner(prob, kind))
+            pencil = operator.ColoredPencil(prob, kind)
             small = int(np.count_nonzero(color == 1) < np.count_nonzero(color == 0))
             side = np.repeat(color == small, n_fe)
             schur = a[np.ix_(side, side)] - a[np.ix_(side, ~side)] @ np.linalg.solve(

@@ -24,7 +24,7 @@ __all__ = [
     "assemble_G",
 ]
 
-DEFAULT_SIZE_CAP = 2_000_000
+SIZE_CAP = 2_000_000  # the most indices a basis may hold
 
 TENSOR = "tensor"
 COMPLETE = "complete"
@@ -51,13 +51,13 @@ class MultiIndexSet:
         self._positions = None
 
     @classmethod
-    def tensor(cls, orders, cap=DEFAULT_SIZE_CAP):
+    def tensor(cls, orders):
         orders = tuple(int(s) for s in orders)
         if len(orders) < 1 or any(s < 1 for s in orders):
             raise ParameterDomainError("tensor orders must be a nonempty sequence of s_k >= 1")
         size = prod(orders)
-        if size > cap:
-            raise SizeError(f"tensor basis size {size} exceeds cap {cap}")
+        if size > SIZE_CAP:
+            raise SizeError(f"tensor basis size {size} exceeds cap {SIZE_CAP}")
         rows = np.empty((size, len(orders)), dtype=np.int64)
         pos = 0
         # first coordinate fastest
@@ -67,14 +67,14 @@ class MultiIndexSet:
         return cls(TENSOR, rows, orders=orders)
 
     @classmethod
-    def complete(cls, nvars, order, cap=DEFAULT_SIZE_CAP):
+    def complete(cls, nvars, order):
         nvars = int(nvars)
         order = int(order)
         if nvars < 1 or order < 1:
             raise ParameterDomainError("complete basis needs K >= 1 and s >= 1")
         size = comb(nvars + order - 1, nvars)
-        if size > cap:
-            raise SizeError(f"complete basis size {size} exceeds cap {cap}")
+        if size > SIZE_CAP:
+            raise SizeError(f"complete basis size {size} exceeds cap {SIZE_CAP}")
         rows = np.empty((size, nvars), dtype=np.int64)
         pos = 0
         for degree in range(order):

@@ -40,13 +40,14 @@ EXIT_NUMERICAL = 3
 EXIT_ENCLOSURE = 4
 
 
-def _add_common(p):
-    p.add_argument("--config", help="path to an sgp-config file")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=("csv", "md", "raw"), default="csv")
-    p.add_argument("--seed", type=int, help="override the configured random seed")
-    p.add_argument("--tol", type=float, help="override the configured tolerance")
-    p.add_argument("--threads", type=int, help="set the thread count of the bundled OpenBLAS")
+_FLAGS = {
+    "config": dict(help="path to an sgp-config file"),
+    "out": dict(help="write output to this path instead of stdout"),
+    "format": dict(choices=("csv", "md", "raw"), default="csv"),
+    "seed": dict(type=int, help="override the configured random seed"),
+    "tol": dict(type=float, help="override the configured tolerance"),
+    "threads": dict(type=int, help="set the thread count of the bundled OpenBLAS"),
+}
 
 
 def _build_parser():
@@ -55,17 +56,22 @@ def _build_parser():
         description="Spectral bounds and preconditioners for parameter-dependent diffusion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("bounds", "verify", "solve"):
-        _add_common(sub.add_parser(name))
-    q = sub.add_parser("quadrature")
-    _add_common(q)
+    commands = {}
+    # each subcommand takes only the flags it reads
+    for name, flags in (("bounds", "config out format threads"),
+                        ("verify", "config out format seed tol threads"),
+                        ("solve", "config out format tol threads"),
+                        ("quadrature", "out format threads"),
+                        ("dump-matrix", "config out threads")):
+        commands[name] = sub.add_parser(name)
+        for flag in flags.split():
+            commands[name].add_argument(f"--{flag}", **_FLAGS[flag])
+    q = commands["quadrature"]
     q.add_argument("--family", required=True)
     q.add_argument("--gamma", type=float)
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--mu", type=float, required=True)
-    d = sub.add_parser("dump-matrix")
-    _add_common(d)
-    d.add_argument(
+    commands["dump-matrix"].add_argument(
         "--matrix",
         required=True,
         help="which matrix: G<k>, Gt<k> (annihilated) or F<k>, e.g. G1, Gt2, F0",
@@ -117,7 +123,7 @@ def _config_for(args):
     if not args.config:
         raise ConfigError("--config is required for this command")
     cfg = load_config(args.config)
-    return cfg.with_overrides(seed=args.seed, tol=args.tol)
+    return cfg.with_overrides(seed=getattr(args, "seed", None), tol=getattr(args, "tol", None))
 
 
 def coordinate_text(mat) -> str:
@@ -139,7 +145,7 @@ def _dump_matrix(args) -> str:
         raise ConfigError(f"unknown matrix name {args.matrix!r} (use G<k>, Gt<k> or F<k>)")
     k = int(digits)
     degree = cfg.degrees[-1] if cfg.basis == "complete" else None
-    iset = experiments._index_set(cfg, degree)
+    iset = experiments.index_set(cfg, degree)
     if kind == "G":
         return coordinate_text(assemble_G(cfg.family, iset, k))
     if kind == "Gt":
@@ -147,7 +153,7 @@ def _dump_matrix(args) -> str:
         gt = assemble_G(cfg.family, iset, k).multiply(keep).tocsr()
         gt.eliminate_zeros()
         return coordinate_text(gt)
-    mesh, field, _mu, _mu_class = experiments._mesh_and_field(cfg)
+    mesh, field, _mu, _mu_class = experiments.mesh_and_field(cfg)
     return coordinate_text(assemble_F(mesh, field, k))
 
 

@@ -217,6 +217,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("'degrees' applies to tensor bases only", line=where("problem", "degrees"))
         if not degrees or min(degrees) < 1:
             raise ConfigError("degree entries must be >= 1", line=no)
+        for i, d in enumerate(degrees):
+            if d in degrees[:i]:
+                raise ConfigError(f"degree {d} is named twice", line=no)
     else:
         if "degrees" not in problem:
             raise ConfigError("tensor basis requires 'degrees' (one per variable)")

@@ -136,7 +136,8 @@ class ResultTable:
         raise UsageError(f"unknown output format {fmt!r}")
 
 
-def _index_set(cfg: ExperimentConfig, degree):
+def index_set(cfg: ExperimentConfig, degree):
+    """The basis of ``cfg``: complete of total degree ``degree``, or tensor."""
     if cfg.basis == "complete":
         return MultiIndexSet.complete(cfg.nterms, degree + 1)
     return MultiIndexSet.tensor(tuple(d + 1 for d in cfg.degrees))
@@ -148,7 +149,8 @@ def _degree_sweep(cfg: ExperimentConfig):
     return [max(cfg.degrees)]
 
 
-def _mesh_and_field(cfg: ExperimentConfig):
+def mesh_and_field(cfg: ExperimentConfig):
+    """(mesh, coefficient field, mu, mu_class) of ``cfg``."""
     mesh = fem.build_mesh(cfg.dim, cfg.elements, cfg.element)
     if cfg.table_path is not None:
         field = fem.load_coefficient_table(cfg.table_path)
@@ -216,10 +218,10 @@ def _ordered(cells: dict) -> dict:
 
 def run_bounds(cfg: ExperimentConfig) -> ResultTable:
     """Analytic and classical bounds only; no matrix assembly."""
-    mesh, _field, mu, mu_class = _mesh_and_field(cfg)
+    mesh, _field, mu, mu_class = mesh_and_field(cfg)
     table = ResultTable()
     for degree in _degree_sweep(cfg):
-        iset = _index_set(cfg, degree)
+        iset = index_set(cfg, degree)
         cells, _ = _analytic_cells(cfg, degree, iset, mu, mu_class)
         table.add_row(_ordered(cells))
     return table
@@ -307,11 +309,11 @@ _EIG_COLUMN = {MEAN_BASED: "kappa_MB", TRUNCATED_TP: "kappa_TR",
 def run_verify(cfg: ExperimentConfig) -> ResultTable:
     """Assemble, precondition, estimate true extremes and verify the
     enclosure chain for every degree of the sweep."""
-    mesh, field, mu, mu_class = _mesh_and_field(cfg)
+    mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
     table = ResultTable()
     for degree in _degree_sweep(cfg):
-        iset = _index_set(cfg, degree)
+        iset = index_set(cfg, degree)
         cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
         problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
         cells["N"] = Cell(float(problem.operator.shape[0]))
@@ -361,10 +363,10 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
 
 def run_solve(cfg: ExperimentConfig) -> ResultTable:
     """Conjugate gradient comparison across the configured preconditioners."""
-    mesh, field, mu, _mu_class = _mesh_and_field(cfg)
+    mesh, field, mu, _mu_class = mesh_and_field(cfg)
     table = ResultTable()
     degree = _degree_sweep(cfg)[-1]
-    iset = _index_set(cfg, degree)
+    iset = index_set(cfg, degree)
     problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
     f_fe = fem.load_vector(mesh, cfg.rhs)
     rhs = np.zeros(problem.operator.shape[0])

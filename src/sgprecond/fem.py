@@ -193,16 +193,12 @@ class CoefficientField:
         return self.values.shape[1]
 
 
-def _as_exprs(exprs):
-    return [coeffexpr.parse(e) if isinstance(e, str) else e for e in exprs]
-
-
 def sample_coefficients(exprs, mesh: Mesh) -> CoefficientField:
-    """Evaluate K+1 coefficient expressions at the element midpoints, x
-    index fastest."""
+    """Evaluate K+1 coefficient expression strings at the element midpoints,
+    x index fastest."""
     x1, x2 = mesh.midpoint_axes()
     return CoefficientField(
-        np.vstack([coeffexpr.evaluate_on(e, x1, x2).ravel() for e in _as_exprs(exprs)])
+        np.vstack([coeffexpr.evaluate_on(coeffexpr.parse(e), x1, x2).ravel() for e in exprs])
     )
 
 
@@ -260,12 +256,12 @@ def compute_mu(field: CoefficientField) -> tuple[float, float]:
 
 
 def mu_from_exprs(exprs, mesh: Mesh) -> tuple[float, float]:
-    """Dominance statistics of the expressions read at the midpoints of
+    """Dominance statistics of the expression strings read at the midpoints of
     MU_REFINE cells per element and axis, which approach the essential
     supremum for smooth coefficients.  MU_REFINE is odd, so the grid holds
     every element midpoint bit for bit and the result is at least
     compute_mu(sample_coefficients(exprs, mesh)) of the assembled field."""
-    exprs = _as_exprs(exprs)
+    exprs = [coeffexpr.parse(e) for e in exprs]
     # each expression is read on the axes and broadcast to the grid, so an
     # expression of x1 alone costs one evaluation per column
     x1, x2 = mesh.midpoint_axes(MU_REFINE)
@@ -275,13 +271,11 @@ def mu_from_exprs(exprs, mesh: Mesh) -> tuple[float, float]:
     return _dominance(a0, (coeffexpr.evaluate_on(e, x1, x2) for e in exprs[1:]))
 
 
-def load_vector(mesh: Mesh, f) -> np.ndarray:
-    """Right-hand side for source f using the element midpoint rule; for
-    ``p1`` each square's mass goes h^2/3 to the two ends of the cut diagonal
-    (SW, NE) and h^2/6 to the other two corners."""
-    if isinstance(f, str):
-        f = coeffexpr.parse(f)
-    fv = coeffexpr.evaluate_on(f, *mesh.midpoint_axes()).ravel()
+def load_vector(mesh: Mesh, f: str) -> np.ndarray:
+    """Right-hand side for the source expression string f using the element
+    midpoint rule; for ``p1`` each square's mass goes h^2/3 to the two ends
+    of the cut diagonal (SW, NE) and h^2/6 to the other two corners."""
+    fv = coeffexpr.evaluate_on(coeffexpr.parse(f), *mesh.midpoint_axes()).ravel()
     if mesh.dim == 1:
         shares = np.full(2, mesh.h / 2.0)
     elif mesh.element == "p1":

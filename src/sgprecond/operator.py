@@ -24,9 +24,10 @@ complete-basis indices of total degree at most p - 2:
     splitting_complete  c               1 (F0)                  N_P - c
     gs2                 as for the splitting, with the coupling B
 
-One index gives F0, since G_k[0, 0] = 0 for k >= 1.  A problem factors
-each leading block at most once, keyed by its index count, whichever
-preconditioner or pencil asks for it first.
+One index gives F0, since G_k[0, 0] = 0 for k >= 1.  ``DiscreteProblem.factor``
+slices every leading block, F0 included, from A and factors it once per
+problem, on first use; its cache, keyed by the index count, holds the
+factors only, and a Preconditioner is built from factors alone.
 
 Every recurrence has alpha_n = 0, so G_k (k >= 1) joins only indices whose
 k-th degree differs by one.  ``coloring`` gives each kind a two-coloring of
@@ -155,7 +156,7 @@ class DiscreteProblem:
         self.mesh = mesh
         self.field = field
         self.operator = operator
-        self._factors = {}  # leading index count -> (block, LU factors)
+        self._factors = {}  # leading index count -> LU factors
 
     @classmethod
     def build(
@@ -173,11 +174,24 @@ class DiscreteProblem:
         fs = [assemble_F(mesh, field, k) for k in range(field.nterms + 1)]
         return cls(index_set, mesh, field, GalerkinOperator(gs, fs))
 
+    def factor(self, count: int):
+        """LU factors of A[:n, :n], n = count * n_fe: A on its first ``count``
+        stochastic indices, factored on first use.  One index is F0, factored
+        in SuperLU's own order, which every larger block takes through
+        ``_fe_order``."""
+        if count not in self._factors:
+            n = count * self.operator.n_fe
+            what, fe_order = "the mean block", None
+            if count > 1:
+                what, fe_order = f"the leading block of {count} stochastic indices", self._fe_order
+            self._factors[count] = _factor(self.operator.matrix[:n, :n], what, fe_order)
+        return self._factors[count]
+
     @cached_property
     def _fe_order(self) -> np.ndarray:
         """Multiple-minimum-degree order of the finite-element graph of F0:
         the column order SuperLU chose when it factored the mean block."""
-        return np.argsort(_leading_block(self, 1)[1].perm_c)
+        return np.argsort(self.factor(1).perm_c)
 
 
 class _OrderedLU:
@@ -187,6 +201,7 @@ class _OrderedLU:
     def __init__(self, lu, perm: np.ndarray):
         self.lu = lu
         self.perm = perm
+        self.shape = lu.shape
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = np.empty_like(b)
@@ -228,52 +243,31 @@ def _factor(block: sp.spmatrix, what: str, fe_order: np.ndarray | None = None):
     return lu if perm is None else _OrderedLU(lu, perm)
 
 
-def _leading_block(problem: DiscreteProblem, count: int):
-    """(block, LU factors) of A on its first ``count`` stochastic indices,
-    made and factored the first time any preconditioner of the problem asks
-    for it.  One index is F0, factored in SuperLU's own order, which every
-    larger block then takes through ``problem._fe_order``."""
-    if count not in problem._factors:
-        a = problem.operator
-        if count == 1:
-            block, what, fe_order = a.fs[0], "the mean block", None
-        else:
-            n = count * a.n_fe
-            block, fe_order = a.matrix[:n, :n], problem._fe_order
-            what = f"the leading block of {count} stochastic indices"
-        problem._factors[count] = (block, _factor(block, what, fe_order))
-    return problem._factors[count]
-
-
 class Preconditioner:
-    """M = diag(A11, I_count (x) T) with exact solves.
+    """M = diag(A11, I_count (x) T) with exact solves from the factors alone.
 
-    T is ``block``, repeated ``count`` times along the diagonal; the optional
-    coarse block A11 = A[:cut, :cut] comes first.  With the ``coupling``
-    B = A[cut:, :cut], M is the symmetric two-block Gauss-Seidel sweep
-    L D^-1 L^T with L = [[A11, 0], [B, I (x) T]] and D = diag(A11, I (x) T).
+    T, factored in ``lu``, is repeated ``count`` times along the diagonal;
+    the optional coarse block A11 = A[:cut, :cut], factored in ``lu11``,
+    comes first.  With the ``coupling`` B = A[cut:, :cut], M is the
+    symmetric two-block Gauss-Seidel sweep L D^-1 L^T with
+    L = [[A11, 0], [B, I (x) T]] and D = diag(A11, I (x) T).
     """
 
-    def __init__(self, kind, block, count, coarse=None, coupling=None):
-        self.kind = kind
-        self.block, self._lu = block
+    def __init__(self, lu, count, lu11=None, coupling=None):
+        self._lu = lu
         self.count = count
-        self.coarse, self._lu11 = coarse or (None, None)
+        self._lu11 = lu11
         self.coupling = coupling
 
     @property
     def split_index(self) -> int | None:
         """First degree of freedom after the coarse block, None without one."""
-        return None if self.coarse is None else self.coarse.shape[0]
+        return None if self._lu11 is None else self._lu11.shape[0]
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = (self.split_index or 0) + self.count * self.block.shape[0]
+        n = (self.split_index or 0) + self.count * self._lu.shape[0]
         return (n, n)
-
-    def _repeated(self, apply, v: np.ndarray) -> np.ndarray:
-        """``apply`` (a T^-1 solve) on each of the count segments of v."""
-        return apply(v.reshape(self.count, -1).T).T.ravel()
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """M^-1 r for a vector or an (n, 1) column; the result has r's shape."""
@@ -283,12 +277,12 @@ class Preconditioner:
     def _solve(self, r: np.ndarray) -> np.ndarray:
         cut = self.split_index or 0
         r2 = r[cut:]
-        if self.coarse is not None:
+        if self._lu11 is not None:
             x1 = self._lu11.solve(r[:cut])
             if self.coupling is not None:
                 r2 = r2 - self.coupling.dot(x1)
-        x2 = self._repeated(self._lu.solve, r2)
-        if self.coarse is None:
+        x2 = self._lu.solve(r2.reshape(self.count, -1).T).T.ravel()  # T^-1 on each copy
+        if self._lu11 is None:
             return x2
         if self.coupling is not None:
             x1 = x1 - self._lu11.solve(self.coupling.T.dot(x2))
@@ -328,8 +322,8 @@ class ColoredPencil:
         self.color_sizes = tuple(idx.size for idx in indices)
         side = _SIDE.get(kind, int(self.color_sizes[1] < self.color_sizes[0]))
         # with a coarse group, color 0 is that group: A11 once
-        solvers = [Preconditioner(kind, _leading_block(problem, cut), 1) if cut and c == 0
-                   else Preconditioner(kind, _leading_block(problem, lead), size // lead)
+        solvers = [Preconditioner(problem.factor(cut), 1) if cut and c == 0
+                   else Preconditioner(problem.factor(lead), size // lead)
                    for c, size in enumerate(self.color_sizes)]
         self._m_s, self._m_o = solvers[side], solvers[1 - side]
         dofs = [(idx[:, None] * a.n_fe + np.arange(a.n_fe)).ravel() for idx in indices]
@@ -432,9 +426,9 @@ def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
     blocks in the layout of ``block_layout``."""
     iset = problem.index_set
     lead, cut = block_layout(kind, iset)
-    block, count = _leading_block(problem, lead), (iset.size - cut) // lead
+    lu, count = problem.factor(lead), (iset.size - cut) // lead
     if cut == 0:
-        return Preconditioner(kind, block, count)
+        return Preconditioner(lu, count)
     n11 = cut * problem.operator.n_fe
     coupling = problem.operator.matrix[n11:, :n11] if kind == GAUSS_SEIDEL_2 else None
-    return Preconditioner(kind, block, count, _leading_block(problem, cut), coupling)
+    return Preconditioner(lu, count, problem.factor(cut), coupling)

@@ -1,6 +1,9 @@
 """Shared constructions for the test suite."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -105,6 +108,20 @@ def indefinite_shift(mat):
     return (mat - 0.5 * (w[-2] + w[-1]) * sp.identity(mat.shape[0])).tocsr()
 
 
+def raises_before_allocating(error, call, *args):
+    """Assert that call(*args) raises ``error`` with less than 1 MiB of
+    Python and numpy memory allocated on the way; return its message."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as err:
+            call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak} bytes allocated before {error.__name__}"
+    return str(err.value)
+
+
 __all__ = [
     "dense_h_matrix",
     "random_field",
@@ -114,5 +131,7 @@ __all__ = [
     "masked_G",
     "dense_gs2_matrix",
     "indefinite_shift",
+    "raises_before_allocating",
     "compute_mu",
 ]
+

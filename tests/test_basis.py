@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import masked_G
+from helpers import masked_G, raises_before_allocating
 from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.cli import coordinate_text
 from sgprecond.errors import ParameterDomainError, SizeError
@@ -46,10 +46,13 @@ class TestIndexSets:
         assert c.total_degrees().max() == 4
 
     def test_cap(self):
-        with pytest.raises(SizeError):
-            MultiIndexSet.tensor((2000, 2000))
-        with pytest.raises(SizeError):
-            MultiIndexSet.complete(30, 30)
+        # raised before the rows are allocated; 1415^2 = 2002225 is just over
+        for call, args in ((MultiIndexSet.tensor, ((2000, 2000),)),
+                           (MultiIndexSet.tensor, ((1415, 1415),)),
+                           (MultiIndexSet.complete, (30, 30)),
+                           (MultiIndexSet.complete, (10, 20))):
+            message = raises_before_allocating(SizeError, call, *args)
+            assert "exceeds cap 2000000" in message
 
     def test_validation(self):
         with pytest.raises(ParameterDomainError):

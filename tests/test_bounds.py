@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import dense_h_matrix, random_field
+from helpers import dense_h_matrix, random_field, raises_before_allocating
 from sgprecond import bounds
 from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.bounds import SpectralBounds, bounds_for, element_equivalence_oracle
@@ -284,8 +284,11 @@ class TestElementOracle:
     def test_cap(self):
         iset = MultiIndexSet.complete(3, 15)  # 680 indices > ORACLE_CAP = 600
         field = CoefficientField(np.array([[1.0], [0.1], [0.1], [0.1]]))
-        with pytest.raises(SizeError):
-            element_equivalence_oracle(legendre(), iset, field, MEAN_BASED)
+        # raised before any dense 680 x 680 coupling matrix (3.7 MB each) is made
+        message = raises_before_allocating(
+            SizeError, element_equivalence_oracle, legendre(), iset, field, MEAN_BASED
+        )
+        assert "680 > cap 600" in message
 
     def test_splitting_oracle_matches_block_eigensolve(self):
         rng = np.random.default_rng(17)

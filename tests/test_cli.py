@@ -304,6 +304,37 @@ class TestExitCodes:
             assert main([command, "--config", str(path)]) == 2
             assert "coefficient row 1 is not finite on element 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("quadrature", ["--config", "/nonexistent.cfg"]),
+        ("quadrature", ["--seed", "3"]),
+        ("quadrature", ["--tol", "5"]),
+        ("dump-matrix", ["--format", "md"]),
+        ("dump-matrix", ["--seed", "3"]),
+        ("dump-matrix", ["--tol", "5"]),
+        ("bounds", ["--seed", "3"]),
+        ("bounds", ["--tol", "5"]),
+        ("solve", ["--seed", "3"]),
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, small_cfg, capsys, command, flag):
+        own = {
+            "quadrature": ["--family", "legendre", "--s", "3", "--mu", "1"],
+            "dump-matrix": ["--config", str(small_cfg), "--matrix", "F0"],
+        }.get(command, ["--config", str(small_cfg)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *own, *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag[0]}" in captured.err
+
+    def test_basis_over_the_size_cap(self, tmp_path, capsys):
+        # K = 3 and total degree 400: C(403, 3) = 10827401 indices
+        text = (CONFIG_DIR / "table3_setting1.cfg").read_text()
+        path = tmp_path / "huge.cfg"
+        path.write_text(text.replace("degree = 1 2 6 7", "degree = 400"))
+        assert main(["bounds", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds cap 2000000" in captured.err
+
     def test_unwritable_out(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         assert main(["bounds", "--config", str(small_cfg), "--out", str(out)]) == 2

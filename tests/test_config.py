@@ -88,28 +88,36 @@ class TestParse:
             parse_config(bad)
 
     @staticmethod
-    def _rejected_preconditioners(tmp_path, capsys, value, message):
-        """``preconditioners = value`` fails to parse and makes ``sgp solve``
-        exit 2, both naming the line."""
+    def _rejected_line(tmp_path, capsys, good_line, bad_line, message, command):
+        """GOOD with ``good_line`` replaced by ``bad_line`` fails to parse and
+        makes ``sgp command`` exit 2 with nothing on stdout, both naming the
+        line."""
         from sgprecond.cli import main
 
-        text = GOOD.replace("preconditioners = mean_based", f"preconditioners = {value}")
-        line = GOOD.splitlines().index("preconditioners = mean_based") + 1
+        text = GOOD.replace(good_line, bad_line)
+        line = GOOD.splitlines().index(good_line) + 1
         with pytest.raises(ConfigError, match=message) as err:
             parse_config(text)
         assert err.value.line == line
         path = tmp_path / "bad.cfg"
         path.write_text(text)
-        assert main(["solve", "--config", str(path)]) == 2
+        assert main([command, "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"line {line}: " in captured.err
 
     def test_empty_preconditioner_list_rejected_with_line(self, tmp_path, capsys):
-        self._rejected_preconditioners(tmp_path, capsys, "", "names no kind")
+        self._rejected_line(tmp_path, capsys, "preconditioners = mean_based",
+                            "preconditioners = ", "names no kind", "solve")
 
     def test_preconditioner_named_twice_rejected_with_line(self, tmp_path, capsys):
-        self._rejected_preconditioners(tmp_path, capsys, "mean_based gs2 mean_based",
-                                       "'mean_based' is named twice")
+        self._rejected_line(tmp_path, capsys, "preconditioners = mean_based",
+                            "preconditioners = mean_based gs2 mean_based",
+                            "'mean_based' is named twice", "solve")
+
+    def test_degree_named_twice_rejected_with_line(self, tmp_path, capsys):
+        # each degree of the sweep is one row of the table
+        self._rejected_line(tmp_path, capsys, "degree = 1 2", "degree = 2 2",
+                            "degree 2 is named twice", "verify")
 
     def test_kind_requires_matching_basis(self):
         bad = GOOD.replace("preconditioners = mean_based", "preconditioners = splitting_tp")
@@ -121,7 +129,7 @@ class TestParse:
             "degree = 1 2", "degrees = 2 2 2"
         )
         cfg = parse_config(text)
-        assert cfg.degrees == (2, 2, 2)
+        assert cfg.degrees == (2, 2, 2)  # one per variable, so values may repeat
         bad = GOOD.replace("basis = complete", "basis = tensor")
         with pytest.raises(ConfigError):
             parse_config(bad)

@@ -1,5 +1,6 @@
 """The package exports only names that exist."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -48,3 +49,32 @@ def test_import_leaves_csgraph_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# (module, imported name) pairs allowed to cross the underscore line: the
+# benchmark traces the Ritz solves by wrapping sgprecond.eigsolve._tridiag_eig,
+# the name eigsolve imports it under
+PRIVATE_IMPORTS_ALLOWED = {("eigsolve", "_tridiag_eig")}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reaches_into_private_names():
+    # each object keeps its own underscore state: a module reads underscore
+    # attributes of self or cls only, and imports no underscore name
+    found = []
+    for path in sorted((ROOT / "src" / "sgprecond").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.stem}.py:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                    found.append(f"{where} reads {ast.unparse(node)}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                for alias in node.names:
+                    parts = module.split(".") + alias.name.split(".")
+                    if any(map(_private, parts)) and (path.stem, alias.name) not in PRIVATE_IMPORTS_ALLOWED:
+                        found.append(f"{where} imports {ast.unparse(node)}")
+    assert not found, found

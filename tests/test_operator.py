@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import aslinearoperator
@@ -192,10 +193,13 @@ class TestPreconditioners:
         m = build_preconditioner(prob, TRUNCATED_TP)
         a = prob.operator.matrix.toarray()
         dense = dense_preconditioner_matrix(prob, TRUNCATED_TP)
-        bn = m.block.shape[0]
+        bn = operator.block_layout(TRUNCATED_TP, prob.index_set)[0] * prob.operator.n_fe
+        block = prob.operator.matrix[:bn, :bn].toarray()
+        assert m.shape[0] == m.count * bn
         for b in range(m.count):
             seg = slice(b * bn, (b + 1) * bn)
             assert np.allclose(dense[seg, seg], a[seg, seg], atol=1e-12)
+            assert np.allclose(dense[seg, seg], block, atol=1e-12)
         off = dense.copy()
         for b in range(m.count):
             seg = slice(b * bn, (b + 1) * bn)
@@ -247,6 +251,23 @@ class TestPreconditioners:
                 build_preconditioner(prob, kind)
             assert len(calls) == factors
 
+    def test_factor_slices_f0_from_a_and_caches_factors_only(self):
+        # F0 is A's leading block bit for bit, so factoring the slice keeps
+        # the factors of F0 itself
+        for prob in (small_problem(basis="tensor", exprs=("1", "0.4", "0.3"), n=4, order=3),
+                     small_2d_problem("tensor")):
+            for kind in self.KINDS_TENSOR:
+                m = build_preconditioner(prob, kind)
+                assert m.shape == prob.operator.shape
+            n_fe = prob.operator.n_fe
+            f0, lead = prob.operator.fs[0], prob.operator.matrix[:n_fe, :n_fe]
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(f0, field), getattr(lead, field))
+            assert sorted(prob._factors) == [1, 3, 6]  # F0, the truncated block and A11
+            for count, lu in prob._factors.items():
+                assert not scipy.sparse.issparse(lu) and lu.shape == (count * n_fe,) * 2
+                assert prob.factor(count) is lu
+
     def test_ordered_solves_match_dense_solves_in_2d(self):
         # the blocks are factored in a reordered numbering that solve undoes;
         # the tensor basis adds a truncated block with several stochastic
@@ -272,7 +293,8 @@ class TestPreconditioners:
         prob = small_2d_problem(elements=11, nvars=3, order=5)
         m = build_preconditioner(prob, SPLITTING_COMPLETE)
         ordered = m._lu11.lu
-        colamd = spla.splu(m.coarse.tocsc())
+        n = m.split_index
+        colamd = spla.splu(prob.operator.matrix[:n, :n].tocsc())
         assert ordered.L.nnz + ordered.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
     def test_ordered_coarse_factor_fills_less_than_rcm(self):
@@ -280,7 +302,8 @@ class TestPreconditioners:
         m = build_preconditioner(prob, SPLITTING_COMPLETE)
         ordered = m._lu11.lu
         rcm_order = reverse_cuthill_mckee(prob.operator.fs[0], symmetric_mode=True)
-        rcm = operator._factor(m.coarse, "the coarse block", rcm_order).lu
+        n = m.split_index
+        rcm = operator._factor(prob.operator.matrix[:n, :n], "the coarse block", rcm_order).lu
         assert ordered.L.nnz + ordered.U.nnz < rcm.L.nnz + rcm.U.nnz
 
     def test_mean_block_on_a_path_factors_without_fill(self):

@@ -102,12 +102,10 @@ def bounds_for(kind: str, family: RecurrenceFamily, index_set: MultiIndexSet, mu
         pivots = d_sequence(family, mu, index_set.order)
         t_arg = int(np.argmin(pivots)) + 1  # ties resolve to the smaller order
         reach = math.sqrt(max(1.0 - float(pivots[t_arg - 1]), 0.0))
-    elif kind == GAUSS_SEIDEL_2:
+    else:  # gs2
         split = bounds_for(SPLITTING_OF_BASIS[index_set.kind], family, index_set, mu)
         gamma = split.c_upper - 1.0
         return SpectralBounds(1.0 - gamma * gamma, 1.0, split.t_arg)
-    else:
-        raise UsageError(f"unknown preconditioner kind {kind!r}")
     return SpectralBounds(1.0 - reach, 1.0 + reach, t_arg)
 
 

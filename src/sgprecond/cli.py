@@ -144,8 +144,7 @@ def _dump_matrix(args) -> str:
     if kind not in ("G", "Gt", "F") or not digits:
         raise ConfigError(f"unknown matrix name {args.matrix!r} (use G<k>, Gt<k> or F<k>)")
     k = int(digits)
-    degree = cfg.degrees[-1] if cfg.basis == "complete" else None
-    iset = experiments.index_set(cfg, degree)
+    iset = experiments.index_set(cfg, experiments.degree_sweep(cfg)[-1])
     if kind == "G":
         return coordinate_text(assemble_G(cfg.family, iset, k))
     if kind == "Gt":

@@ -2,9 +2,11 @@
 
 The format is deliberately small: a version header line ``sgp-config v1``,
 ``[section]`` markers, ``key = value`` pairs and ``#`` comments.  Unknown
-sections or keys are rejected with the offending line number, and every
-value is validated against the module preconditions before any assembly
-work starts.  parse -> serialize -> parse is a fixed point.
+sections or keys are rejected with the offending line number.  Each value is
+validated before any assembly work starts by the module that owns its rule
+(``fem.build_mesh``, ``RecurrenceFamily``, ``operator.check_basis``), whose
+rejection is reported on the value's line.  parse -> serialize -> parse is a
+fixed point.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from . import coeffexpr
-from .errors import ConfigError, ExprSyntaxError, UsageError
-from .fem import ELEMENT_KINDS
-from .operator import PRECONDITIONER_KINDS, check_basis
+from .errors import ConfigError, ExprSyntaxError, ParameterDomainError, UsageError
+from .fem import build_mesh
+from .operator import check_basis
 from .orthopoly import RecurrenceFamily, family_from_name
 
 __all__ = ["ExperimentConfig", "parse_config", "serialize_config", "load_config"]
@@ -115,6 +117,14 @@ def _to_bool(value, no, key):
     raise ConfigError(f"{key} must be true or false, got {value!r}", line=no)
 
 
+def _checked(line, build, *args):
+    """build(*args), with its owner's rejection reported on config ``line``."""
+    try:
+        return build(*args)
+    except (ParameterDomainError, UsageError) as exc:
+        raise ConfigError(str(exc), line=line) from None
+
+
 def _to_expr(value, no, key, dim):
     try:
         tree = coeffexpr.parse(value)
@@ -175,33 +185,15 @@ def parse_config(text: str) -> ExperimentConfig:
     dim = _to_int(problem["dim"], where("problem", "dim"), "dim")
     if dim not in (1, 2):
         raise ConfigError("dim must be 1 or 2", line=where("problem", "dim"))
-    parts = problem["elements"].split()
-    if len(parts) != dim:
-        raise ConfigError(
-            f"elements needs {dim} value(s)", line=where("problem", "elements")
-        )
-    elements = tuple(_to_int(p, where("problem", "elements"), "elements") for p in parts)
-    if min(elements) < 2:
-        raise ConfigError("elements must be >= 2 per axis", line=where("problem", "elements"))
-    if dim == 2 and elements[0] != elements[1]:
-        raise ConfigError("2D meshes must be square", line=where("problem", "elements"))
+    no = where("problem", "elements")
+    elements = tuple(_to_int(p, no, "elements") for p in problem["elements"].split())
+    _checked(no, build_mesh, dim, elements)
     element = problem.get("element", "q1").strip().lower()
-    if element not in ELEMENT_KINDS:
-        raise ConfigError(
-            f"element must be one of {', '.join(ELEMENT_KINDS)}, got {element!r}",
-            line=where("problem", "element"),
-        )
-    if dim == 1 and element != "q1":
-        raise ConfigError(
-            f"element {element!r} applies to 2D problems only", line=where("problem", "element")
-        )
+    _checked(where("problem", "element"), build_mesh, dim, elements, element)
     gamma = None
     if "gamma" in problem:
         gamma = _to_float(problem["gamma"], where("problem", "gamma"), "gamma")
-    try:
-        fam = family_from_name(problem["family"], gamma)
-    except Exception as exc:
-        raise ConfigError(str(exc), line=where("problem", "family")) from None
+    fam = _checked(where("problem", "family"), family_from_name, problem["family"], gamma)
     basis = problem["basis"].strip().lower()
     if basis not in ("complete", "tensor"):
         raise ConfigError("basis must be 'complete' or 'tensor'", line=where("problem", "basis"))
@@ -253,15 +245,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for i, p in enumerate(precs):
         if p in precs[:i]:
             raise ConfigError(f"preconditioner {p!r} is named twice", line=precs_line)
-        if p not in PRECONDITIONER_KINDS:
-            raise ConfigError(
-                f"unknown preconditioner {p!r} (choose from {', '.join(PRECONDITIONER_KINDS)})",
-                line=precs_line,
-            )
-        try:
-            check_basis(p, basis)
-        except UsageError as exc:
-            raise ConfigError(str(exc), line=precs_line) from None
+        _checked(precs_line, check_basis, p, basis)
     converters = {**_RUN_KEYS, "rhs": partial(_to_expr, dim=dim)}
     options = {
         key.lower(): convert(run[key], where("run", key), key)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
@@ -48,6 +48,7 @@ class EigEstimate:
     lambda_max: float
     residual_norms: tuple
     iterations: int
+    vector_min: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed: int = 42,
@@ -58,8 +59,9 @@ def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed:
     meets ``tol``; the largest is then a lower bound of the largest
     eigenvalue, with its own Ritz estimate.  ``max_iter`` caps the Lanczos
     steps, which ``iterations`` counts; ``residual_norms`` are the Ritz
-    estimates for (lambda_min, lambda_max).  With ``return_basis`` the
-    Lanczos vectors q_j and p_j = M q_j come back too, as (estimate, (Q, P)).
+    estimates for (lambda_min, lambda_max), and ``vector_min`` the Ritz
+    vector of lambda_min.  With ``return_basis`` the Lanczos vectors q_j and
+    p_j = M q_j come back too, as (estimate, (Q, P)).
     """
     rng = np.random.default_rng(seed)
     n = a.shape[0]
@@ -103,6 +105,7 @@ def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed:
             res_hi = beta * last[-1] / max(abs(w[-1]), 1e-300)
             estimate = EigEstimate(float(w[0]), float(w[-1]), (res_lo, res_hi), j + 1)
             if exhausted or (res_lo <= tol and j >= 1):
+                estimate = replace(estimate, vector_min=qs[:, : j + 1] @ z[:, 0])
                 return (estimate, (qs[:, : j + 1], ps[:, : j + 1])) if return_basis else estimate
         betas.append(beta)
         qs[:, j + 1] = qt / beta

@@ -143,7 +143,8 @@ def index_set(cfg: ExperimentConfig, degree):
     return MultiIndexSet.tensor(tuple(d + 1 for d in cfg.degrees))
 
 
-def _degree_sweep(cfg: ExperimentConfig):
+def degree_sweep(cfg: ExperimentConfig):
+    """The degree of each row: the swept total degrees, or the largest tensor one."""
     if cfg.basis == "complete":
         return list(cfg.degrees)
     return [max(cfg.degrees)]
@@ -220,7 +221,7 @@ def run_bounds(cfg: ExperimentConfig) -> ResultTable:
     """Analytic and classical bounds only; no matrix assembly."""
     mesh, _field, mu, mu_class = mesh_and_field(cfg)
     table = ResultTable()
-    for degree in _degree_sweep(cfg):
+    for degree in degree_sweep(cfg):
         iset = index_set(cfg, degree)
         cells, _ = _analytic_cells(cfg, degree, iset, mu, mu_class)
         table.add_row(_ordered(cells))
@@ -273,10 +274,13 @@ def _preconditioned_extremes(problem, kind, **lanczos):
 
     Lanczos iterates only the low end theta_min = 1 - sigma_max^2 to
     tolerance.  A block-diagonal kind's spectrum is 1 -+ sigma_i, so its
-    extremes are 1 -+ sqrt(1 - theta_min); gs2's is 1 with the pencil's, so
-    its extremes are theta_min and max(1, theta_max).  With one color empty,
-    M = A and the spectrum is {1}, with no Lanczos run.  ``lanczos`` goes to
-    ``eigsolve.extreme_eigs_generalized``.
+    extremes are 1 -+ sigma, with sigma^2 = y^T C^T A_oo^-1 C y / y^T A_ss y
+    at the Ritz vector y of theta_min.  That Rayleigh quotient is at most
+    sigma_max^2 and is 0 when C y = 0, where sqrt(1 - theta_min) would read
+    the rounding of theta_min as a sigma near 1e-8.  gs2's spectrum is 1
+    with the pencil's, so its extremes are theta_min and max(1, theta_max).
+    With one color empty, M = A and the spectrum is {1}, with no Lanczos
+    run.  ``lanczos`` goes to ``eigsolve.extreme_eigs_generalized``.
     """
     pencil = operator.ColoredPencil(problem, kind)
     if 0 in pencil.color_sizes:
@@ -286,7 +290,8 @@ def _preconditioned_extremes(problem, kind, **lanczos):
     if kind == GAUSS_SEIDEL_2:
         ends = min(1.0, theta), max(1.0, est.lambda_max)
     else:
-        sigma = math.sqrt(max(0.0, 1.0 - theta))
+        y = est.vector_min
+        sigma = math.sqrt(max(0.0, y @ pencil.coupling(y)) / (y @ (pencil.a_ss @ y)))
         ends = theta / (1.0 + sigma), 1.0 + sigma  # 1 -+ sigma, without cancellation
     return replace(est, lambda_min=ends[0], lambda_max=ends[1]), est.lambda_max
 
@@ -312,7 +317,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
     table = ResultTable()
-    for degree in _degree_sweep(cfg):
+    for degree in degree_sweep(cfg):
         iset = index_set(cfg, degree)
         cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
         problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
@@ -365,7 +370,7 @@ def run_solve(cfg: ExperimentConfig) -> ResultTable:
     """Conjugate gradient comparison across the configured preconditioners."""
     mesh, field, mu, _mu_class = mesh_and_field(cfg)
     table = ResultTable()
-    degree = _degree_sweep(cfg)[-1]
+    degree = degree_sweep(cfg)[-1]
     iset = index_set(cfg, degree)
     problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
     f_fe = fem.load_vector(mesh, cfg.rhs)

@@ -114,27 +114,23 @@ class Mesh:
 
 
 def build_mesh(dim: int, extents, element: str = "q1") -> Mesh:
+    """The uniform mesh of ``extents`` elements per axis; the one check of
+    every mesh and element rule."""
+    if dim not in (1, 2):
+        raise ParameterDomainError("dim must be 1 or 2")
+    extents = (int(extents),) if np.isscalar(extents) else tuple(int(e) for e in extents)
+    if len(extents) != dim:
+        raise ParameterDomainError(f"elements needs {dim} value(s)")
+    if min(extents) < 2:
+        raise ParameterDomainError("elements must be >= 2 per axis")
+    if extents[0] != extents[-1]:
+        raise ParameterDomainError("2D meshes must be square (equal extents)")
     if element not in ELEMENT_KINDS:
         raise ParameterDomainError(
             f"element must be one of {', '.join(ELEMENT_KINDS)}, got {element!r}"
         )
-    if dim == 1:
-        if np.isscalar(extents):
-            extents = (int(extents),)
-        else:
-            extents = tuple(int(e) for e in extents)
-        if len(extents) != 1 or extents[0] < 2:
-            raise ParameterDomainError("1D mesh needs one extent >= 2")
-        if element != "q1":
-            raise ParameterDomainError(f"element {element!r} applies to 2D meshes only")
-    elif dim == 2:
-        extents = tuple(int(e) for e in extents)
-        if len(extents) != 2 or min(extents) < 2:
-            raise ParameterDomainError("2D mesh needs two extents >= 2")
-        if extents[0] != extents[1]:
-            raise ParameterDomainError("2D elements must be squares (equal extents)")
-    else:
-        raise ParameterDomainError("dim must be 1 or 2")
+    if dim == 1 and element != "q1":
+        raise ParameterDomainError(f"element {element!r} applies to 2D meshes only")
     return Mesh(dim, extents, element)
 
 

@@ -14,8 +14,10 @@ two groups.  ``block_layout`` gives each kind's (lead, cut), the
 repeated-block and coarse index counts, and is the one place that says
 which stochastic couplings a kind keeps: ``kept_couplings`` turns it into
 the N_P x N_P mask, so that a block-diagonal M is sum_k (G_k masked) (x)
-F_k.  With N_P basis indices, s the last tensor order and c the number of
-complete-basis indices of total degree at most p - 2:
+F_k.  ``check_basis`` is the one check of a kind name, for ``block_layout``,
+``bounds.bounds_for`` and the config parser alike.  With N_P basis indices,
+s the last tensor order and c the number of complete-basis indices of total
+degree at most p - 2:
 
     kind                coarse indices  repeated-block indices  copies
     mean_based          none            1 (F0)                  N_P
@@ -38,7 +40,8 @@ degree (truncated_tp), or coarse against detail (the splittings and gs2).
 A = [[M1, C^T], [C, M2]], so M^-1 A - I is 2-cyclic and its spectrum is
 1 -+ sigma_i.  ``ColoredPencil`` is the Schur-complement pencil of one
 color, whose eigenvalues are 1 - sigma_i^2; it is sliced from A, and each
-color is solved through a block-diagonal Preconditioner of its own.
+color is solved through a block-diagonal Preconditioner of its own.  Its
+``coupling`` C^T A_oo^-1 C gives sigma^2 as a Rayleigh quotient.
 
 Each block is factored without pivoting in a minimum-degree order: F0 in the
 multiple-minimum-degree order SuperLU computes for it, and every other block
@@ -97,7 +100,12 @@ SPLITTING_OF_BASIS = {TENSOR: SPLITTING_TP, COMPLETE: SPLITTING_COMPLETE}
 
 
 def check_basis(kind: str, basis: str) -> None:
-    """Raise UsageError if preconditioner ``kind`` needs another basis kind."""
+    """Raise UsageError if ``kind`` is no preconditioner kind or needs
+    another basis kind."""
+    if kind not in PRECONDITIONER_KINDS:
+        raise UsageError(
+            f"unknown preconditioner {kind!r} (choose from {', '.join(PRECONDITIONER_KINDS)})"
+        )
     need = BASIS_OF_KIND.get(kind)
     if need not in (None, basis):
         raise UsageError(f"{kind} requires a {need} basis")
@@ -328,13 +336,17 @@ class ColoredPencil:
         self._m_s, self._m_o = solvers[side], solvers[1 - side]
         dofs = [(idx[:, None] * a.n_fe + np.arange(a.n_fe)).ravel() for idx in indices]
         this, other = dofs[side], dofs[1 - side]
-        self._a = a.matrix[this][:, this]
+        self.a_ss = a.matrix[this][:, this]
         self._c = a.matrix[other][:, this]
-        self.shape = self._a.shape
+        self.shape = self.a_ss.shape
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """(A_ss - C^T A_oo^-1 C) v for a vector."""
-        return self._a @ v - self._c.T @ self._m_o.solve(self._c @ v)
+        return self.a_ss @ v - self.coupling(v)
+
+    def coupling(self, v: np.ndarray) -> np.ndarray:
+        """C^T A_oo^-1 C v for a vector."""
+        return self._c.T @ self._m_o.solve(self._c @ v)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """A_ss^-1 r for a vector."""
@@ -396,8 +408,6 @@ def block_layout(kind: str, index_set: MultiIndexSet) -> tuple[int, int]:
     of ``lead`` indices each.  The coarse group of a splitting holds every
     index below the top order of the last coordinate (tensor) or below the
     top total degree (complete)."""
-    if kind not in PRECONDITIONER_KINDS:
-        raise UsageError(f"unknown preconditioner kind {kind!r}")
     check_basis(kind, index_set.kind)
     tensor = index_set.kind == TENSOR
     lead = index_set.size // index_set.orders[-1] if tensor and kind != MEAN_BASED else 1

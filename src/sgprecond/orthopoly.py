@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceError, DominanceError, ParameterDomainError
+from .errors import ConvergenceError, DominanceError, ParameterDomainError, SizeError
 
 __all__ = [
     "RecurrenceFamily",
@@ -48,6 +48,7 @@ CHEBYSHEV_U = "chebyshev_u"
 GEGENBAUER = "gegenbauer"
 
 _KINDS = (HERMITE, LEGENDRE, CHEBYSHEV_U, GEGENBAUER)
+QUADRATURE_CAP = 4096  # the largest Gauss rule: its eigenvectors take 128 MiB
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,22 @@ class RecurrenceFamily:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ParameterDomainError(f"unknown family kind {self.kind!r}")
-        if self.kind == GEGENBAUER:
-            if self.gamma is None or not self.gamma > -0.5:
-                raise ParameterDomainError(
-                    f"gegenbauer shape parameter must exceed -1/2, got {self.gamma}"
-                )
-        elif self.gamma is not None:
-            raise ParameterDomainError(f"{self.kind} takes no shape parameter")
+            raise ParameterDomainError(f"unknown family name {self.kind!r}")
+        if self.kind != GEGENBAUER:
+            if self.gamma is not None:
+                raise ParameterDomainError(f"{self.kind} takes no gamma value")
+        elif self.gamma is None:
+            raise ParameterDomainError("gegenbauer requires a gamma value")
+        elif not self.gamma > -0.5:
+            raise ParameterDomainError(
+                f"gegenbauer shape parameter must exceed -1/2, got {self.gamma}"
+            )
+        elif not math.isfinite(4.0 * self.gamma * self.gamma):
+            # beta_n divides by (2n - 2 + 2g)(2n + 2g), about (2g)^2
+            raise ParameterDomainError(
+                f"gegenbauer shape parameter {self.gamma} overflows the recurrence "
+                "coefficients beta_n"
+            )
 
     @property
     def label(self) -> str:
@@ -115,16 +124,7 @@ def gegenbauer(gamma: float) -> RecurrenceFamily:
 
 def family_from_name(name: str, gamma: float | None = None) -> RecurrenceFamily:
     """Build a family from its configuration name."""
-    name = name.strip().lower()
-    if name == GEGENBAUER:
-        if gamma is None:
-            raise ParameterDomainError("gegenbauer requires a gamma value")
-        return gegenbauer(gamma)
-    if gamma is not None:
-        raise ParameterDomainError(f"{name} takes no gamma value")
-    if name not in _KINDS:
-        raise ParameterDomainError(f"unknown family name {name!r}")
-    return RecurrenceFamily(name)
+    return RecurrenceFamily(name.strip().lower(), gamma)
 
 
 def _jacobi_bands(family: RecurrenceFamily, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,6 +188,8 @@ class GaussRule:
 
 
 def gauss_rule(family: RecurrenceFamily, s: int) -> GaussRule:
+    if s > QUADRATURE_CAP:
+        raise SizeError(f"quadrature order {s} exceeds cap {QUADRATURE_CAP}")
     values, z = _tridiag_eig(*_jacobi_bands(family, s), vectors=True)
     weights = z[-1, :] ** 2
     return GaussRule(values, weights)

@@ -35,6 +35,22 @@ seed = 42
 """
 
 
+UNCOUPLED = """sgp-config v1
+[problem]
+dim = 1
+elements = 30
+family = legendre
+basis = complete
+degree = 1
+K = 1
+[coefficients]
+a0 = 1
+a1 = 0
+[run]
+preconditioners = mean_based
+"""
+
+
 def _blas_thread_counts():
     counts = []
     for lib, suffix in bundled_openblas():
@@ -98,6 +114,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(small_cfg), "--seed", "7", "--out", str(a)]) == 0
         assert main(["verify", "--config", str(small_cfg), "--seed", "7", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("a1", ["0", "1e-9"])
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "42"])
+    def test_uncoupled_colors_stay_inside_their_bounds(self, a1, seed, tmp_path, capsys):
+        # sigma_max is 0 or about 6e-10; sqrt(1 - theta_min) read the rounding
+        # of theta_min, about 7e-16, as a sigma near 2.6e-8, above the slack
+        path = tmp_path / "uncoupled.cfg"
+        path.write_text(UNCOUPLED.replace("a1 = 0", f"a1 = {a1}"))
+        assert main(["verify", "--config", str(path), "--seed", seed]) == 0, capsys.readouterr().err
 
 
 class TestBoundsCommand:
@@ -172,6 +197,18 @@ class TestQuadratureCommand:
         captured = capsys.readouterr()
         assert "mu must be finite and nonnegative" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("gamma", ["inf", "1e308"])
+    def test_gamma_whose_beta_overflows_exits_2(self, gamma, capsys):
+        argv = ["quadrature", "--family", "gegenbauer", "--gamma", gamma, "--s", "3", "--mu", "0.5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "overflows the recurrence coefficients" in captured.err and captured.out == ""
+
+    def test_order_over_the_cap_exits_2(self, capsys):
+        assert main(["quadrature", "--family", "legendre", "--s", "100000", "--mu", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "quadrature order 100000 exceeds cap 4096" in captured.err and captured.out == ""
+
     def test_zero_mu_unit_pivots(self, capsys):
         assert main(["quadrature", "--family", "chebyshev_u", "--s", "3", "--mu", "0"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -220,6 +257,15 @@ class TestDumpMatrix:
         out = capsys.readouterr().out
         n, m, nnz = (int(x) for x in out.splitlines()[0].split())
         assert n == m == 16 and nnz == 16 + 2 * 2 * 4 * 3  # five-point stencil
+
+    def test_basis_is_that_of_the_last_swept_degree(self, tmp_path, capsys):
+        dumps = []
+        for degree in ("3 1", "1"):
+            path = tmp_path / "sweep.cfg"
+            path.write_text(SMALL.replace("degree = 2", f"degree = {degree}"))
+            assert main(["dump-matrix", "--config", str(path), "--matrix", "G1"]) == 0
+            dumps.append(capsys.readouterr().out)
+        assert dumps[0] == dumps[1] and dumps[0].startswith("3 3 ")  # K = 2, degree 1
 
     def test_bad_name(self, small_cfg, capsys):
         assert main(["dump-matrix", "--config", str(small_cfg), "--matrix", "Q1"]) == 2

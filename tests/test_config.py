@@ -1,8 +1,14 @@
 import pytest
 
 from conftest import CONFIG_DIR
+from sgprecond.basis import MultiIndexSet
+from sgprecond.bounds import bounds_for
+from sgprecond.cli import main
 from sgprecond.config import load_config, parse_config, serialize_config
-from sgprecond.errors import ConfigError
+from sgprecond.errors import ConfigError, ParameterDomainError, UsageError
+from sgprecond.fem import build_mesh
+from sgprecond.operator import block_layout, check_basis
+from sgprecond.orthopoly import family_from_name, legendre
 
 SHIPPED = sorted(CONFIG_DIR.glob("*.cfg"))
 
@@ -197,6 +203,72 @@ class TestParse:
     def test_iteration_counts_must_be_positive(self):
         with pytest.raises(ConfigError, match="max_iter must be >= 1"):
             parse_config(GOOD.replace("seed = 7", "seed = 7\nmax_iter = 0"))
+
+
+# each input a module rejects: the edits of GOOD, the key whose line the
+# error names, and the owner call that states the rule
+OWNED = {
+    "1D mesh with two extents": ((("elements = 30", "elements = 5 5"),), "elements",
+                                 build_mesh, (1, (5, 5))),
+    "one element": ((("elements = 30", "elements = 1"),), "elements", build_mesh, (1, (1,))),
+    "2D mesh with one extent": ((("dim = 1", "dim = 2"),), "elements", build_mesh, (2, (30,))),
+    "2D mesh not square": ((("dim = 1", "dim = 2"), ("elements = 30", "elements = 4 5")),
+                           "elements", build_mesh, (2, (4, 5))),
+    "p1 in 1D": ((("elements = 30", "elements = 30\nelement = p1"),), "element",
+                 build_mesh, (1, (30,), "p1")),
+    "unknown element": ((("dim = 1", "dim = 2"), ("elements = 30", "elements = 4 4\nelement = p2")),
+                        "element", build_mesh, (2, (4, 4), "p2")),
+    "dim 3": ((("dim = 1", "dim = 3"),), "dim", build_mesh, (3, (30,))),
+    "unknown family": ((("family = legendre", "family = jacobi"),), "family",
+                       family_from_name, ("jacobi",)),
+    "gegenbauer without gamma": ((("family = legendre", "family = gegenbauer"),), "family",
+                                 family_from_name, ("gegenbauer",)),
+    "hermite with gamma": ((("family = legendre", "family = hermite\ngamma = 2.0"),), "family",
+                           family_from_name, ("hermite", 2.0)),
+    "gamma inf": ((("family = legendre", "family = gegenbauer\ngamma = inf"),), "family",
+                  family_from_name, ("gegenbauer", float("inf"))),
+    "gamma 1e308": ((("family = legendre", "family = gegenbauer\ngamma = 1e308"),), "family",
+                    family_from_name, ("gegenbauer", 1e308)),
+    "unknown kind": ((("preconditioners = mean_based", "preconditioners = jacobi"),),
+                     "preconditioners", check_basis, ("jacobi", "complete")),
+    "tensor kind on a complete basis": (
+        (("preconditioners = mean_based", "preconditioners = splitting_tp"),),
+        "preconditioners", check_basis, ("splitting_tp", "complete")),
+}
+
+
+@pytest.mark.parametrize("edits, key, owner, args", OWNED.values(), ids=list(OWNED))
+def test_owner_rejection_names_the_value_line(edits, key, owner, args, tmp_path, capsys):
+    """The config error carries the owner's own message on the key's line,
+    and bounds and verify exit 2 on it before any work."""
+    text = GOOD
+    for old, new in edits:
+        text = text.replace(old, new)
+    line = 1 + [ln.split("=")[0].strip() for ln in text.splitlines()].index(key)
+    with pytest.raises((ParameterDomainError, UsageError)) as owned:
+        owner(*args)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line and str(err.value) == f"line {line}: {owned.value}"
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    for command in ("bounds", "verify"):
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"line {line}: {owned.value}" in captured.err
+
+
+def test_unknown_kind_has_one_message():
+    iset = MultiIndexSet.complete(3, 3)
+    with pytest.raises(ConfigError) as err:
+        parse_config(GOOD.replace("preconditioners = mean_based", "preconditioners = jacobi"))
+    message = str(err.value).split(": ", 1)[1]
+    assert message.startswith("unknown preconditioner 'jacobi' (choose from mean_based,")
+    for call, args in ((block_layout, ("jacobi", iset)),
+                       (bounds_for, ("jacobi", legendre(), iset, 0.3))):
+        with pytest.raises(UsageError) as owned:
+            call(*args)
+        assert str(owned.value) == message
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from helpers import raises_before_allocating
 from sgprecond.basis import MultiIndexSet
 from sgprecond.bounds import bounds_for
-from sgprecond.errors import ConvergenceError, DominanceError, ParameterDomainError
+from sgprecond.errors import ConvergenceError, DominanceError, ParameterDomainError, SizeError
+from sgprecond.experiments import quadrature_report
 from sgprecond.operator import SPLITTING_TP
 from sgprecond.orthopoly import (
+    QUADRATURE_CAP,
+    RecurrenceFamily,
     chebyshev_u,
     d_last_via_quadrature,
     d_sequence,
+    family_from_name,
     gauss_rule,
     gegenbauer,
     hermite,
@@ -51,6 +56,27 @@ class TestRecurrence:
     def test_invalid_gamma(self):
         with pytest.raises(ParameterDomainError):
             gegenbauer(-0.5)
+
+    @pytest.mark.parametrize("gamma", [math.inf, 1e308])
+    def test_gamma_whose_beta_overflows_is_rejected(self, gamma):
+        # with 1e308, 2*gamma overflows and beta_n is NaN for n >= 2
+        for build in (RecurrenceFamily, family_from_name):
+            with pytest.raises(ParameterDomainError, match="overflows the recurrence"):
+                build("gegenbauer", gamma)
+
+    def test_large_finite_gamma_keeps_beta_finite(self):
+        fam = gegenbauer(1e150)
+        betas = np.array([fam.beta(n) for n in range(1, 200)])
+        assert np.all(np.isfinite(betas)) and np.all(betas > 0.0)
+
+    def test_family_from_name_is_the_constructor(self):
+        assert family_from_name(" Gegenbauer ", 2.0) == RecurrenceFamily("gegenbauer", 2.0)
+        for name, gamma in (("jacobi", None), ("gegenbauer", None), ("hermite", 2.0)):
+            with pytest.raises(ParameterDomainError) as named:
+                family_from_name(name, gamma)
+            with pytest.raises(ParameterDomainError) as built:
+                RecurrenceFamily(name, gamma)
+            assert str(named.value) == str(built.value)
 
 
 class TestJacobiMatrix:
@@ -166,6 +192,13 @@ class TestGaussRule:
         rule = gauss_rule(legendre(), 3)
         assert np.allclose(rule.nodes, [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], atol=1e-13)
         assert np.allclose(rule.weights, [2 / 9, 5 / 9, 2 / 9], atol=1e-13)
+
+    def test_order_over_the_cap_is_rejected_before_allocating(self):
+        # an order of 10**5 would need two dense 80 GB eigenvector matrices
+        s = 10**5
+        message = raises_before_allocating(SizeError, gauss_rule, legendre(), s)
+        assert message == f"quadrature order {s} exceeds cap {QUADRATURE_CAP}"
+        raises_before_allocating(SizeError, quadrature_report, legendre(), s, 0.5)
 
     def test_weights_positive_sum_one(self):
         for fam in FAMILIES:

@@ -16,18 +16,26 @@ from math import comb, prod, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterDomainError, SizeError
+from .errors import ParameterDomainError, SizeError, UsageError
 from .orthopoly import RecurrenceFamily
 
 __all__ = [
     "MultiIndexSet",
     "assemble_G",
+    "check_kind",
 ]
 
 SIZE_CAP = 2_000_000  # the most indices a basis may hold
 
 TENSOR = "tensor"
 COMPLETE = "complete"
+BASIS_KINDS = (COMPLETE, TENSOR)
+
+
+def check_kind(kind: str) -> None:
+    """Raise UsageError unless ``kind`` is a basis kind."""
+    if kind not in BASIS_KINDS:
+        raise UsageError(f"unknown basis kind {kind!r} (choose from {', '.join(BASIS_KINDS)})")
 
 
 def _degree_level(nvars: int, degree: int):

@@ -4,9 +4,9 @@ The format is deliberately small: a version header line ``sgp-config v1``,
 ``[section]`` markers, ``key = value`` pairs and ``#`` comments.  Unknown
 sections or keys are rejected with the offending line number.  Each value is
 validated before any assembly work starts by the module that owns its rule
-(``fem.build_mesh``, ``RecurrenceFamily``, ``operator.check_basis``), whose
-rejection is reported on the value's line.  parse -> serialize -> parse is a
-fixed point.
+(``fem.build_mesh``, ``RecurrenceFamily``, ``basis.check_kind``,
+``operator.check_basis``), whose rejection is reported on the value's line.
+parse -> serialize -> parse is a fixed point.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from . import coeffexpr
+from .basis import COMPLETE, check_kind
 from .errors import ConfigError, ExprSyntaxError, ParameterDomainError, UsageError
 from .fem import build_mesh
 from .operator import check_basis
@@ -195,12 +196,11 @@ def parse_config(text: str) -> ExperimentConfig:
         gamma = _to_float(problem["gamma"], where("problem", "gamma"), "gamma")
     fam = _checked(where("problem", "family"), family_from_name, problem["family"], gamma)
     basis = problem["basis"].strip().lower()
-    if basis not in ("complete", "tensor"):
-        raise ConfigError("basis must be 'complete' or 'tensor'", line=where("problem", "basis"))
+    _checked(where("problem", "basis"), check_kind, basis)
     nterms = _to_int(problem["K"], where("problem", "K"), "K")
     if nterms < 1:
         raise ConfigError("K must be >= 1", line=where("problem", "K"))
-    if basis == "complete":
+    if basis == COMPLETE:
         if "degree" not in problem:
             raise ConfigError("complete basis requires 'degree'")
         no = where("problem", "degree")
@@ -277,7 +277,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     if cfg.family.gamma is not None:
         out.append(f"gamma = {cfg.family.gamma!r}")
     out.append(f"basis = {cfg.basis}")
-    if cfg.basis == "complete":
+    if cfg.basis == COMPLETE:
         out.append("degree = " + " ".join(str(d) for d in cfg.degrees))
     else:
         out.append("degrees = " + " ".join(str(d) for d in cfg.degrees))

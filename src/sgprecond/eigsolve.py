@@ -9,7 +9,9 @@ second only when the first cancels more than 1 - 1/sqrt(2) of the vector's
 Euclidean norm (the test of Daniel, Gragg, Kaufman & Stewart 1976).  A run
 stops once its low end has converged: the Schur-complement pencils it is
 given have spectrum 1 - sigma_i^2, and their low end alone gives both
-extremes of the preconditioned operator.
+extremes of the preconditioned operator.  A run starts from a seeded random
+vector or, when the caller knows a vector near the wanted eigenvector, from
+that vector with a seeded perturbation of 1e-3 of its norm.
 
 For kappa(A) the largest eigenvalue of A comes from ARPACK's implicitly
 restarted Lanczos (Lehoucq, Sorensen & Yang 1998, through scipy's eigsh),
@@ -52,7 +54,7 @@ class EigEstimate:
 
 
 def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed: int = 42,
-                             return_basis: bool = False):
+                             return_basis: bool = False, start=None):
     """Extreme Ritz values of the pencil (A, M) with M positive definite.
 
     ``m`` must expose solve().  The run stops once the smallest Ritz value
@@ -62,15 +64,23 @@ def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed:
     estimates for (lambda_min, lambda_max), and ``vector_min`` the Ritz
     vector of lambda_min.  With ``return_basis`` the Lanczos vectors q_j and
     p_j = M q_j come back too, as (estimate, (Q, P)).
+
+    The first vector is p_0 = M q_0.  It is the seeded generator's first
+    draw g, or with a nonzero ``start``, start/||start|| + 1e-3 g/||g||: a
+    start near a known vector, perturbed so that no eigenvector is missing
+    from it, as for LOBPCG in ``extreme_eigs``.
     """
     rng = np.random.default_rng(seed)
     n = a.shape[0]
     max_iter = min(max_iter, n)
     p = rng.standard_normal(n)
+    if start is not None and start @ start > 0.0:
+        p = start / math.sqrt(start @ start) + 1e-3 * p / math.sqrt(p @ p)
     q = m.solve(p)
-    norm = np.sqrt(q @ p)
-    if not norm > 0.0:
+    b2 = float(q @ p)
+    if not b2 > 0.0:  # M is not positive definite at p, or p is NaN
         raise ConvergenceError("Lanczos start vector degenerated")
+    norm = math.sqrt(b2)
     # column-major, so that only the columns a run fills become resident
     qs = np.empty((n, max_iter + 1), order="F")
     ps = np.empty((n, max_iter + 1), order="F")

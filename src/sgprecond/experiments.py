@@ -10,7 +10,10 @@ computed eigenvalue escapes its bounds beyond a small slack, if A and M
 differ inside one color of the coloring, if a pencil's top Ritz value
 exceeds 1, or if the splitting and two-block Gauss-Seidel conditions,
 computed on opposite sides of the coloring, break the CBS identity that
-ties them.
+ties them.  On a complete basis A of one degree is the leading block of A
+of the next, and the splitting's coarse group is the whole basis one degree
+below, so the splitting and gs2 run at every degree from 1 up, each Lanczos
+run started from the same kind's eigenvector of M^-1 A one degree below.
 With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import eigsolve, fem, operator
-from .basis import MultiIndexSet
+from .basis import COMPLETE, MultiIndexSet, check_kind
 from .config import ExperimentConfig
 from .errors import EnclosureError, UsageError
 from .operator import (
@@ -138,14 +141,15 @@ class ResultTable:
 
 def index_set(cfg: ExperimentConfig, degree):
     """The basis of ``cfg``: complete of total degree ``degree``, or tensor."""
-    if cfg.basis == "complete":
+    check_kind(cfg.basis)
+    if cfg.basis == COMPLETE:
         return MultiIndexSet.complete(cfg.nterms, degree + 1)
     return MultiIndexSet.tensor(tuple(d + 1 for d in cfg.degrees))
 
 
 def degree_sweep(cfg: ExperimentConfig):
     """The degree of each row: the swept total degrees, or the largest tensor one."""
-    if cfg.basis == "complete":
+    if cfg.basis == COMPLETE:
         return list(cfg.degrees)
     return [max(cfg.degrees)]
 
@@ -267,7 +271,7 @@ def _check_oracle(label, b, lo, hi, est):
                              f"({est.lambda_min:.12g}, {est.lambda_max:.12g})")
 
 
-def _preconditioned_extremes(problem, kind, **lanczos):
+def _preconditioned_extremes(problem, kind, previous=None, **lanczos):
     """Lanczos extremes of M^-1 A for preconditioner ``kind``, read off
     the low end of its Schur-complement pencil, and the pencil's top Ritz
     value.
@@ -281,19 +285,36 @@ def _preconditioned_extremes(problem, kind, **lanczos):
     with the pencil's, so its extremes are theta_min and max(1, theta_max).
     With one color empty, M = A and the spectrum is {1}, with no Lanczos
     run.  ``lanczos`` goes to ``eigsolve.extreme_eigs_generalized``.
+
+    The estimate's ``vector_min`` is the eigenvector of M^-1 A at
+    lambda_min over all of A's degrees of freedom: y on the pencil's color
+    and -s A_oo^-1 C y on the other, with s = 1/sigma for a block-diagonal
+    kind (0 when sigma = 0) and s = 1 for gs2.  ``previous``, such a vector
+    of a smaller problem whose A is the leading block of this one, starts
+    the run: zero-padded to x, its start is (A x) on the pencil's color,
+    which is M_s x_s when x is an eigenvector of M^-1 A.
     """
     pencil = operator.ColoredPencil(problem, kind)
     if 0 in pencil.color_sizes:
         return eigsolve.EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0
-    est = eigsolve.extreme_eigs_generalized(pencil, pencil, **lanczos)
-    theta = est.lambda_min
+    this, other = pencil.dofs
+    start = None
+    if previous is not None:
+        x = np.zeros(problem.operator.shape[0])
+        x[: previous.size] = previous
+        start = problem.operator.matvec(x)[this]
+    est = eigsolve.extreme_eigs_generalized(pencil, pencil, start=start, **lanczos)
+    theta, y = est.lambda_min, est.vector_min
+    z = pencil.response(y)
     if kind == GAUSS_SEIDEL_2:
-        ends = min(1.0, theta), max(1.0, est.lambda_max)
+        ends, s = (min(1.0, theta), max(1.0, est.lambda_max)), 1.0
     else:
-        y = est.vector_min
-        sigma = math.sqrt(max(0.0, y @ pencil.coupling(y)) / (y @ (pencil.a_ss @ y)))
+        sigma = math.sqrt(max(0.0, y @ (pencil.c.T @ z)) / (y @ (pencil.a_ss @ y)))
         ends = theta / (1.0 + sigma), 1.0 + sigma  # 1 -+ sigma, without cancellation
-    return replace(est, lambda_min=ends[0], lambda_max=ends[1]), est.lambda_max
+        s = 1.0 / sigma if sigma > 0.0 else 0.0
+    vector = np.empty(problem.operator.shape[0])
+    vector[this], vector[other] = y, -s * z
+    return replace(est, lambda_min=ends[0], lambda_max=ends[1], vector_min=vector), est.lambda_max
 
 
 def _check_pencil_top(label, top):
@@ -311,23 +332,51 @@ _EIG_COLUMN = {MEAN_BASED: "kappa_MB", TRUNCATED_TP: "kappa_TR",
                GAUSS_SEIDEL_2: "kappa_GS2"}
 
 
+def _chained_kinds(cfg: ExperimentConfig, top: int):
+    """The kinds of ``cfg`` whose coarse group at degree ``top`` is the
+    whole basis of degree top - 1 (on a complete basis, the splitting and
+    gs2).  Their eigenvector at one degree, zero-padded, is a start vector
+    at the next."""
+    if cfg.basis != COMPLETE:
+        return ()
+    below = index_set(cfg, top - 1).size
+    iset = index_set(cfg, top)
+    return tuple(kind for kind in cfg.preconditioners
+                 if operator.block_layout(kind, iset)[1] == below)
+
+
 def run_verify(cfg: ExperimentConfig) -> ResultTable:
     """Assemble, precondition, estimate true extremes and verify the
-    enclosure chain for every degree of the sweep."""
+    enclosure chain for every degree of the sweep.
+
+    The kinds of ``_chained_kinds`` are estimated at every degree from 1 to
+    the largest listed, in ascending order, each started from its own
+    eigenvector one degree below (degree 1 from the seeded draw), so a row
+    depends only on its own problem whichever degrees are listed.  A degree
+    not listed gives no row, no check and no kappa(A); the rows follow the
+    listed order.  Every other kind, and kappa(A), starts from the seed.
+    """
     mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
-    table = ResultTable()
-    for degree in degree_sweep(cfg):
+    lanczos = {"tol": lanczos_tol, "max_iter": cfg.max_iter, "seed": cfg.seed}
+    listed = degree_sweep(cfg)
+    chained = _chained_kinds(cfg, max(listed))
+    rows, previous = {}, {}
+    for degree in range(1, max(listed) + 1) if chained else listed:
         iset = index_set(cfg, degree)
-        cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
         problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
+        estimates = {}  # kind -> (estimate, the pencil's top Ritz value)
+        for kind in chained:
+            estimates[kind] = _preconditioned_extremes(problem, kind, previous.get(kind), **lanczos)
+            previous[kind] = estimates[kind][0].vector_min
+        if degree not in listed:
+            continue
+        cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
         cells["N"] = Cell(float(problem.operator.shape[0]))
-        estimates = {}
         for kind in cfg.preconditioners:
-            est, top = _preconditioned_extremes(
-                problem, kind, tol=lanczos_tol, max_iter=cfg.max_iter, seed=cfg.seed
-            )
-            estimates[kind] = est
+            if kind not in estimates:
+                estimates[kind] = _preconditioned_extremes(problem, kind, **lanczos)
+            est, top = estimates[kind]
             kappa = est.lambda_max / est.lambda_min
             cells[_EIG_COLUMN[kind]] = Cell(kappa, LANCZOS)
             if kind == MEAN_BASED:
@@ -349,11 +398,12 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
             _check_cbs_identity(degree, cells["kappa_SB"].value, cells["kappa_GS2"].value, lanczos_tol)
         if cfg.oracle:
             # every block-diagonal kind is checked; the columns show the first
-            for kind, est in estimates.items():
+            for kind in cfg.preconditioners:
                 if kind == GAUSS_SEIDEL_2:
                     continue
                 lo, hi = bnd.element_equivalence_oracle(cfg.family, iset, field, kind)
-                _check_oracle(f"{kind} (degree {degree})", by_kind[kind], lo, hi, est)
+                _check_oracle(f"{kind} (degree {degree})", by_kind[kind], lo, hi,
+                              estimates[kind][0])
                 cells.setdefault("oracle_min", Cell(lo, DENSE))
                 cells.setdefault("oracle_max", Cell(hi, DENSE))
         if cfg.kappa_a:
@@ -362,7 +412,10 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
                 problem.operator, accel, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
             )
             cells["kappa_A"] = Cell(est_a.lambda_max / est_a.lambda_min, LANCZOS)
-        table.add_row(_ordered(cells))
+        rows[degree] = _ordered(cells)
+    table = ResultTable()
+    for degree in listed:
+        table.add_row(rows[degree])
     return table
 
 

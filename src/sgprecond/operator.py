@@ -41,7 +41,8 @@ A = [[M1, C^T], [C, M2]], so M^-1 A - I is 2-cyclic and its spectrum is
 1 -+ sigma_i.  ``ColoredPencil`` is the Schur-complement pencil of one
 color, whose eigenvalues are 1 - sigma_i^2; it is sliced from A, and each
 color is solved through a block-diagonal Preconditioner of its own.  Its
-``coupling`` C^T A_oo^-1 C gives sigma^2 as a Rayleigh quotient.
+``response`` A_oo^-1 C gives sigma^2 as the Rayleigh quotient of C^T A_oo^-1 C
+and the other color's part of an eigenvector of M^-1 A.
 
 Each block is factored without pivoting in a minimum-degree order: F0 in the
 multiple-minimum-degree order SuperLU computes for it, and every other block
@@ -317,7 +318,10 @@ class ColoredPencil:
     A product is one solve on the other color, one product with A_ss and
     two sparse products with C; a solve is one solve on this color.  Each
     color is solved through a block-diagonal Preconditioner: A11 alone on
-    the coarse group, or T on each of the color's groups.
+    the coarse group, or T on each of the color's groups.  ``dofs`` holds
+    the degrees of freedom of A on this color and on the other, and
+    ``response`` the other color's answer A_oo^-1 C y to a vector y on
+    this one, from which an eigenvector of M^-1 A is built.
     """
 
     def __init__(self, problem: DiscreteProblem, kind: str):
@@ -335,18 +339,18 @@ class ColoredPencil:
                    for c, size in enumerate(self.color_sizes)]
         self._m_s, self._m_o = solvers[side], solvers[1 - side]
         dofs = [(idx[:, None] * a.n_fe + np.arange(a.n_fe)).ravel() for idx in indices]
-        this, other = dofs[side], dofs[1 - side]
+        this, other = self.dofs = dofs[side], dofs[1 - side]
         self.a_ss = a.matrix[this][:, this]
-        self._c = a.matrix[other][:, this]
+        self.c = a.matrix[other][:, this]
         self.shape = self.a_ss.shape
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """(A_ss - C^T A_oo^-1 C) v for a vector."""
-        return self.a_ss @ v - self.coupling(v)
+        return self.a_ss @ v - self.c.T @ self.response(v)
 
-    def coupling(self, v: np.ndarray) -> np.ndarray:
-        """C^T A_oo^-1 C v for a vector."""
-        return self._c.T @ self._m_o.solve(self._c @ v)
+    def response(self, v: np.ndarray) -> np.ndarray:
+        """A_oo^-1 C v for a vector on this color: a vector on the other."""
+        return self._m_o.solve(self.c @ v)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """A_ss^-1 r for a vector."""

@@ -125,6 +125,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path), "--seed", seed]) == 0, capsys.readouterr().err
 
 
+    def test_uncoupled_warm_start_falls_back_to_the_seed(self, tmp_path, capsys):
+        # with a1 = 0 the degree-2 gs2 start, B applied to the degree-1
+        # eigenvector, is zero, and the run starts from the seeded draw alone
+        path = tmp_path / "uncoupled.cfg"
+        path.write_text(UNCOUPLED.replace("degree = 1", "degree = 1 2").replace(
+            "mean_based", "splitting_complete gs2"))
+        assert main(["verify", "--config", str(path)]) == 0, capsys.readouterr().err
+
+
 class TestBoundsCommand:
     def test_bounds_only(self, small_cfg, capsys):
         assert main(["bounds", "--config", str(small_cfg)]) == 0
@@ -462,12 +471,13 @@ class TestExitCodes:
         assert "gs2 (degree 2): computed extremes" in capsys.readouterr().err
 
     def _coupled_G(self, monkeypatch, k, i, j):
-        """assemble_G with G_k[i, j] = G_k[j, i] = 0.1."""
+        """assemble_G with G_k[i, j] = G_k[j, i] = 0.1 on every basis that
+        holds indices i and j."""
         assemble_G = operator.assemble_G
 
         def coupled(family, iset, kk):
             g = assemble_G(family, iset, kk)
-            if kk == k:
+            if kk == k and max(i, j) < iset.size:
                 g = g.tolil()
                 g[i, j] = g[j, i] = 0.1
             return g.tocsr()
@@ -493,12 +503,16 @@ class TestExitCodes:
         assert main(["verify", "--config", str(path)]) == 4
         assert "splitting_complete: G_1 on the detail indices" in capsys.readouterr().err
 
-    def test_asymmetric_mean_based_extremes_are_an_enclosure_failure(self, small_cfg, monkeypatch,
+    def test_asymmetric_mean_based_extremes_are_an_enclosure_failure(self, tmp_path, monkeypatch,
                                                                      capsys):
         # G_2 joins the two indices of total degree 1, so M^-1 A - I is no
-        # longer 2-cyclic over the parity of the total degree
+        # longer 2-cyclic over the parity of the total degree; mean_based
+        # alone, since the splitting's degree-1 start run, which precedes
+        # every degree-2 run, finds the same coupling inside its detail color
         self._coupled_G(monkeypatch, 2, 1, 2)
-        assert main(["verify", "--config", str(small_cfg)]) == 4
+        path = tmp_path / "mean.cfg"
+        path.write_text(SMALL.replace("mean_based splitting_complete gs2", "mean_based"))
+        assert main(["verify", "--config", str(path)]) == 4
         assert "mean_based: G_2 on the odd total degree indices" in capsys.readouterr().err
 
     def test_pencil_top_above_one_is_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import CONFIG_DIR
-from sgprecond.basis import MultiIndexSet
+from sgprecond.basis import MultiIndexSet, check_kind
 from sgprecond.bounds import bounds_for
 from sgprecond.cli import main
 from sgprecond.config import load_config, parse_config, serialize_config
+from sgprecond.experiments import index_set
 from sgprecond.errors import ConfigError, ParameterDomainError, UsageError
 from sgprecond.fem import build_mesh
 from sgprecond.operator import block_layout, check_basis
@@ -229,6 +232,7 @@ OWNED = {
                   family_from_name, ("gegenbauer", float("inf"))),
     "gamma 1e308": ((("family = legendre", "family = gegenbauer\ngamma = 1e308"),), "family",
                     family_from_name, ("gegenbauer", 1e308)),
+    "unknown basis": ((("basis = complete", "basis = Sparse"),), "basis", check_kind, ("sparse",)),
     "unknown kind": ((("preconditioners = mean_based", "preconditioners = jacobi"),),
                      "preconditioners", check_basis, ("jacobi", "complete")),
     "tensor kind on a complete basis": (
@@ -269,6 +273,19 @@ def test_unknown_kind_has_one_message():
         with pytest.raises(UsageError) as owned:
             call(*args)
         assert str(owned.value) == message
+
+
+def test_unknown_basis_kind_has_one_message():
+    # the parser and the runners' basis builder both defer to basis.check_kind
+    with pytest.raises(ConfigError) as err:
+        parse_config(GOOD.replace("basis = complete", "basis = sparse"))
+    message = str(err.value).split(": ", 1)[1]
+    assert message == "unknown basis kind 'sparse' (choose from complete, tensor)"
+    cfg = parse_config(GOOD)
+    for kind in ("sparse", "Complete", ""):
+        with pytest.raises(UsageError) as owned:
+            index_set(replace(cfg, basis=kind), 2)
+        assert str(owned.value) == message.replace("'sparse'", repr(kind))
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

@@ -13,6 +13,8 @@ from sgprecond.experiments import (
     ResultTable,
     _check_enclosure,
     _preconditioned_extremes,
+    index_set,
+    mesh_and_field,
     quadrature_report,
     run_bounds,
     run_solve,
@@ -165,6 +167,30 @@ class TestRunVerify:
         assert t.value(0, "kappa_TR") == pytest.approx(t.value(0, "kappa_SB"), rel=1e-12)
 
 
+def count_lanczos_runs(monkeypatch):
+    """(steps, solves) of every Lanczos run, in order: its steps, and the
+    solves with factors in the nodes' order from its start to the next
+    run's start."""
+    solve = operator._OrderedLU.solve
+    generalized = eigsolve.extreme_eigs_generalized
+    steps, solves = [], []
+
+    def counted(self, b):
+        if solves:
+            solves[-1] += 1
+        return solve(self, b)
+
+    def stepped(a, m, **kwargs):
+        solves.append(0)
+        est = generalized(a, m, **kwargs)
+        steps.append(est.iterations)
+        return est
+
+    monkeypatch.setattr(operator._OrderedLU, "solve", counted)
+    monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", stepped)
+    return steps, solves
+
+
 class TestGs2SchurPath:
     @pytest.mark.parametrize("iset", (MultiIndexSet.complete(2, 3), MultiIndexSet.complete(2, 4),
                                       MultiIndexSet.tensor((3, 2)), MultiIndexSet.tensor((2, 3))),
@@ -183,27 +209,15 @@ class TestGs2SchurPath:
 
     def test_one_coarse_solve_per_lanczos_step(self, cfg, monkeypatch):
         # complete order 3: A11 is A on the three indices of total degree at
-        # most 1, the only factor of the run in the nodes' order
+        # most 1, the only factor of the run in the nodes' order; the run's
+        # eigenvector of M^-1 A takes one more A11 solve.  The degree-1 start
+        # run solves only with F0, in SuperLU's own order
         from dataclasses import replace
 
-        solve = operator._OrderedLU.solve
-        generalized = eigsolve.extreme_eigs_generalized
-        solves, steps = [], []
-
-        def counted(self, b):
-            solves.append(1)
-            return solve(self, b)
-
-        def stepped(a, m, **kwargs):
-            est = generalized(a, m, **kwargs)
-            steps.append(est.iterations)
-            return est
-
-        monkeypatch.setattr(operator._OrderedLU, "solve", counted)
-        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", stepped)
+        steps, solves = count_lanczos_runs(monkeypatch)
         run_verify(replace(cfg, preconditioners=("gs2",), degrees=(2,), kappa_a=False))
-        assert len(steps) == 1 and steps[0] > 0
-        assert len(solves) == steps[0]
+        assert len(steps) == 2 and steps[-1] > 0
+        assert solves[-1] == steps[-1] + 1
 
 
 class TestColoredPencilPath:
@@ -263,25 +277,72 @@ class TestColoredPencilPath:
         # solves are with F0, factored in SuperLU's own order
         from dataclasses import replace
 
-        solve = operator._OrderedLU.solve
-        generalized = eigsolve.extreme_eigs_generalized
-        solves, steps = [], []
-
-        def counted(self, b):
-            solves.append(1)
-            return solve(self, b)
-
-        def stepped(a, m, **kwargs):
-            est = generalized(a, m, **kwargs)
-            steps.append(est.iterations)
-            return est
-
-        monkeypatch.setattr(operator._OrderedLU, "solve", counted)
-        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", stepped)
+        steps, solves = count_lanczos_runs(monkeypatch)
         run_verify(replace(cfg, preconditioners=("splitting_complete",), degrees=(2,),
                            kappa_a=False))
-        assert len(steps) == 1 and steps[0] > 0
-        assert len(solves) == steps[0] + 1
+        assert len(steps) == 2 and steps[-1] > 0  # the degree-1 start run, then degree 2
+        assert solves[-1] == steps[-1] + 1
+
+
+class TestWarmStart:
+    """The splitting and gs2 on a complete basis start from their own
+    eigenvector of M^-1 A one degree below."""
+
+    NESTED = (operator.SPLITTING_COMPLETE, operator.GAUSS_SEIDEL_2)
+
+    def test_warm_run_matches_the_dense_spectrum(self):
+        mesh = build_mesh(1, 4)
+        field = sample_coefficients(["1", "0.3*sin(pi*x1)", "0.2*chi(0,1/2)", "0.25*x1"], mesh)
+        previous = {}
+        for order in (2, 3, 4):  # order 2 starts from the seed: order 1 has one color
+            prob = operator.DiscreteProblem.build(legendre(), MultiIndexSet.complete(3, order),
+                                                  mesh, field)
+            a = prob.operator.matrix.toarray()
+            for kind in (operator.MEAN_BASED, *self.NESTED):
+                m = dense_preconditioner_matrix(prob, kind)
+                w = np.sort(scipy.linalg.eigvals(a, m).real)
+                start = previous.get(kind)
+                assert (start is None) == (order == 2 or kind == operator.MEAN_BASED)
+                est, top = _preconditioned_extremes(prob, kind, start, tol=1e-12, max_iter=500,
+                                                    seed=42)
+                assert est.lambda_min == pytest.approx(w[0], rel=1e-8), (order, kind)
+                assert est.lambda_max == pytest.approx(w[-1], rel=1e-8), (order, kind)
+                assert top <= 1.0 + 1e-12
+                # vector_min is the eigenvector of M^-1 A at lambda_min, on every dof
+                v = est.vector_min
+                mv = m @ v
+                assert np.linalg.norm(a @ v - est.lambda_min * mv) <= 1e-10 * np.linalg.norm(mv)
+                if kind in self.NESTED:
+                    previous[kind] = v
+
+    def test_warm_start_takes_fewer_steps_than_the_seed(self):
+        # a 1D complete sweep over degrees 1..5 on 30 elements
+        cfg = parse_config(CFG.replace("elements = 10", "elements = 30").replace(
+            "degree = 1 2", "degree = 1 2 3 4 5"))
+        mesh, field, _mu, _mu_class = mesh_and_field(cfg)
+        previous = {}
+        for degree in range(1, 6):
+            prob = operator.DiscreteProblem.build(cfg.family, index_set(cfg, degree), mesh, field)
+            for kind in self.NESTED:
+                seeded, _ = _preconditioned_extremes(prob, kind, tol=1e-6, max_iter=400, seed=42)
+                warm, _ = _preconditioned_extremes(prob, kind, previous.get(kind), tol=1e-6,
+                                                   max_iter=400, seed=42)
+                if degree == 1:
+                    assert warm == seeded
+                elif degree >= 3:
+                    assert warm.iterations < seeded.iterations, (degree, kind)
+                assert warm.lambda_min == pytest.approx(seeded.lambda_min, rel=1e-5)
+                previous[kind] = warm.vector_min
+
+    @pytest.mark.parametrize("listed", ("3", "1 2 3", "3 1"))
+    def test_rows_do_not_depend_on_the_listed_degrees(self, listed):
+        text = CFG.replace("mean_based splitting_complete gs2", "splitting_complete gs2")
+        full = run_verify(parse_config(text.replace("degree = 1 2", "degree = 1 2 3")))
+        table = run_verify(parse_config(text.replace("degree = 1 2", f"degree = {listed}")))
+        degrees = [int(d) for d in listed.split()]
+        assert [table.value(i, "degree") for i in range(len(table.rows))] == degrees
+        for i, degree in enumerate(degrees):
+            assert table.rows[i] == full.rows[degree - 1]
 
 
 class TestRunSolve:

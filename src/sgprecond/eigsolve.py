@@ -11,14 +11,16 @@ stops once its low end has converged: the Schur-complement pencils it is
 given have spectrum 1 - sigma_i^2, and their low end alone gives both
 extremes of the preconditioned operator.  A run starts from a seeded random
 vector or, when the caller knows a vector near the wanted eigenvector, from
-that vector with a seeded perturbation of 1e-3 of its norm.
+that vector with a seeded perturbation of 1e-2 of its norm.
 
 For kappa(A) the largest eigenvalue of A comes from ARPACK's implicitly
 restarted Lanczos (Lehoucq, Sorensen & Yang 1998, through scipy's eigsh),
-and the smallest from LOBPCG (Knyazev 2001) preconditioned by solves with a
-block preconditioner the caller has already factored.  LOBPCG starts near
-the separable vector s (x) u that minimizes A's Rayleigh quotient for u the
-finite-element part of M^-1 1, read off A's terms sum_k G_k (x) F_k.
+and the smallest from a single-vector LOBPCG loop of its own (Knyazev 2001)
+preconditioned by solves with a block preconditioner the caller has already
+factored: one product with A, one solve and a 3 x 3 Rayleigh-Ritz step per
+iteration.  LOBPCG starts near the separable vector s (x) u that minimizes
+A's Rayleigh quotient for u the finite-element part of M^-1 1, read off A's
+terms sum_k G_k (x) F_k.
 
 Every operator passed in exposes ``matvec`` and ``shape``; every
 preconditioner exposes ``solve`` (M^-1 r).  One object may be both.
@@ -29,12 +31,11 @@ preconditioner exposes ``solve`` (M^-1 r).  One object may be both.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, lobpcg
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import ConvergenceError
 from .orthopoly import _tridiag_eig
@@ -66,16 +67,19 @@ def extreme_eigs_generalized(a, m, tol: float = 1e-8, max_iter: int = 300, seed:
     p_j = M q_j come back too, as (estimate, (Q, P)).
 
     The first vector is p_0 = M q_0.  It is the seeded generator's first
-    draw g, or with a nonzero ``start``, start/||start|| + 1e-3 g/||g||: a
+    draw g, or with a nonzero ``start``, start/||start|| + 1e-2 g/||g||: a
     start near a known vector, perturbed so that no eigenvector is missing
-    from it, as for LOBPCG in ``extreme_eigs``.
+    from it, as for LOBPCG in ``extreme_eigs``.  A perturbation of 1e-3
+    could leave a near-degenerate lowest pair so lopsided that the run met
+    ``tol`` on the second eigenvalue first; 1e-2 makes that less likely but
+    cannot rule it out.
     """
     rng = np.random.default_rng(seed)
     n = a.shape[0]
     max_iter = min(max_iter, n)
     p = rng.standard_normal(n)
     if start is not None and start @ start > 0.0:
-        p = start / math.sqrt(start @ start) + 1e-3 * p / math.sqrt(p @ p)
+        p = start / math.sqrt(start @ start) + 1e-2 * p / math.sqrt(p @ p)
     q = m.solve(p)
     b2 = float(q @ p)
     if not b2 > 0.0:  # M is not positive definite at p, or p is NaN
@@ -149,11 +153,11 @@ def extreme_eigs(
     across the stochastic indices, and took up to 2.5 times the iterations;
     a purely random start makes the count depend strongly on the seed.  A
     NaN or inf H raises ConvergenceError.  ``max_iter`` caps both ARPACK's
-    restarts and the LOBPCG iterations (scipy's LOBPCG takes ``maxiter + 1``
-    preconditioned steps, so it gets ``max_iter - 1``).  LOBPCG only warns
-    when it stops short, so its relative residual
-    ||Ax - theta x|| / (|theta| ||x||) is checked here and ConvergenceError
-    raised, with the estimate attached, above ``tol``.
+    restarts and the LOBPCG iterations, each one preconditioned step.
+    LOBPCG stops once ||Ax - theta x|| <= 1e-2 ``tol`` with ||x|| = 1, the
+    rule of scipy's lobpcg; its relative residual
+    ||Ax - theta x|| / (|theta| ||x||) is then checked here and
+    ConvergenceError raised, with the estimate attached, above ``tol``.
 
     ``iterations`` counts ARPACK's products with A plus the LOBPCG
     iterations; ``residual_norms`` holds the true relative residuals of
@@ -202,18 +206,8 @@ def extreme_eigs(
     start = np.kron(eigh(h, subset_by_index=[0, 0])[1][:, 0], u)
     x0 = start + 1e-3 * np.abs(start).max() * rng.standard_normal(n)
     solves = 0  # count LOBPCG iterations only
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lam, x = lobpcg(
-            LinearOperator(a.shape, matvec=a.matvec, dtype=float),
-            x0[:, None],
-            M=LinearOperator(a.shape, matvec=precondition, dtype=float),
-            largest=False,
-            tol=1e-2 * tol,
-            maxiter=max_iter - 1,
-        )
-    lam_min = float(lam[0])
-    res_lo = _relative_residual(a, lam_min, x[:, 0])
+    lam_min, x = _lobpcg_min(a, x0, precondition, 1e-2 * tol, max_iter)
+    res_lo = _relative_residual(a, lam_min, x)
     estimate = EigEstimate(lam_min, lam_max, (res_lo, res_hi), products + solves)
     if not res_lo <= tol:
         raise ConvergenceError(
@@ -222,6 +216,57 @@ def extreme_eigs(
             estimate=estimate,
         )
     return estimate
+
+
+def _lobpcg_min(a, x, precondition, tol, max_iter):
+    """Single-vector LOBPCG (Knyazev 2001) for the smallest eigenvalue of A.
+
+    Each iteration takes one product with A and one ``precondition`` of the
+    residual, w, then a Rayleigh-Ritz step on an orthonormal basis of
+    span{x, p, w}: w is orthogonalized twice against x and the previous
+    direction p ("twice is enough"), and the new p, the part of the new x
+    along p and w, once against the new x.  The images of x and p under A
+    are carried, so w's is the only product.  The run stops once
+    ||A x - theta x|| <= ``tol`` with ||x|| = 1, scipy's rule, after
+    ``max_iter`` iterations, once the basis spans the space (n <= 3), or
+    when nothing of w is left outside x and p.  Returns (theta, x).
+    """
+    basis = np.empty((x.size, 3), order="F")  # x, p, w
+    images = np.empty((x.size, 3), order="F")  # A x, A p, A w
+    basis[:, 0] = x / math.sqrt(x @ x)
+    images[:, 0] = a.matvec(basis[:, 0])
+    theta = float(basis[:, 0] @ images[:, 0])
+    width = 1  # x, then x and p from the second iteration on
+    for _ in range(max_iter):
+        r = images[:, 0] - theta * basis[:, 0]
+        if math.sqrt(r @ r) <= tol:
+            break
+        w = precondition(r)
+        before = w @ w
+        w = w - basis[:, :width] @ (basis[:, :width].T @ w)
+        w -= basis[:, :width] @ (basis[:, :width].T @ w)
+        after = w @ w
+        if not after > 1e-24 * before:  # w is rounding error, or zero
+            break
+        basis[:, width] = w / math.sqrt(after)
+        images[:, width] = a.matvec(basis[:, width])
+        k = width + 1
+        h = basis[:, :k].T @ images[:, :k]
+        values, vectors = np.linalg.eigh(0.5 * (h + h.T))
+        theta, c = float(values[0]), vectors[:, 0]
+        x, ax = basis[:, :k] @ c, images[:, :k] @ c
+        p, ap = basis[:, 1:k] @ c[1:], images[:, 1:k] @ c[1:]
+        t = x @ p
+        p -= t * x
+        ap -= t * ax
+        norm = math.sqrt(p @ p)
+        basis[:, 0], images[:, 0] = x, ax
+        if k == x.size:  # the basis spans the space, so x is exact
+            break
+        width = 2 if norm > 0.0 else 1  # p vanishes when the step stays on x
+        if width == 2:
+            basis[:, 1], images[:, 1] = p / norm, ap / norm
+    return theta, basis[:, 0].copy()
 
 
 def _relative_residual(a, theta, x):

@@ -355,6 +355,8 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     depends only on its own problem whichever degrees are listed.  A degree
     not listed gives no row, no check and no kappa(A); the rows follow the
     listed order.  Every other kind, and kappa(A), starts from the seed.
+    A coloring fault names the degree it is found at, like every other
+    enclosure message.
     """
     mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
@@ -366,16 +368,19 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
         iset = index_set(cfg, degree)
         problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
         estimates = {}  # kind -> (estimate, the pencil's top Ritz value)
-        for kind in chained:
-            estimates[kind] = _preconditioned_extremes(problem, kind, previous.get(kind), **lanczos)
-            previous[kind] = estimates[kind][0].vector_min
+        for kind in cfg.preconditioners if degree in listed else chained:
+            try:
+                estimates[kind] = _preconditioned_extremes(problem, kind, previous.get(kind),
+                                                           **lanczos)
+            except EnclosureError as err:  # a coloring fault, possibly at a degree with no row
+                raise EnclosureError(f"degree {degree}: {err}") from None
+            if kind in chained:
+                previous[kind] = estimates[kind][0].vector_min
         if degree not in listed:
             continue
         cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
         cells["N"] = Cell(float(problem.operator.shape[0]))
         for kind in cfg.preconditioners:
-            if kind not in estimates:
-                estimates[kind] = _preconditioned_extremes(problem, kind, **lanczos)
             est, top = estimates[kind]
             kappa = est.lambda_max / est.lambda_min
             cells[_EIG_COLUMN[kind]] = Cell(kappa, LANCZOS)

@@ -515,6 +515,17 @@ class TestExitCodes:
         assert main(["verify", "--config", str(path)]) == 4
         assert "mean_based: G_2 on the odd total degree indices" in capsys.readouterr().err
 
+    def test_coloring_fault_names_the_degree_of_the_start_run(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # with all three kinds the splitting's degree-1 start run meets the
+        # coupling first, at a degree the config lists no row for
+        self._coupled_G(monkeypatch, 2, 1, 2)
+        path = tmp_path / "all.cfg"
+        path.write_text(SMALL)
+        assert main(["verify", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "degree 1: splitting_complete: G_2 on the detail indices joins 1 and 2" in err
+
     def test_pencil_top_above_one_is_an_enclosure_failure(self, small_cfg, monkeypatch, capsys):
         # the top Ritz value of the splitting's pencil moved to 1.02; its
         # extremes come from the low end alone, so only this check sees it

@@ -3,9 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, lobpcg
 
 from helpers import dense_preconditioner_matrix
+from sgprecond import eigsolve
 from sgprecond.basis import MultiIndexSet
 from sgprecond.config import load_config
 from sgprecond.eigsolve import CHECK_EVERY, extreme_eigs, extreme_eigs_generalized, pcg
@@ -245,11 +246,70 @@ class TestExtremeEigs:
 
     def test_identity_like_problem(self):
         # single interior node: blocks are scalars, operator is diagonal;
-        # n = 3 is below LOBPCG's minimum, so scipy solves it densely
+        # n = 3, so LOBPCG's basis spans the space by its second iteration
         prob = make_problem(["1", "0"], n=2, order=3)
         m = build_preconditioner(prob, MEAN_BASED)
         est = extreme_eigs(prob.operator, m, tol=1e-10)
         assert est.lambda_min == pytest.approx(est.lambda_max, rel=1e-12)
+
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_basis_that_fills_the_space_gives_the_exact_minimum(self, order):
+        # one interior node, so n = order: the Rayleigh-Ritz basis spans the
+        # space after n - 1 iterations, and 1e-2 tol lies below rounding
+        prob = make_problem(["1", "0.4"], n=2, order=order)
+        assert prob.operator.shape == (order, order)
+        w = np.linalg.eigvalsh(prob.operator.matrix.toarray())
+        est = extreme_eigs(prob.operator, build_preconditioner(prob, MEAN_BASED), tol=1e-14)
+        assert est.lambda_min == pytest.approx(w[0], rel=1e-14)
+        assert est.lambda_max == pytest.approx(w[-1], rel=1e-14)
+
+
+class TestLobpcgAgainstScipy:
+    """The LOBPCG loop of ``extreme_eigs`` against scipy's lobpcg from the
+    same start, at the same tolerance, with the same preconditioner."""
+
+    @staticmethod
+    def _compare(prob, monkeypatch, tol=1e-8, max_iter=400):
+        m = build_preconditioner(prob, MEAN_BASED)
+        calls = []
+        own = eigsolve._lobpcg_min
+
+        def recorded(a, x, precondition, stop, cap):
+            solves = []
+
+            def counted(r):
+                solves.append(1)
+                return precondition(r)
+
+            result = own(a, x, counted, stop, cap)
+            calls.append((x.copy(), stop, cap, len(solves)))
+            return result
+
+        monkeypatch.setattr(eigsolve, "_lobpcg_min", recorded)
+        est = extreme_eigs(prob.operator, m, tol=tol, max_iter=max_iter)
+        (x0, stop, cap, steps), = calls
+        assert stop == 1e-2 * tol and cap == max_iter
+        ref_steps = []
+
+        def ref_solve(r):
+            ref_steps.append(1)
+            return m.solve(r)
+
+        shape = prob.operator.shape
+        lam, _ = lobpcg(LinearOperator(shape, matvec=prob.operator.matvec, dtype=float),
+                        x0[:, None], M=LinearOperator(shape, matvec=ref_solve, dtype=float),
+                        largest=False, tol=stop, maxiter=max_iter)
+        assert est.lambda_min == pytest.approx(lam[0], rel=1e-12)
+        assert abs(steps - len(ref_steps)) <= 1, (steps, len(ref_steps))
+
+    def test_1d(self, monkeypatch):
+        self._compare(make_problem(["1", "0.3", "0.2"], n=12, order=3), monkeypatch)
+
+    def test_2d_p1(self, monkeypatch):
+        mesh = build_mesh(2, (5, 5), element="p1")
+        field = sample_coefficients(["1", "0.3*x1", "0.2*x2"], mesh)
+        prob = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 3), mesh, field)
+        self._compare(prob, monkeypatch)
 
 
 class TestPcg:

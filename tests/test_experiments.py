@@ -9,6 +9,7 @@ from sgprecond.config import parse_config
 from sgprecond.eigsolve import EigEstimate
 from sgprecond.errors import EnclosureError
 from sgprecond.experiments import (
+    _EIG_COLUMN,
     Cell,
     ResultTable,
     _check_enclosure,
@@ -343,6 +344,67 @@ class TestWarmStart:
         assert [table.value(i, "degree") for i in range(len(table.rows))] == degrees
         for i, degree in enumerate(degrees):
             assert table.rows[i] == full.rows[degree - 1]
+
+
+# Two configs on which a warm start perturbed by 1e-3 stopped on the second
+# eigenvalue of a near-degenerate lowest pair: config A at degree 2 (its CBS
+# check then failed), config B at degree 3 (kappa_GS2 low by 1.4e-6).
+WARM_MISS = {
+    "A": """sgp-config v1
+[problem]
+dim = 1
+elements = 8
+family = gegenbauer
+gamma = 2.5
+basis = complete
+degree = 2
+K = 2
+[coefficients]
+a0 = 1
+a1 = 0.0301*sin(1*pi*x1)
+a2 = 0.0343*sin(2*pi*x1)
+[run]
+preconditioners = mean_based splitting_complete gs2
+kappa_A = false
+tol = 1e-10
+max_iter = 2000
+seed = 41
+""",
+    "B": """sgp-config v1
+[problem]
+dim = 2
+elements = 5 5
+element = p1
+family = legendre
+basis = complete
+degree = 2 3
+K = 2
+[coefficients]
+a0 = 1
+a1 = 0.0494*chi(0.380,0.552)
+a2 = 0.0323*sin(2*pi*x2)
+[run]
+preconditioners = mean_based gs2
+kappa_A = false
+tol = 1e-10
+max_iter = 2000
+seed = 158
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_MISS))
+def test_warm_started_rows_match_the_dense_spectrum(name):
+    cfg = parse_config(WARM_MISS[name])
+    table = run_verify(cfg)
+    mesh, field, _mu, _mu_class = mesh_and_field(cfg)
+    for row, degree in enumerate(cfg.degrees):
+        prob = operator.DiscreteProblem.build(cfg.family, index_set(cfg, degree), mesh, field)
+        a = prob.operator.matrix.toarray()
+        for kind in cfg.preconditioners:
+            w = np.sort(scipy.linalg.eigvals(a, dense_preconditioner_matrix(prob, kind)).real)
+            kappa = table.value(row, _EIG_COLUMN[kind])
+            assert kappa == pytest.approx(w[-1] / w[0], rel=1e-7), (degree, kind)
 
 
 class TestRunSolve:

@@ -187,7 +187,7 @@ def extreme_eigs(
     except ArpackError as err:
         raise ConvergenceError(f"ARPACK did not find the largest eigenvalue: {err}") from err
     lam_max = float(lam_hi[0])
-    res_hi = _relative_residual(a, lam_max, x_hi[:, 0])
+    res_hi = _relative_residual(a.matvec(x_hi[:, 0]), lam_max, x_hi[:, 0])
     solves = 0
 
     def precondition(r):
@@ -206,8 +206,8 @@ def extreme_eigs(
     start = np.kron(eigh(h, subset_by_index=[0, 0])[1][:, 0], u)
     x0 = start + 1e-3 * np.abs(start).max() * rng.standard_normal(n)
     solves = 0  # count LOBPCG iterations only
-    lam_min, x = _lobpcg_min(a, x0, precondition, 1e-2 * tol, max_iter)
-    res_lo = _relative_residual(a, lam_min, x)
+    lam_min, x, ax = _lobpcg_min(a, x0, precondition, 1e-2 * tol, max_iter)
+    res_lo = _relative_residual(ax, lam_min, x)
     estimate = EigEstimate(lam_min, lam_max, (res_lo, res_hi), products + solves)
     if not res_lo <= tol:
         raise ConvergenceError(
@@ -227,9 +227,13 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
     direction p ("twice is enough"), and the new p, the part of the new x
     along p and w, once against the new x.  The images of x and p under A
     are carried, so w's is the only product.  The run stops once
-    ||A x - theta x|| <= ``tol`` with ||x|| = 1, scipy's rule, after
-    ``max_iter`` iterations, once the basis spans the space (n <= 3), or
-    when nothing of w is left outside x and p.  Returns (theta, x).
+    ||A x - theta x|| <= ``tol`` with ||x|| = 1, scipy's rule, or when
+    nothing of w is left outside x and p, each judged on a fresh product
+    A x: a carried image drifts from it by rounding, so when the carried
+    residual passes, or w vanishes, A x is recomputed, and the run goes on
+    from x with p dropped unless the fresh residual passes too.  It also
+    stops after ``max_iter`` iterations, or once the basis spans the space
+    (n <= 3).  Returns (theta, x, A x), with A x a fresh product.
     """
     basis = np.empty((x.size, 3), order="F")  # x, p, w
     images = np.empty((x.size, 3), order="F")  # A x, A p, A w
@@ -237,17 +241,22 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
     images[:, 0] = a.matvec(basis[:, 0])
     theta = float(basis[:, 0] @ images[:, 0])
     width = 1  # x, then x and p from the second iteration on
+    fresh = True  # images[:, 0] is a product of its own, not carried
     for _ in range(max_iter):
         r = images[:, 0] - theta * basis[:, 0]
-        if math.sqrt(r @ r) <= tol:
-            break
-        w = precondition(r)
-        before = w @ w
-        w = w - basis[:, :width] @ (basis[:, :width].T @ w)
-        w -= basis[:, :width] @ (basis[:, :width].T @ w)
-        after = w @ w
-        if not after > 1e-24 * before:  # w is rounding error, or zero
-            break
+        done = math.sqrt(r @ r) <= tol
+        if not done:
+            w = precondition(r)
+            before = w @ w
+            w = w - basis[:, :width] @ (basis[:, :width].T @ w)
+            w -= basis[:, :width] @ (basis[:, :width].T @ w)
+            after = w @ w
+            done = not after > 1e-24 * before  # w is rounding error, or zero
+        if done:
+            if fresh:
+                break
+            images[:, 0], fresh, width = a.matvec(basis[:, 0]), True, 1
+            continue
         basis[:, width] = w / math.sqrt(after)
         images[:, width] = a.matvec(basis[:, width])
         k = width + 1
@@ -260,17 +269,18 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
         p -= t * x
         ap -= t * ax
         norm = math.sqrt(p @ p)
-        basis[:, 0], images[:, 0] = x, ax
+        basis[:, 0], images[:, 0], fresh = x, ax, False
         if k == x.size:  # the basis spans the space, so x is exact
             break
         width = 2 if norm > 0.0 else 1  # p vanishes when the step stays on x
         if width == 2:
             basis[:, 1], images[:, 1] = p / norm, ap / norm
-    return theta, basis[:, 0].copy()
+    x = basis[:, 0].copy()
+    return theta, x, images[:, 0].copy() if fresh else a.matvec(x)
 
 
-def _relative_residual(a, theta, x):
-    r = a.matvec(x) - theta * x
+def _relative_residual(ax, theta, x):
+    r = ax - theta * x
     return math.sqrt(r @ r) / (abs(theta) * math.sqrt(x @ x))
 
 

@@ -44,10 +44,11 @@ color is solved through a block-diagonal Preconditioner of its own.  Its
 ``response`` A_oo^-1 C gives sigma^2 as the Rayleigh quotient of C^T A_oo^-1 C
 and the other color's part of an eigenvector of M^-1 A.
 
-Each block is factored without pivoting in a minimum-degree order: F0 in the
-multiple-minimum-degree order SuperLU computes for it, and every other block
-in that order of the finite-element nodes, with each node's stochastic
-indices kept together.
+F0 is LU-factored by SuperLU without pivoting, in the multiple-minimum-degree
+order it computes.  Every larger leading block is factored by LAPACK's banded
+Cholesky (dpbtrf) in the node-major numbering, each node's stochastic
+indices together: the uniform meshes number their nodes in a band order, so
+a block of count indices has a band of about count times F0's.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
 from .errors import EnclosureError, FactorizationError, UsageError
@@ -184,72 +186,66 @@ class DiscreteProblem:
         return cls(index_set, mesh, field, GalerkinOperator(gs, fs))
 
     def factor(self, count: int):
-        """LU factors of A[:n, :n], n = count * n_fe: A on its first ``count``
-        stochastic indices, factored on first use.  One index is F0, factored
-        in SuperLU's own order, which every larger block takes through
-        ``_fe_order``."""
+        """Factors of A[:n, :n], n = count * n_fe: A on its first ``count``
+        stochastic indices, factored on first use.  One index is F0, which
+        SuperLU factors; every larger block is a ``_BandCholesky``."""
         if count not in self._factors:
             n = count * self.operator.n_fe
-            what, fe_order = "the mean block", None
-            if count > 1:
-                what, fe_order = f"the leading block of {count} stochastic indices", self._fe_order
-            self._factors[count] = _factor(self.operator.matrix[:n, :n], what, fe_order)
+            block = self.operator.matrix[:n, :n]
+            self._factors[count] = _factor(block) if count == 1 else _BandCholesky(block, count)
         return self._factors[count]
 
-    @cached_property
-    def _fe_order(self) -> np.ndarray:
-        """Multiple-minimum-degree order of the finite-element graph of F0:
-        the column order SuperLU chose when it factored the mean block."""
-        return np.argsort(self.factor(1).perm_c)
 
-
-class _OrderedLU:
-    """LU factors of P B P^T for a block B and a permutation P; ``solve``
-    applies B^-1 to a vector or to each column of a matrix."""
-
-    def __init__(self, lu, perm: np.ndarray):
-        self.lu = lu
-        self.perm = perm
-        self.shape = lu.shape
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        x[self.perm] = self.lu.solve(b[self.perm])
-        return x
-
-
-def _factor(block: sp.spmatrix, what: str, fe_order: np.ndarray | None = None):
-    """LU-factor a block that is positive definite by construction, with a
-    cheap definiteness spot check so dominance violations surface here.
-
-    The block's dof p*n_fe + i belongs to stochastic index p and node i; it
-    is factored in the order ``fe_order`` of the nodes, each node's
-    stochastic indices together, without pivoting.  Without ``fe_order`` the
-    block is F0 itself, and SuperLU orders it by multiple minimum degree; its
-    factors then solve with F0 directly.
-    """
-    n = block.shape[0]
-    if fe_order is None:
-        permc_spec, perm, ordered = "MMD_AT_PLUS_A", None, block.tocsc()
-    else:
-        count = n // fe_order.size
-        perm = (np.arange(count)[None, :] * fe_order.size + fe_order[:, None]).ravel()
-        permc_spec, ordered = "NATURAL", block[perm][:, perm].tocsc()
+def _factor(block: sp.spmatrix):
+    """LU-factor F0, positive definite by construction, without pivoting in
+    SuperLU's multiple-minimum-degree order, with a cheap definiteness spot
+    check so dominance violations surface here."""
     try:
         lu = spla.splu(
-            ordered,
-            permc_spec=permc_spec,
+            block.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
-        raise FactorizationError(f"factorization of {what} failed: {exc}") from None
+        raise FactorizationError(f"factorization of the mean block failed: {exc}") from None
     rng = np.random.default_rng(0)
     for _ in range(2):
-        v = rng.standard_normal(n)
+        v = rng.standard_normal(block.shape[0])
         if float(v @ (block @ v)) <= 0.0:
-            raise FactorizationError(f"{what} is not positive definite")
-    return lu if perm is None else _OrderedLU(lu, perm)
+            raise FactorizationError("the mean block is not positive definite")
+    return lu
+
+
+class _BandCholesky:
+    """Cholesky factor of a symmetric block of ``count`` stochastic indices
+    by LAPACK's banded routines, in the node-major numbering: the block's dof
+    p*n_fe + i, stochastic index p at node i, is factored as i*count + p.
+    The factorization itself is the definiteness check.  ``solve`` applies
+    the block's inverse to a vector or to each column of a matrix, in the
+    block's own numbering."""
+
+    def __init__(self, block: sp.spmatrix, count: int):
+        self.count, self.shape = count, block.shape
+        n_fe = block.shape[0] // count
+        coo = block.tocoo()
+        row, col = ((i % n_fe) * count + i // n_fe for i in (coo.row, coo.col))
+        lower = row >= col
+        offset, col = row[lower] - col[lower], col[lower]
+        band = np.zeros((offset.max(initial=0) + 1, block.shape[0]), order="F")
+        band[offset, col] = coo.data[lower]
+        self.band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise FactorizationError(
+                f"the leading block of {count} stochastic indices is not positive definite")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        m = b.size // self.shape[0]
+        # (index, node, column) -> (column, node, index): node-major columns
+        rhs = np.empty((m, self.shape[0] // self.count, self.count))
+        rhs[...] = b.reshape(self.count, -1, m).transpose(2, 1, 0)
+        x, _info = lapack.dpbtrs(self.band, rhs.reshape(m, -1).T, lower=1, overwrite_b=1)
+        return x.T.reshape(rhs.shape).transpose(2, 1, 0).reshape(b.shape)
 
 
 class Preconditioner:
@@ -386,19 +382,28 @@ def _check_coloring(problem: DiscreteProblem, kind: str) -> None:
     and G_k[:lead, :lead] on every repeated group.  So every coupling that
     ``kind`` drops joins two colors, and every coupling inside a color is
     kept exactly.  Every recurrence has alpha_n = 0, so this holds for the
-    assembled G_k; the check is exact and costs nothing next to A."""
+    assembled G_k.  The check is exact and reads only the stored entries of
+    G_k and of the kept copies of its leading block; the coarse group is
+    kept as it is.  A fault is reported at its first (i, j) in row-major
+    order."""
     iset = problem.index_set
     lead, cut = block_layout(kind, iset)
     color = coloring(kind, iset)
-    eye = sp.identity((iset.size - cut) // lead, format="csr")
+    starts = cut + lead * np.arange((iset.size - cut) // lead, dtype=np.int64)[:, None]
     for k, g in enumerate(problem.operator.gs):
-        kept = sp.kron(eye, g[:lead, :lead], format="csr")
-        if cut:
-            kept = sp.block_diag([g[:cut, :cut], kept], format="csr")
-        diff = (g - kept).tocoo()
-        inside = (diff.data != 0.0) & (color[diff.row] == color[diff.col])
+        g = g.tocoo()
+        row, col = g.row.astype(np.int64), g.col.astype(np.int64)
+        own = (row >= cut) | (col >= cut)
+        top = (row < lead) & (col < lead)
+        keys = np.concatenate([row[own] * iset.size + col[own],
+                               ((starts + row[top]) * iset.size + starts + col[top]).ravel()])
+        keys, where = np.unique(keys, return_inverse=True)
+        kept = np.tile(-g.data[top], starts.size)
+        diff = np.bincount(where, weights=np.concatenate([g.data[own], kept]))
+        i, j = np.divmod(keys, iset.size)
+        inside = (diff != 0.0) & (color[i] == color[j])
         if inside.any():
-            i, j = diff.row[inside][0], diff.col[inside][0]
+            i, j = i[inside][0], j[inside][0]
             names = _COLOR_NAMES.get(kind, ("coarse", "detail"))
             raise EnclosureError(
                 f"{kind}: G_{k} on the {names[color[i]]} indices joins {i} and {j} "

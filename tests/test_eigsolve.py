@@ -205,6 +205,22 @@ class TestExtremeEigs:
             assert est.iterations <= 220, seed
             assert est.residual_norms[0] <= cfg.tol, seed
 
+    def test_carried_residual_at_the_rounding_floor_is_checked_afresh(self):
+        # table3_setting1 at degree 2 (N = 290, ||A||_inf = 162) at tol 1e-13:
+        # the carried image of x drifted from A x, so its residual passed the
+        # rule while a fresh product read 1.14e-13, above tol; the run now
+        # goes on from x whenever a fresh product fails the rule
+        cfg = load_config(CONFIG_DIR / "table3_setting1.cfg")
+        mesh = build_mesh(cfg.dim, cfg.elements, cfg.element)
+        field = sample_coefficients(cfg.coefficients, mesh)
+        prob = DiscreteProblem.build(cfg.family, MultiIndexSet.complete(cfg.nterms, 3), mesh, field)
+        assert prob.operator.shape == (290, 290)
+        w = np.linalg.eigvalsh(prob.operator.matrix.toarray())
+        est = extreme_eigs(prob.operator, build_preconditioner(prob, MEAN_BASED), tol=1e-13,
+                           max_iter=cfg.max_iter, seed=cfg.seed)
+        assert est.residual_norms[0] <= 1e-13
+        assert est.lambda_min == pytest.approx(w[0], rel=1e-13)
+
     def test_nan_preconditioner_is_a_convergence_failure(self):
         prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
 

@@ -170,9 +170,9 @@ class TestRunVerify:
 
 def count_lanczos_runs(monkeypatch):
     """(steps, solves) of every Lanczos run, in order: its steps, and the
-    solves with factors in the nodes' order from its start to the next
+    solves with banded factors of leading blocks from its start to the next
     run's start."""
-    solve = operator._OrderedLU.solve
+    solve = operator._BandCholesky.solve
     generalized = eigsolve.extreme_eigs_generalized
     steps, solves = [], []
 
@@ -187,7 +187,7 @@ def count_lanczos_runs(monkeypatch):
         steps.append(est.iterations)
         return est
 
-    monkeypatch.setattr(operator._OrderedLU, "solve", counted)
+    monkeypatch.setattr(operator._BandCholesky, "solve", counted)
     monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", stepped)
     return steps, solves
 
@@ -210,9 +210,9 @@ class TestGs2SchurPath:
 
     def test_one_coarse_solve_per_lanczos_step(self, cfg, monkeypatch):
         # complete order 3: A11 is A on the three indices of total degree at
-        # most 1, the only factor of the run in the nodes' order; the run's
-        # eigenvector of M^-1 A takes one more A11 solve.  The degree-1 start
-        # run solves only with F0, in SuperLU's own order
+        # most 1, the only banded factor of the run; the run's eigenvector of
+        # M^-1 A takes one more A11 solve.  The degree-1 start run solves only
+        # with F0, which SuperLU factors
         from dataclasses import replace
 
         steps, solves = count_lanczos_runs(monkeypatch)
@@ -275,7 +275,7 @@ class TestColoredPencilPath:
     def test_one_coarse_solve_per_lanczos_step_of_the_splitting(self, cfg, monkeypatch):
         # complete order 3: the splitting runs on its coarse side, with one
         # A11 solve per step and one for the start vector; the other color's
-        # solves are with F0, factored in SuperLU's own order
+        # solves are with F0, which SuperLU factors
         from dataclasses import replace
 
         steps, solves = count_lanczos_runs(monkeypatch)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import aslinearoperator
 
 from helpers import (
@@ -230,14 +228,20 @@ class TestPreconditioners:
             assert kappas[1] == pytest.approx(1.0 / (1.0 - gamma * gamma), rel=1e-8)
 
     def test_each_block_is_factored_once_per_problem(self, monkeypatch):
+        # F0 by SuperLU, every larger leading block by banded Cholesky
         calls = []
-        splu = operator.spla.splu
+        splu, band_init = operator.spla.splu, operator._BandCholesky.__init__
 
         def counting(*args, **kwargs):
             calls.append(1)
             return splu(*args, **kwargs)
 
+        def counting_band(self, *args):
+            calls.append(1)
+            band_init(self, *args)
+
         monkeypatch.setattr(operator.spla, "splu", counting)
+        monkeypatch.setattr(operator._BandCholesky, "__init__", counting_band)
         for basis, order, kinds, factors in (
             ("complete", 3, self.KINDS_COMPLETE, 2),  # F0 and A11
             ("tensor", 3, self.KINDS_TENSOR, 3),  # F0, the truncated block and A11
@@ -275,8 +279,6 @@ class TestPreconditioners:
         rng = np.random.default_rng(41)
         for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
             prob = small_2d_problem(basis)
-            n_fe = prob.operator.n_fe
-            assert not np.array_equal(prob._fe_order, np.arange(n_fe))
             v = rng.standard_normal(prob.operator.shape[0])
             for kind in kinds:
                 m = build_preconditioner(prob, kind)
@@ -286,25 +288,23 @@ class TestPreconditioners:
                 column = m.solve(v[:, None])
                 assert column.shape == (v.size, 1)
                 assert np.allclose(column[:, 0], expect, rtol=0, atol=atol)
+            for count, factor in prob._factors.items():
+                if count > 1:  # node-major: a narrower band than the block's own numbering
+                    n = count * prob.operator.n_fe
+                    own = scipy.sparse.tril(prob.operator.matrix[:n, :n])
+                    assert factor.band.shape[0] - 1 < (own.row - own.col).max()
 
-    def test_ordered_coarse_factor_fills_no_more_than_colamd(self):
-        # Table 4's regime on a coarser grid: K = 3, total degree 4, so the
-        # coarse block holds 20 stochastic indices per node
-        prob = small_2d_problem(elements=11, nvars=3, order=5)
-        m = build_preconditioner(prob, SPLITTING_COMPLETE)
-        ordered = m._lu11.lu
-        n = m.split_index
-        colamd = spla.splu(prob.operator.matrix[:n, :n].tocsc())
-        assert ordered.L.nnz + ordered.U.nnz <= colamd.L.nnz + colamd.U.nnz
-
-    def test_ordered_coarse_factor_fills_less_than_rcm(self):
-        prob = small_2d_problem(elements=11, nvars=3, order=5)
-        m = build_preconditioner(prob, SPLITTING_COMPLETE)
-        ordered = m._lu11.lu
-        rcm_order = reverse_cuthill_mckee(prob.operator.fs[0], symmetric_mode=True)
-        n = m.split_index
-        rcm = operator._factor(prob.operator.matrix[:n, :n], "the coarse block", rcm_order).lu
-        assert ordered.L.nnz + ordered.U.nnz < rcm.L.nnz + rcm.U.nnz
+    @pytest.mark.parametrize("element", (None, "q1", "p1"), ids=("1d", "q1", "p1"))
+    def test_node_major_band_is_at_most_count_times_that_of_f0(self, element):
+        # F0 of bandwidth w joins nodes at most w apart, and node i's indices
+        # sit at i*count .. i*count + count - 1
+        mesh = build_mesh(1, 9) if element is None else build_mesh(2, (6, 6), element)
+        field = sample_coefficients(["1", "0.4*x1", "0.3*x1*x1"], mesh)
+        prob = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 4), mesh, field)
+        f0 = scipy.sparse.tril(prob.operator.fs[0])
+        w = (f0.row - f0.col).max()
+        for count in (3, 6, 10):
+            assert prob.factor(count).band.shape[0] - 1 <= count * (w + 1) - 1
 
     def test_mean_block_on_a_path_factors_without_fill(self):
         # in 1D F0 is tridiagonal: L and U each hold 2n - 1 entries
@@ -315,9 +315,12 @@ class TestPreconditioners:
             assert lu.L.nnz + lu.U.nnz == 4 * n - 2
 
     def test_fe_order_is_deterministic(self):
-        first, second = (small_2d_problem(elements=7)._fe_order for _ in range(2))
-        assert np.array_equal(first, second)
-        assert np.array_equal(np.sort(first), np.arange(first.size))
+        # the node-major numbering follows the mesh's own node numbering, so
+        # two builds factor and solve bit for bit alike
+        first, second = (small_2d_problem(elements=7).factor(6) for _ in range(2))
+        assert np.array_equal(first.band, second.band)
+        v = np.random.default_rng(5).standard_normal(first.shape[0])
+        assert np.array_equal(first.solve(v), second.solve(v))
 
     def test_indefinite_block_is_a_factorization_error(self):
         # no pivoting: the definiteness spot check is the guard
@@ -326,7 +329,25 @@ class TestPreconditioners:
         w = np.linalg.eigvalsh(block.toarray())
         assert w[0] < 0.0 < w[-1]
         with pytest.raises(FactorizationError):
-            operator._factor(block, "a shifted block", np.arange(f0.shape[0]))
+            operator._factor(block)
+
+    def test_barely_indefinite_leading_block_is_a_factorization_error(self):
+        # the count-4 leading block shifted to one eigenvalue at -6.5e-5:
+        # random vectors see a positive quadratic form, Cholesky does not
+        prob = small_2d_problem(elements=7, nvars=3, order=4)
+        a, n = prob.operator, 4 * prob.operator.n_fe
+        assert (a.gs[0] != scipy.sparse.identity(a.n_p)).nnz == 0  # so F0 - sI shifts by -sI
+        shift = np.linalg.eigvalsh(a.matrix[:n, :n].toarray())[0] + 6.5e-5
+        fs = [a.fs[0] - shift * scipy.sparse.identity(a.n_fe), *a.fs[1:]]
+        shifted = DiscreteProblem(prob.index_set, prob.mesh, prob.field,
+                                  GalerkinOperator(a.gs, fs))
+        block = shifted.operator.matrix[:n, :n]
+        assert np.linalg.eigvalsh(block.toarray())[0] == pytest.approx(-6.5e-5, rel=1e-6)
+        v = np.random.default_rng(0).standard_normal((n, 2))
+        assert (v * (block @ v)).sum(axis=0).min() > 0.0
+        with pytest.raises(FactorizationError,
+                           match="leading block of 4 stochastic indices is not positive definite"):
+            shifted.factor(4)
 
     def test_mean_only_field_makes_every_kind_exact(self):
         mesh = build_mesh(1, 4)
@@ -452,3 +473,90 @@ class TestSchurPencil:
                 operator._check_coloring(prob, kind)
             caught.append(kind)
         assert caught
+
+    def test_first_fault_matches_the_dense_difference(self):
+        # seeded faults in the G_k; the reference forms what M keeps of each
+        # G_k densely and reports the first same-color difference row by row
+        rng = np.random.default_rng(28)
+        mesh = build_mesh(1, 2)
+        for iset in self.ISETS:
+            field = sample_coefficients(["1"] + ["0.1"] * iset.nvars, mesh)
+            for _ in range(8):
+                prob = DiscreteProblem.build(legendre(), iset, mesh, field)
+                gs = prob.operator.gs
+                for _ in range(rng.integers(1, 3)):
+                    k, (i, j) = rng.integers(len(gs)), rng.integers(iset.size, size=2)
+                    g = gs[k].tolil()
+                    g[i, j] = g[j, i] = rng.choice([0.0, 0.05, g[i, j] + 1e-15])
+                    gs[k] = g.tocsr()
+                for kind in _kinds_of(iset):
+                    lead, cut = operator.block_layout(kind, iset)
+                    color = operator.coloring(kind, iset)
+                    faults = []
+                    for k, g in enumerate(gs):
+                        d = g.toarray()
+                        copies = np.kron(np.eye((iset.size - cut) // lead), d[:lead, :lead])
+                        kept = scipy.linalg.block_diag(d[:cut, :cut], copies)
+                        i, j = np.nonzero((d != kept) & (color[:, None] == color[None, :]))
+                        faults += [(k, i[0], j[0])] if i.size else []
+                    if not faults:
+                        operator._check_coloring(prob, kind)
+                        continue
+                    k, i, j = faults[0]
+                    with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the .* indices "
+                                                             f"joins {i} and {j} "):
+                        operator._check_coloring(prob, kind)
+
+    @staticmethod
+    def _faulted(iset, k, drop, add, value):
+        """A problem whose G_k loses the symmetric pairs ``drop`` and gains
+        ``add`` at ``value``."""
+        mesh = build_mesh(1, 2)
+        field = sample_coefficients(["1"] + ["0.1"] * iset.nvars, mesh)
+        prob = DiscreteProblem.build(legendre(), iset, mesh, field)
+        g = prob.operator.gs[k].tolil()
+        for (i, j), v in [(pair, 0.0) for pair in drop] + [(pair, value) for pair in add]:
+            g[i, j] = g[j, i] = v
+        prob.operator.gs[k] = g.tocsr()
+        return prob
+
+    @pytest.mark.parametrize("iset", (MultiIndexSet.complete(2, 4), MultiIndexSet.tensor((2, 2, 3))),
+                             ids=("complete", "tensor"))
+    def test_a_coupling_moved_into_one_color_is_an_enclosure_failure(self, iset):
+        # a coupling of the last G_k between the two colors moves inside the
+        # first one's color, off the coarse group and off G_k[:lead, :lead],
+        # which M copies, to where M keeps another value
+        k = iset.nvars
+        g = assemble_G(legendre(), iset, k)
+        dense = g.toarray()
+        for kind in _kinds_of(iset):
+            color = operator.coloring(kind, iset)
+            lead, cut = operator.block_layout(kind, iset)
+            local = (np.arange(iset.size) - cut) % lead
+            kept = np.where(operator.kept_couplings(kind, iset), dense[np.ix_(local, local)], 0.0)
+            moves = [(i, j, other) for i, j in zip(*g.nonzero()) if color[i] != color[j]
+                     for other in range(iset.size) if other != i and color[other] == color[i]
+                     and max(i, other) >= max(cut, lead) and kept[i, other] != dense[i, j]]
+            i, j, other = moves[0]
+            prob = self._faulted(iset, k, [(i, j)], [(i, other)], dense[i, j])
+            first, second = sorted((i, other))
+            with pytest.raises(EnclosureError,
+                               match=f"{kind}: G_{k} on the .* indices joins {first} and {second} "):
+                operator._check_coloring(prob, kind)
+
+    @pytest.mark.parametrize("iset", (MultiIndexSet.complete(2, 4), MultiIndexSet.tensor((2, 2, 3))),
+                             ids=("complete", "tensor"))
+    def test_an_entry_left_out_of_a_repeated_group_is_an_enclosure_failure(self, iset):
+        # the last repeated group loses one stored entry of its copy of
+        # G_k[:lead, :lead], the last G_k that has one
+        gs = [assemble_G(legendre(), iset, k) for k in range(iset.nvars + 1)]
+        for kind in _kinds_of(iset):
+            lead, _cut = operator.block_layout(kind, iset)
+            k, top = [(k, g[:lead, :lead].tocoo()) for k, g in enumerate(gs)
+                      if g[:lead, :lead].count_nonzero()][-1]
+            a, b = sorted((top.row[0], top.col[0]))
+            start = iset.size - lead
+            prob = self._faulted(iset, k, [(start + a, start + b)], [], 0.0)
+            with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the .* indices joins "
+                                                     f"{start + a} and {start + b} "):
+                operator._check_coloring(prob, kind)

@@ -153,12 +153,17 @@ def evaluate(expr: ast.expr, x1: float | None = None, x2: float | None = None) -
 
 def evaluate_on(expr: ast.expr, x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
     """Vectorized evaluation on arrays of points; x1 and x2 broadcast
-    against each other, so a row and a column give the values on their grid."""
+    against each other, so a row and a column give the values on their grid.
+
+    The result is a read-only broadcast view of the values the expression
+    computes: an expression of x1 alone, given a row and a column, holds one
+    row of values, and a constant one value.  It may share memory with x1 or
+    x2.  Copy it before writing into it."""
     x1 = np.asarray(x1, dtype=float)
     x2 = None if x2 is None else np.asarray(x2, dtype=float)
     shape = x1.shape if x2 is None else np.broadcast_shapes(x1.shape, x2.shape)
     out = _Evaluator(x1, x2).visit(expr)
-    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+    return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
 def variables(expr: ast.expr) -> set:

@@ -155,7 +155,8 @@ def extreme_eigs(
     NaN or inf H raises ConvergenceError.  ``max_iter`` caps both ARPACK's
     restarts and the LOBPCG iterations, each one preconditioned step.
     LOBPCG stops once ||Ax - theta x|| <= 1e-2 ``tol`` with ||x|| = 1, the
-    rule of scipy's lobpcg; its relative residual
+    rule of scipy's lobpcg, or once its residual stops falling at the
+    rounding floor; its relative residual
     ||Ax - theta x|| / (|theta| ||x||) is then checked here and
     ConvergenceError raised, with the estimate attached, above ``tol``.
 
@@ -230,10 +231,14 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
     ||A x - theta x|| <= ``tol`` with ||x|| = 1, scipy's rule, or when
     nothing of w is left outside x and p, each judged on a fresh product
     A x: a carried image drifts from it by rounding, so when the carried
-    residual passes, or w vanishes, A x is recomputed, and the run goes on
-    from x with p dropped unless the fresh residual passes too.  It also
-    stops after ``max_iter`` iterations, or once the basis spans the space
-    (n <= 3).  Returns (theta, x, A x), with A x a fresh product.
+    residual passes, w vanishes or the Rayleigh-Ritz step stays on x, A x
+    is recomputed, and the run goes on from x with p dropped unless the
+    fresh residual passes too.  A fresh residual no smaller than the fresh
+    one before it has reached its rounding floor (about eps ||A||), and the
+    run stops there, above ``tol``; the caller judges the result against
+    its own tolerance.  It also stops after ``max_iter`` iterations, or once
+    the basis spans the space (n <= 3).  Returns (theta, x, A x), with A x
+    a fresh product.
     """
     basis = np.empty((x.size, 3), order="F")  # x, p, w
     images = np.empty((x.size, 3), order="F")  # A x, A p, A w
@@ -242,9 +247,15 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
     theta = float(basis[:, 0] @ images[:, 0])
     width = 1  # x, then x and p from the second iteration on
     fresh = True  # images[:, 0] is a product of its own, not carried
+    last_fresh = math.inf  # the residual of the last fresh product
     for _ in range(max_iter):
         r = images[:, 0] - theta * basis[:, 0]
-        done = math.sqrt(r @ r) <= tol
+        res = math.sqrt(r @ r)
+        if fresh:
+            if res >= last_fresh:
+                break
+            last_fresh = res
+        done = res <= tol
         if not done:
             w = precondition(r)
             before = w @ w
@@ -272,9 +283,10 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
         basis[:, 0], images[:, 0], fresh = x, ax, False
         if k == x.size:  # the basis spans the space, so x is exact
             break
-        width = 2 if norm > 0.0 else 1  # p vanishes when the step stays on x
-        if width == 2:
-            basis[:, 1], images[:, 1] = p / norm, ap / norm
+        if norm > 0.0:
+            basis[:, 1], images[:, 1], width = p / norm, ap / norm, 2
+        else:  # the step stays on x, so the carried images can move it no further
+            images[:, 0], fresh, width = a.matvec(x), True, 1
     x = basis[:, 0].copy()
     return theta, x, images[:, 0].copy() if fresh else a.matvec(x)
 

@@ -356,17 +356,19 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     not listed gives no row, no check and no kappa(A); the rows follow the
     listed order.  Every other kind, and kappa(A), starts from the seed.
     A coloring fault names the degree it is found at, like every other
-    enclosure message.
+    enclosure message.  F_0..F_K are assembled with the first degree's
+    problem and shared by every later one.
     """
     mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
     lanczos = {"tol": lanczos_tol, "max_iter": cfg.max_iter, "seed": cfg.seed}
     listed = degree_sweep(cfg)
     chained = _chained_kinds(cfg, max(listed))
-    rows, previous = {}, {}
+    rows, previous, fs = {}, {}, None
     for degree in range(1, max(listed) + 1) if chained else listed:
         iset = index_set(cfg, degree)
-        problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
+        problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field, fs)
+        fs = problem.operator.fs  # F_0..F_K, assembled once for every degree
         estimates = {}  # kind -> (estimate, the pencil's top Ritz value)
         for kind in cfg.preconditioners if degree in listed else chained:
             try:

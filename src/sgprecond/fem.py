@@ -30,6 +30,8 @@ ELEMENT_KINDS = ("q1", "p1")
 
 # cells per element and axis on which mu_from_exprs reads the expressions
 MU_REFINE = 63
+# grid points per block of the dominance reduction (0.5 MiB of float64)
+_BLOCK_POINTS = 1 << 16
 
 __all__ = [
     "ELEMENT_KINDS",
@@ -228,17 +230,33 @@ def assemble_F(mesh: Mesh, field: CoefficientField, k: int) -> sp.csr_matrix:
     return mat
 
 
+def _row_blocks(a: np.ndarray) -> list[slice]:
+    """Slices of ``a`` along its first axis of about _BLOCK_POINTS points
+    each: whole grid rows in 2D, single points in 1D."""
+    step = max(1, _BLOCK_POINTS // a[:1].size)
+    return [slice(start, start + step) for start in range(0, a.shape[0], step)]
+
+
 def _dominance(a0: np.ndarray, rows) -> tuple[float, float]:
-    """compute_mu's (mu, mu_class) of a_0 and the rows a_1..a_K, read one at a time."""
-    total = np.zeros_like(a0)
-    maxima = []
-    for row in rows:
-        row = np.abs(row)
-        total += row
-        maxima.append(row.max())
-    if not maxima:
+    """compute_mu's (mu, mu_class) of a_0 and the rows a_1..a_K, each of
+    a_0's shape.  Sum_k |a_k| / a_0 and each max |a_k| are reduced over the
+    ``_row_blocks`` of a_0, so read-only broadcast views of a grid cost one
+    block at a time; every sum, ratio and maximum is the one of whole
+    arrays, bit for bit."""
+    rows = list(rows)
+    if not rows:
         return 0.0, 0.0
-    return float(np.max(total / a0)), float(np.sum(maxima) / a0.min())
+    ratios, maxima = [], []
+    for block in _row_blocks(a0):
+        total = np.zeros(a0[block].shape)
+        peaks = []
+        for row in rows:
+            part = np.abs(row[block])
+            total += part
+            peaks.append(part.max())
+        ratios.append(np.max(total / a0[block]))
+        maxima.append(peaks)
+    return float(np.max(ratios)), float(np.sum(np.max(maxima, axis=0)) / a0.min())
 
 
 def compute_mu(field: CoefficientField) -> tuple[float, float]:
@@ -256,15 +274,18 @@ def mu_from_exprs(exprs, mesh: Mesh) -> tuple[float, float]:
     MU_REFINE cells per element and axis, which approach the essential
     supremum for smooth coefficients.  MU_REFINE is odd, so the grid holds
     every element midpoint bit for bit and the result is at least
-    compute_mu(sample_coefficients(exprs, mesh)) of the assembled field."""
+    compute_mu(sample_coefficients(exprs, mesh)) of the assembled field.
+
+    Each expression is evaluated once on the grid's axes, so an expression
+    of x1 alone costs one value per column, and is kept as the read-only
+    broadcast view ``coeffexpr.evaluate_on`` returns; ``_dominance`` reads the
+    views in blocks of grid rows, so no expression is copied out to the grid."""
     exprs = [coeffexpr.parse(e) for e in exprs]
-    # each expression is read on the axes and broadcast to the grid, so an
-    # expression of x1 alone costs one evaluation per column
     x1, x2 = mesh.midpoint_axes(MU_REFINE)
     a0 = coeffexpr.evaluate_on(exprs[0], x1, x2)
-    if np.any(a0 <= 0.0):
+    if any(np.any(a0[block] <= 0.0) for block in _row_blocks(a0)):
         raise CoefficientError("mean coefficient is nonpositive on the sampling grid")
-    return _dominance(a0, (coeffexpr.evaluate_on(e, x1, x2) for e in exprs[1:]))
+    return _dominance(a0, [coeffexpr.evaluate_on(e, x1, x2) for e in exprs[1:]])
 
 
 def load_vector(mesh: Mesh, f: str) -> np.ndarray:

@@ -176,13 +176,20 @@ class DiscreteProblem:
         index_set: MultiIndexSet,
         mesh: Mesh,
         field: CoefficientField,
+        fs: list | None = None,
     ) -> "DiscreteProblem":
+        """The problem of ``index_set`` on ``mesh`` and ``field``, with its
+        terms G_0..G_K and F_0..F_K assembled.  The F_k depend on the mesh
+        and the field alone: ``fs``, the ``operator.fs`` of an earlier
+        problem on the same mesh and field, is taken as they are and shared
+        with it; None assembles them."""
         if field.nterms != index_set.nvars:
             raise UsageError(
                 f"field has {field.nterms} fluctuation terms, basis has {index_set.nvars} variables"
             )
         gs = [assemble_G(family, index_set, k) for k in range(field.nterms + 1)]
-        fs = [assemble_F(mesh, field, k) for k in range(field.nterms + 1)]
+        if fs is None:
+            fs = [assemble_F(mesh, field, k) for k in range(field.nterms + 1)]
         return cls(index_set, mesh, field, GalerkinOperator(gs, fs))
 
     def factor(self, count: int):

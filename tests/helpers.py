@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from sgprecond import coeffexpr
 from sgprecond.basis import MultiIndexSet, assemble_G
-from sgprecond.fem import CoefficientField, build_mesh, compute_mu
+from sgprecond.fem import MU_REFINE, CoefficientField, build_mesh, compute_mu
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
     SPLITTING_OF_BASIS,
@@ -122,6 +123,23 @@ def raises_before_allocating(error, call, *args):
     return str(err.value)
 
 
+def full_grid_mu(exprs, mesh):
+    """mu_from_exprs as whole arrays: every expression copied out to the
+    full MU_REFINE grid and reduced at once, as the package did before it
+    reduced in blocks of grid rows."""
+    x1, x2 = mesh.midpoint_axes(MU_REFINE)
+    a0, *rows = (np.array(coeffexpr.evaluate_on(coeffexpr.parse(e), x1, x2)) for e in exprs)
+    total = np.zeros_like(a0)
+    maxima = []
+    for row in rows:
+        row = np.abs(row)
+        total += row
+        maxima.append(row.max())
+    if not maxima:
+        return 0.0, 0.0
+    return float(np.max(total / a0)), float(np.sum(maxima) / a0.min())
+
+
 __all__ = [
     "dense_h_matrix",
     "random_field",
@@ -132,6 +150,7 @@ __all__ = [
     "dense_gs2_matrix",
     "indefinite_shift",
     "raises_before_allocating",
+    "full_grid_mu",
     "compute_mu",
 ]
 

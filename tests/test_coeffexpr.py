@@ -108,6 +108,16 @@ class TestEvaluate:
         out = ce.evaluate_on(e, np.zeros(5))
         assert out.shape == (5,) and np.all(out == 5.0)
 
+    def test_grid_values_are_a_read_only_view(self):
+        x1, x2 = np.linspace(0.0, 1.0, 4)[None, :], np.linspace(0.0, 1.0, 3)[:, None]
+        out = ce.evaluate_on(ce.parse("sin(pi*x1)"), x1, x2)
+        assert out.shape == (3, 4) and out.strides[0] == 0  # one row of values
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0
+        copy = out.copy()
+        copy[0, 0] = 1.0
+        assert copy[0, 0] == 1.0 and out[0, 0] == 0.0
+
     def test_vectorized_division_by_zero(self):
         e = ce.parse("1/x1")
         with pytest.raises(ExprEvalError):

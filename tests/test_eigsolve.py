@@ -221,6 +221,36 @@ class TestExtremeEigs:
         assert est.residual_norms[0] <= 1e-13
         assert est.lambda_min == pytest.approx(w[0], rel=1e-13)
 
+    @pytest.mark.parametrize("tol", (1e-13, 1e-14))
+    def test_lobpcg_stops_at_the_rounding_floor(self, tol):
+        # table3_setting1 at degree 2: fresh relative residuals stall near
+        # 3e-14, far above the stopping rule's 1e-2 tol; the run used to
+        # spend all 400 iterations there.  It now stops once a fresh residual
+        # is no smaller than the one before, and extreme_eigs judges it.
+        cfg = load_config(CONFIG_DIR / "table3_setting1.cfg")
+        mesh = build_mesh(cfg.dim, cfg.elements, cfg.element)
+        field = sample_coefficients(cfg.coefficients, mesh)
+        prob = DiscreteProblem.build(cfg.family, MultiIndexSet.complete(cfg.nterms, 3), mesh, field)
+        m = build_preconditioner(prob, MEAN_BASED)
+        solves = []
+
+        class _Counted:
+            def solve(self, r):
+                solves.append(1)
+                return m.solve(r)
+
+        assert cfg.max_iter == 400
+        if tol == 1e-13:
+            est = extreme_eigs(prob.operator, _Counted(), tol=tol, max_iter=cfg.max_iter,
+                               seed=cfg.seed)
+            assert est.residual_norms[0] <= tol
+            assert len(solves) < 100
+        else:
+            with pytest.raises(ConvergenceError, match="above tolerance"):
+                extreme_eigs(prob.operator, _Counted(), tol=tol, max_iter=cfg.max_iter,
+                             seed=cfg.seed)
+            assert len(solves) < cfg.max_iter // 2
+
     def test_nan_preconditioner_is_a_convergence_failure(self):
         prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)
 

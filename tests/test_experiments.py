@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import CONFIG_DIR
 from helpers import dense_gs2_matrix, dense_preconditioner_matrix
 from sgprecond import eigsolve, operator
 from sgprecond.basis import MultiIndexSet
@@ -405,6 +406,31 @@ def test_warm_started_rows_match_the_dense_spectrum(name):
             w = np.sort(scipy.linalg.eigvals(a, dense_preconditioner_matrix(prob, kind)).real)
             kappa = table.value(row, _EIG_COLUMN[kind])
             assert kappa == pytest.approx(w[-1] / w[0], rel=1e-7), (degree, kind)
+
+
+@pytest.mark.parametrize("name, rows", (("table3_setting1", 4), ("table4", 5)))
+def test_each_f_is_assembled_once_per_config(name, rows, monkeypatch):
+    # table3_setting1 lists degrees 1 2 6 7 and builds a problem at each of
+    # 1..7; table4 builds one at each of 1..5.  The estimates, which read
+    # the problems but build none, are stubbed with the spectrum {1}.
+    from dataclasses import replace
+
+    from sgprecond import experiments
+    from sgprecond.config import load_config
+
+    assemble = operator.assemble_F
+    calls = []
+
+    def counted(mesh, field, k):
+        calls.append(k)
+        return assemble(mesh, field, k)
+
+    monkeypatch.setattr(operator, "assemble_F", counted)
+    monkeypatch.setattr(experiments, "_preconditioned_extremes",
+                        lambda *args, **kwargs: (EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0))
+    cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+    assert len(run_verify(replace(cfg, kappa_a=False)).rows) == rows
+    assert calls == list(range(cfg.nterms + 1))
 
 
 class TestRunSolve:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import CONFIG_DIR
+from helpers import full_grid_mu
 from sgprecond.config import load_config
 from sgprecond.errors import CoefficientError, ParameterDomainError
 from sgprecond.fem import (
@@ -172,6 +175,44 @@ class TestCoefficients:
         assert grid.shape == (5 * MU_REFINE, 7 * MU_REFINE)
         assert np.array_equal(grid.ravel(), flat)
         assert np.array_equal(grid.ravel().view(np.int64), flat.view(np.int64))
+
+    @pytest.mark.parametrize("dim, exprs", (
+        (1, ["1 + 0.2*x1", "0.3*x1", "0.1*chi(0, 1/3)", "-0.1"]),
+        (1, ["1.5"]),
+        (2, ["1 + 0.5*x1", "0.3*sin(pi*x1)", "0.2*chi(0, 1/3)", "-0.1"]),
+        (2, ["2", "0.3*x2", "-0.2*cos(2*pi*x2)"]),
+        (2, ["1", "0.3*sin(pi*x1)", "0.3*sin(pi*x2)", "0.1*x1*x2 - 0.02"]),
+        (2, ["1 + x1*x2", "0.4*chi(1/3, 2/3)", "0.25", "0.2*sin(pi*x1)*cos(pi*x2)"]),
+        (2, ["1.5"]),
+    ), ids=("1d", "1d-mean-only", "x1", "x2", "both", "chi-and-constant", "mean-only"))
+    def test_mu_equals_the_full_grid_reduction(self, dim, exprs):
+        # 1100 elements give 69300 points in 1D and 20 x 20 give 1260 grid
+        # rows, so both reductions end on a partial block; in the "1d" and
+        # "x2" cases mu is attained in it, and in "both" one max |a_k|
+        m = build_mesh(1, 1100) if dim == 1 else build_mesh(2, (20, 20))
+        assert mu_from_exprs(exprs, m) == full_grid_mu(exprs, m)
+
+    def test_mean_nonpositive_between_the_midpoints_is_rejected(self):
+        # 0.9995 - x2 is positive at every element midpoint and nonpositive
+        # only on the last refined grid row, in the last, partial block
+        m = build_mesh(2, (20, 20))
+        exprs = ["0.9995 - x2", "0.1*x1"]
+        sample_coefficients(exprs, m)
+        with pytest.raises(CoefficientError, match="sampling grid"):
+            mu_from_exprs(exprs, m)
+
+    def test_mu_of_table4_allocates_no_grid_copy(self):
+        # at 21 x 21 elements the grid is 1323 x 1323, 14 MB per expression
+        cfg = load_config(CONFIG_DIR / "table4.cfg")
+        m = build_mesh(cfg.dim, cfg.elements, cfg.element)
+        tracemalloc.start()
+        try:
+            mu = mu_from_exprs(cfg.coefficients, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, f"{peak} bytes"
+        assert mu == full_grid_mu(cfg.coefficients, m)
 
     def test_fine_sampling_approaches_continuous_sup(self):
         m = build_mesh(2, (20, 20))

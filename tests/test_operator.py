@@ -125,6 +125,33 @@ class TestMatvec:
         assert np.allclose(a, a.T, atol=1e-14)
 
 
+class TestBuild:
+    def test_build_assembles_its_own_terms_unless_given(self, monkeypatch):
+        calls = []
+
+        def counted(mesh, field, k):
+            calls.append(k)
+            return assemble_F(mesh, field, k)
+
+        monkeypatch.setattr(operator, "assemble_F", counted)
+        mesh = build_mesh(2, (5, 5), "p1")
+        field = sample_coefficients(["1", "0.4*x1", "0.3*sin(pi*x2)"], mesh)
+        first = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 2), mesh, field)
+        assert calls == [0, 1, 2]
+        alone = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 3), mesh, field)
+        assert calls == [0, 1, 2] * 2
+        shared = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 3), mesh, field,
+                                       first.operator.fs)
+        assert calls == [0, 1, 2] * 2
+        for f, g in zip(first.operator.fs, shared.operator.fs):
+            assert np.shares_memory(f.data, g.data)
+        for a, b in ((alone, shared), (first, alone)):
+            for f, g in zip(a.operator.fs, b.operator.fs):
+                assert (f != g).nnz == 0
+        difference = alone.operator.matrix != shared.operator.matrix
+        assert difference.nnz == 0
+
+
 class TestPreconditioners:
     KINDS_COMPLETE = (MEAN_BASED, SPLITTING_COMPLETE, GAUSS_SEIDEL_2)
     KINDS_TENSOR = (MEAN_BASED, TRUNCATED_TP, SPLITTING_TP, GAUSS_SEIDEL_2)

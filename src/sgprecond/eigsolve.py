@@ -43,6 +43,10 @@ from .orthopoly import _tridiag_eig
 __all__ = ["EigEstimate", "extreme_eigs_generalized", "extreme_eigs", "pcg"]
 
 CHECK_EVERY = 5  # Lanczos steps between two Ritz solves of the tridiagonal matrix
+# LOBPCG recomputes A x once its carried residual lies within FLOOR_FACTOR eps
+# ||A|| of the rounding floor and has reached no new minimum for STALL iterations
+FLOOR_FACTOR = 1e3
+STALL = 5
 
 
 @dataclass(frozen=True)
@@ -236,15 +240,21 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
     fresh residual passes too.  A fresh residual no smaller than the fresh
     one before it has reached its rounding floor (about eps ||A||), and the
     run stops there, above ``tol``; the caller judges the result against
-    its own tolerance.  It also stops after ``max_iter`` iterations, or once
-    the basis spans the space (n <= 3).  Returns (theta, x, A x), with A x
-    a fresh product.
+    its own tolerance.  Near that floor the carried residual only bounces,
+    so A x is also recomputed once the carried residual lies within
+    ``FLOOR_FACTOR`` eps s, s the largest ||A v|| of a unit basis vector v
+    so far, and has reached no new minimum since the last fresh product for
+    ``STALL`` iterations.  Far above the floor a carried residual can stall
+    longer than that while it still falls.  It also stops after
+    ``max_iter`` iterations, or once the basis spans the space (n <= 3).
+    Returns (theta, x, A x), with A x a fresh product.
     """
     basis = np.empty((x.size, 3), order="F")  # x, p, w
     images = np.empty((x.size, 3), order="F")  # A x, A p, A w
     basis[:, 0] = x / math.sqrt(x @ x)
     images[:, 0] = a.matvec(basis[:, 0])
     theta = float(basis[:, 0] @ images[:, 0])
+    scale = math.sqrt(images[:, 0] @ images[:, 0])  # the largest ||A v|| of a unit v so far
     width = 1  # x, then x and p from the second iteration on
     fresh = True  # images[:, 0] is a product of its own, not carried
     last_fresh = math.inf  # the residual of the last fresh product
@@ -255,7 +265,12 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
             if res >= last_fresh:
                 break
             last_fresh = res
-        done = res <= tol
+        if fresh or res < lowest:  # the lowest residual since the last fresh product
+            lowest, stalled = res, 0
+        else:
+            stalled += 1
+        near_floor = res <= FLOOR_FACTOR * np.finfo(float).eps * scale
+        done = res <= tol or (stalled >= STALL and near_floor)
         if not done:
             w = precondition(r)
             before = w @ w
@@ -270,6 +285,7 @@ def _lobpcg_min(a, x, precondition, tol, max_iter):
             continue
         basis[:, width] = w / math.sqrt(after)
         images[:, width] = a.matvec(basis[:, width])
+        scale = max(scale, math.sqrt(images[:, width] @ images[:, width]))
         k = width + 1
         h = basis[:, :k].T @ images[:, :k]
         values, vectors = np.linalg.eigh(0.5 * (h + h.T))

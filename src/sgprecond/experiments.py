@@ -14,6 +14,10 @@ ties them.  On a complete basis A of one degree is the leading block of A
 of the next, and the splitting's coarse group is the whole basis one degree
 below, so the splitting and gs2 run at every degree from 1 up, each Lanczos
 run started from the same kind's eigenvector of M^-1 A one degree below.
+The runs of one degree are concurrent: its pencils are built first, then
+the first kind runs on the calling thread and the others on one worker
+thread, sharing the problem's factors, whose solves release the GIL.  Rows,
+messages and exit codes are those of one loop over the kinds in order.
 With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
@@ -26,6 +30,7 @@ import csv
 import io
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -271,10 +276,10 @@ def _check_oracle(label, b, lo, hi, est):
                              f"({est.lambda_min:.12g}, {est.lambda_max:.12g})")
 
 
-def _preconditioned_extremes(problem, kind, previous=None, **lanczos):
-    """Lanczos extremes of M^-1 A for preconditioner ``kind``, read off
-    the low end of its Schur-complement pencil, and the pencil's top Ritz
-    value.
+def _preconditioned_extremes(pencil, previous=None, **lanczos):
+    """Lanczos extremes of M^-1 A for the preconditioner of ``pencil``, a
+    ``ColoredPencil``, read off the low end of that Schur-complement pencil,
+    and the pencil's top Ritz value.
 
     Lanczos iterates only the low end theta_min = 1 - sigma_max^2 to
     tolerance.  A block-diagonal kind's spectrum is 1 -+ sigma_i, so its
@@ -294,25 +299,24 @@ def _preconditioned_extremes(problem, kind, previous=None, **lanczos):
     the run: zero-padded to x, its start is (A x) on the pencil's color,
     which is M_s x_s when x is an eigenvector of M^-1 A.
     """
-    pencil = operator.ColoredPencil(problem, kind)
     if 0 in pencil.color_sizes:
         return eigsolve.EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0
-    this, other = pencil.dofs
+    a, (this, other) = pencil.operator, pencil.dofs
     start = None
     if previous is not None:
-        x = np.zeros(problem.operator.shape[0])
+        x = np.zeros(a.shape[0])
         x[: previous.size] = previous
-        start = problem.operator.matvec(x)[this]
+        start = a.matvec(x)[this]
     est = eigsolve.extreme_eigs_generalized(pencil, pencil, start=start, **lanczos)
     theta, y = est.lambda_min, est.vector_min
     z = pencil.response(y)
-    if kind == GAUSS_SEIDEL_2:
+    if pencil.kind == GAUSS_SEIDEL_2:
         ends, s = (min(1.0, theta), max(1.0, est.lambda_max)), 1.0
     else:
         sigma = math.sqrt(max(0.0, y @ (pencil.c.T @ z)) / (y @ (pencil.a_ss @ y)))
         ends = theta / (1.0 + sigma), 1.0 + sigma  # 1 -+ sigma, without cancellation
         s = 1.0 / sigma if sigma > 0.0 else 0.0
-    vector = np.empty(problem.operator.shape[0])
+    vector = np.empty(a.shape[0])
     vector[this], vector[other] = y, -s * z
     return replace(est, lambda_min=ends[0], lambda_max=ends[1], vector_min=vector), est.lambda_max
 
@@ -358,6 +362,13 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     A coloring fault names the degree it is found at, like every other
     enclosure message.  F_0..F_K are assembled with the first degree's
     problem and shared by every later one.
+
+    With several kinds at a degree, the first kind's Lanczos run goes on
+    this thread and the others, in order, on the single worker of a thread
+    pool held open over the sweep (``_estimates``); a degree with one run
+    starts no thread.  Results and errors are taken in the configured kind
+    order, so the error raised is the one the serial loop would raise.
+    Each run uses the OpenBLAS thread count in effect.
     """
     mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
@@ -365,65 +376,110 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     listed = degree_sweep(cfg)
     chained = _chained_kinds(cfg, max(listed))
     rows, previous, fs = {}, {}, None
-    for degree in range(1, max(listed) + 1) if chained else listed:
-        iset = index_set(cfg, degree)
-        problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field, fs)
-        fs = problem.operator.fs  # F_0..F_K, assembled once for every degree
-        estimates = {}  # kind -> (estimate, the pencil's top Ritz value)
-        for kind in cfg.preconditioners if degree in listed else chained:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for degree in range(1, max(listed) + 1) if chained else listed:
+            iset = index_set(cfg, degree)
+            problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field, fs)
+            fs = problem.operator.fs  # F_0..F_K, assembled once for every degree
             try:
-                estimates[kind] = _preconditioned_extremes(problem, kind, previous.get(kind),
-                                                           **lanczos)
+                estimates = _estimates(pool, problem, cfg.preconditioners if degree in listed
+                                       else chained, previous, lanczos)
             except EnclosureError as err:  # a coloring fault, possibly at a degree with no row
                 raise EnclosureError(f"degree {degree}: {err}") from None
-            if kind in chained:
-                previous[kind] = estimates[kind][0].vector_min
-        if degree not in listed:
-            continue
-        cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
-        cells["N"] = Cell(float(problem.operator.shape[0]))
-        for kind in cfg.preconditioners:
-            est, top = estimates[kind]
-            kappa = est.lambda_max / est.lambda_min
-            cells[_EIG_COLUMN[kind]] = Cell(kappa, LANCZOS)
-            if kind == MEAN_BASED:
-                cells["lambda_min"] = Cell(est.lambda_min, LANCZOS)
-                cells["lambda_max"] = Cell(est.lambda_max, LANCZOS)
-            b = by_kind[kind]
-            if not b.vacuous:
-                _check_enclosure(f"{kind} (degree {degree})", b.c_lower, b.c_upper, est)
-            _check_pencil_top(f"{kind} (degree {degree})", top)
-            if kind == MEAN_BASED:
-                cb = by_kind["classical"]
-                if not cb.vacuous:
-                    if cb.c_lower > b.c_lower + 1e-12 or cb.c_upper < b.c_upper - 1e-12:
-                        raise EnclosureError(
-                            "classical bounds are tighter than the local ones; "
-                            "this contradicts their derivation"
-                        )
-        if "kappa_SB" in cells and "kappa_GS2" in cells:
-            _check_cbs_identity(degree, cells["kappa_SB"].value, cells["kappa_GS2"].value, lanczos_tol)
-        if cfg.oracle:
-            # every block-diagonal kind is checked; the columns show the first
-            for kind in cfg.preconditioners:
-                if kind == GAUSS_SEIDEL_2:
-                    continue
-                lo, hi = bnd.element_equivalence_oracle(cfg.family, iset, field, kind)
-                _check_oracle(f"{kind} (degree {degree})", by_kind[kind], lo, hi,
-                              estimates[kind][0])
-                cells.setdefault("oracle_min", Cell(lo, DENSE))
-                cells.setdefault("oracle_max", Cell(hi, DENSE))
-        if cfg.kappa_a:
-            accel = operator.build_preconditioner(problem, MEAN_BASED)
-            est_a = eigsolve.extreme_eigs(
-                problem.operator, accel, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
-            )
-            cells["kappa_A"] = Cell(est_a.lambda_max / est_a.lambda_min, LANCZOS)
-        rows[degree] = _ordered(cells)
+            previous.update((kind, estimates[kind][0].vector_min) for kind in chained)
+            if degree not in listed:
+                continue
+            rows[degree] = _verified_row(cfg, degree, problem, estimates, mu, mu_class,
+                                         lanczos_tol)
     table = ResultTable()
     for degree in listed:
         table.add_row(rows[degree])
     return table
+
+
+def _estimates(pool, problem, kinds, previous, lanczos):
+    """kind -> (estimate, the pencil's top Ritz value) of
+    ``_preconditioned_extremes`` for each of ``kinds``, each run started
+    from ``previous.get(kind)``.
+
+    Every pencil is built here first, so each factor of ``problem`` is
+    taken once, on this thread.  The first kind then runs on this thread
+    and the others, one after another, on ``pool``'s worker; both read the
+    problem's shared factors, whose banded solves release the GIL.  One
+    kind starts no thread.  The error raised is the one a single loop over
+    ``kinds`` would raise first: a run's error, in kind order, before a
+    coloring fault of a later kind's pencil.
+    """
+    pencils, fault = [], None
+    for kind in kinds:
+        try:
+            pencils.append(operator.ColoredPencil(problem, kind))
+        except EnclosureError as err:
+            fault = err
+            break
+
+    def run(part):
+        return [_preconditioned_extremes(p, previous.get(p.kind), **lanczos) for p in part]
+
+    if len(pencils) < 2:
+        results = run(pencils)
+    else:
+        later = pool.submit(run, pencils[1:])
+        try:
+            results = run(pencils[:1])
+        except BaseException:
+            later.exception()  # wait for the worker, whose error would come second
+            raise
+        results += later.result()
+    if fault is not None:
+        raise fault
+    return dict(zip(kinds, results))
+
+
+def _verified_row(cfg, degree, problem, estimates, mu, mu_class, lanczos_tol):
+    """The row of a listed degree from its estimates, with every check of
+    the enclosure chain, the oracle when asked for, and kappa(A)."""
+    iset, field = problem.index_set, problem.field
+    cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
+    cells["N"] = Cell(float(problem.operator.shape[0]))
+    for kind in cfg.preconditioners:
+        est, top = estimates[kind]
+        kappa = est.lambda_max / est.lambda_min
+        cells[_EIG_COLUMN[kind]] = Cell(kappa, LANCZOS)
+        if kind == MEAN_BASED:
+            cells["lambda_min"] = Cell(est.lambda_min, LANCZOS)
+            cells["lambda_max"] = Cell(est.lambda_max, LANCZOS)
+        b = by_kind[kind]
+        if not b.vacuous:
+            _check_enclosure(f"{kind} (degree {degree})", b.c_lower, b.c_upper, est)
+        _check_pencil_top(f"{kind} (degree {degree})", top)
+        if kind == MEAN_BASED:
+            cb = by_kind["classical"]
+            if not cb.vacuous:
+                if cb.c_lower > b.c_lower + 1e-12 or cb.c_upper < b.c_upper - 1e-12:
+                    raise EnclosureError(
+                        "classical bounds are tighter than the local ones; "
+                        "this contradicts their derivation"
+                    )
+    if "kappa_SB" in cells and "kappa_GS2" in cells:
+        _check_cbs_identity(degree, cells["kappa_SB"].value, cells["kappa_GS2"].value, lanczos_tol)
+    if cfg.oracle:
+        # every block-diagonal kind is checked; the columns show the first
+        for kind in cfg.preconditioners:
+            if kind == GAUSS_SEIDEL_2:
+                continue
+            lo, hi = bnd.element_equivalence_oracle(cfg.family, iset, field, kind)
+            _check_oracle(f"{kind} (degree {degree})", by_kind[kind], lo, hi,
+                          estimates[kind][0])
+            cells.setdefault("oracle_min", Cell(lo, DENSE))
+            cells.setdefault("oracle_max", Cell(hi, DENSE))
+    if cfg.kappa_a:
+        accel = operator.build_preconditioner(problem, MEAN_BASED)
+        est_a = eigsolve.extreme_eigs(
+            problem.operator, accel, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
+        )
+        cells["kappa_A"] = Cell(est_a.lambda_max / est_a.lambda_min, LANCZOS)
+    return _ordered(cells)
 
 
 def run_solve(cfg: ExperimentConfig) -> ResultTable:

@@ -48,17 +48,22 @@ F0 is LU-factored by SuperLU without pivoting, in the multiple-minimum-degree
 order it computes.  Every larger leading block is factored by LAPACK's banded
 Cholesky (dpbtrf) in the node-major numbering, each node's stochastic
 indices together: the uniform meshes number their nodes in a band order, so
-a block of count indices has a band of about count times F0's.
+a block of count indices has a band of about count times F0's.  Its solves
+call LAPACK's dpbtrs through a ctypes pointer to the routine scipy links,
+which releases the GIL for the length of the call, as SuperLU's solves do:
+threads that share one problem's factors solve with them at once, each
+with the bits of a solve on its own.
 """
 
 from __future__ import annotations
 
+import ctypes
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 
 from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
 from .errors import EnclosureError, FactorizationError, UsageError
@@ -230,7 +235,7 @@ class _BandCholesky:
     p*n_fe + i, stochastic index p at node i, is factored as i*count + p.
     The factorization itself is the definiteness check.  ``solve`` applies
     the block's inverse to a vector or to each column of a matrix, in the
-    block's own numbering."""
+    block's own numbering, without holding the GIL during dpbtrs."""
 
     def __init__(self, block: sp.spmatrix, count: int):
         self.count, self.shape = count, block.shape
@@ -251,8 +256,32 @@ class _BandCholesky:
         # (index, node, column) -> (column, node, index): node-major columns
         rhs = np.empty((m, self.shape[0] // self.count, self.count))
         rhs[...] = b.reshape(self.count, -1, m).transpose(2, 1, 0)
-        x, _info = lapack.dpbtrs(self.band, rhs.reshape(m, -1).T, lower=1, overwrite_b=1)
-        return x.T.reshape(rhs.shape).transpose(2, 1, 0).reshape(b.shape)
+        n, rows = ctypes.c_int(self.shape[0]), ctypes.c_int(self.band.shape[0])
+        kd, nrhs, info = ctypes.c_int(rows.value - 1), ctypes.c_int(m), ctypes.c_int(0)
+        _dpbtrs(b"L", n, kd, nrhs, self.band, rows, rhs.reshape(m, -1).T, n, info)
+        if info.value != 0:
+            raise ValueError(f"dpbtrs rejected its argument {-info.value}")
+        return rhs.transpose(2, 1, 0).reshape(b.shape)
+
+
+def _lapack_function(name: str, *argtypes):
+    """LAPACK routine ``name`` of the copy that scipy links, called through
+    ctypes, which releases the GIL for the length of each call."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, capsule_name)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_MATRIX = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+# dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info): the banded Cholesky
+# solve of LAPACK, on the band of dpbtrf and on b in place
+_dpbtrs = _lapack_function("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, _MATRIX, _INT,
+                           _MATRIX, _INT, _INT)
 
 
 class Preconditioner:
@@ -324,13 +353,15 @@ class ColoredPencil:
     the coarse group, or T on each of the color's groups.  ``dofs`` holds
     the degrees of freedom of A on this color and on the other, and
     ``response`` the other color's answer A_oo^-1 C y to a vector y on
-    this one, from which an eigenvector of M^-1 A is built.
+    this one, from which an eigenvector of M^-1 A is built.  ``operator``
+    is the GalerkinOperator it is sliced from.
     """
 
     def __init__(self, problem: DiscreteProblem, kind: str):
         _check_coloring(problem, kind)
         self.kind = kind
         iset, a = problem.index_set, problem.operator
+        self.operator = a
         lead, cut = block_layout(kind, iset)
         color = coloring(kind, iset)
         indices = [np.flatnonzero(color == c) for c in (0, 1)]

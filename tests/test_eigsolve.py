@@ -226,7 +226,9 @@ class TestExtremeEigs:
         # table3_setting1 at degree 2: fresh relative residuals stall near
         # 3e-14, far above the stopping rule's 1e-2 tol; the run used to
         # spend all 400 iterations there.  It now stops once a fresh residual
-        # is no smaller than the one before, and extreme_eigs judges it.
+        # is no smaller than the one before, and extreme_eigs judges it; at
+        # 1e-14 a fresh product once the carried residual stalls at the
+        # floor ends it after 81 iterations, against 159 without.
         cfg = load_config(CONFIG_DIR / "table3_setting1.cfg")
         mesh = build_mesh(cfg.dim, cfg.elements, cfg.element)
         field = sample_coefficients(cfg.coefficients, mesh)
@@ -249,7 +251,7 @@ class TestExtremeEigs:
             with pytest.raises(ConvergenceError, match="above tolerance"):
                 extreme_eigs(prob.operator, _Counted(), tol=tol, max_iter=cfg.max_iter,
                              seed=cfg.seed)
-            assert len(solves) < cfg.max_iter // 2
+            assert len(solves) < 100
 
     def test_nan_preconditioner_is_a_convergence_failure(self):
         prob = make_problem(["1", "0.3", "0.2"], n=12, order=3)

@@ -1,20 +1,24 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import CONFIG_DIR
-from helpers import dense_gs2_matrix, dense_preconditioner_matrix
+from helpers import dense_gs2_matrix, dense_pencil_extremes, dense_preconditioner_matrix
 from sgprecond import eigsolve, operator
 from sgprecond.basis import MultiIndexSet
 from sgprecond.config import parse_config
 from sgprecond.eigsolve import EigEstimate
-from sgprecond.errors import EnclosureError
+from sgprecond.errors import ConvergenceError, DominanceError, EnclosureError
 from sgprecond.experiments import (
     _EIG_COLUMN,
     Cell,
     ResultTable,
     _check_enclosure,
     _preconditioned_extremes,
+    degree_sweep,
     index_set,
     mesh_and_field,
     quadrature_report,
@@ -204,8 +208,8 @@ class TestGs2SchurPath:
         m = operator.build_preconditioner(prob, operator.GAUSS_SEIDEL_2)
         a = prob.operator.matrix.toarray()
         w = scipy.linalg.eigh(a, dense_gs2_matrix(a, m.split_index), eigvals_only=True)
-        est, _top = _preconditioned_extremes(prob, operator.GAUSS_SEIDEL_2, tol=1e-10,
-                                             max_iter=300, seed=42)
+        pencil = operator.ColoredPencil(prob, operator.GAUSS_SEIDEL_2)
+        est, _top = _preconditioned_extremes(pencil, tol=1e-10, max_iter=300, seed=42)
         assert est.lambda_min == pytest.approx(w[0], rel=1e-8)
         assert est.lambda_max == pytest.approx(w[-1], rel=1e-12)
 
@@ -244,7 +248,8 @@ class TestColoredPencilPath:
         a = prob.operator.matrix.toarray()
         for kind in self._kinds(iset):
             w = np.sort(scipy.linalg.eigvals(a, dense_preconditioner_matrix(prob, kind)).real)
-            est, top = _preconditioned_extremes(prob, kind, tol=1e-12, max_iter=500, seed=42)
+            pencil = operator.ColoredPencil(prob, kind)
+            est, top = _preconditioned_extremes(pencil, tol=1e-12, max_iter=500, seed=42)
             assert est.lambda_min == pytest.approx(w[0], rel=1e-8), kind
             assert est.lambda_max == pytest.approx(w[-1], rel=1e-8), kind
             assert top <= 1.0 + 1e-12
@@ -263,8 +268,9 @@ class TestColoredPencilPath:
 
         monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", counted)
         for kind in self._kinds(iset):
-            est, top = _preconditioned_extremes(prob, kind, tol=1e-10, max_iter=300, seed=42)
-            sizes = operator.ColoredPencil(prob, kind).color_sizes
+            pencil = operator.ColoredPencil(prob, kind)
+            est, top = _preconditioned_extremes(pencil, tol=1e-10, max_iter=300, seed=42)
+            sizes = pencil.color_sizes
             if 0 in sizes:
                 assert (est.lambda_min, est.lambda_max, est.iterations, top) == (1.0, 1.0, 0, 1.0)
                 assert kind not in runs
@@ -305,8 +311,8 @@ class TestWarmStart:
                 w = np.sort(scipy.linalg.eigvals(a, m).real)
                 start = previous.get(kind)
                 assert (start is None) == (order == 2 or kind == operator.MEAN_BASED)
-                est, top = _preconditioned_extremes(prob, kind, start, tol=1e-12, max_iter=500,
-                                                    seed=42)
+                est, top = _preconditioned_extremes(operator.ColoredPencil(prob, kind), start,
+                                                    tol=1e-12, max_iter=500, seed=42)
                 assert est.lambda_min == pytest.approx(w[0], rel=1e-8), (order, kind)
                 assert est.lambda_max == pytest.approx(w[-1], rel=1e-8), (order, kind)
                 assert top <= 1.0 + 1e-12
@@ -326,8 +332,9 @@ class TestWarmStart:
         for degree in range(1, 6):
             prob = operator.DiscreteProblem.build(cfg.family, index_set(cfg, degree), mesh, field)
             for kind in self.NESTED:
-                seeded, _ = _preconditioned_extremes(prob, kind, tol=1e-6, max_iter=400, seed=42)
-                warm, _ = _preconditioned_extremes(prob, kind, previous.get(kind), tol=1e-6,
+                pencil = operator.ColoredPencil(prob, kind)
+                seeded, _ = _preconditioned_extremes(pencil, tol=1e-6, max_iter=400, seed=42)
+                warm, _ = _preconditioned_extremes(pencil, previous.get(kind), tol=1e-6,
                                                    max_iter=400, seed=42)
                 if degree == 1:
                     assert warm == seeded
@@ -431,6 +438,141 @@ def test_each_f_is_assembled_once_per_config(name, rows, monkeypatch):
     cfg = load_config(CONFIG_DIR / f"{name}.cfg")
     assert len(run_verify(replace(cfg, kappa_a=False)).rows) == rows
     assert calls == list(range(cfg.nterms + 1))
+
+
+class TestConcurrentRuns:
+    """At each degree the first kind's Lanczos run goes on the calling
+    thread and the others on one worker, over factors taken once."""
+
+    KINDS = ("splitting_complete", "gs2")
+
+    @pytest.mark.parametrize("failing", (KINDS, KINDS[1:]), ids=("both", "worker"))
+    def test_the_error_raised_is_the_serial_loops(self, cfg, monkeypatch, failing):
+        # capped at 3 steps, a run stops at max_iter; the splitting's run is
+        # held back, so the worker's gs2 run fails first in time
+        from dataclasses import replace
+
+        generalized = eigsolve.extreme_eigs_generalized
+        on_main = {}
+
+        def capped(a, m, **kwargs):
+            on_main[m.kind] = threading.current_thread() is threading.main_thread()
+            if m.kind == self.KINDS[0]:
+                time.sleep(0.05)
+            if m.kind in failing:
+                kwargs["max_iter"] = 3
+            return generalized(a, m, **kwargs)
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", capped)
+        one = replace(cfg, preconditioners=self.KINDS, degrees=(1,), kappa_a=False)
+        mesh, field, _mu, _mu_class = mesh_and_field(one)
+        prob = operator.DiscreteProblem.build(one.family, index_set(one, 1), mesh, field)
+        serial = {}
+        for kind in failing:
+            with pytest.raises(ConvergenceError) as err:
+                _preconditioned_extremes(operator.ColoredPencil(prob, kind), tol=1e-8,
+                                         max_iter=300, seed=42)
+            serial[kind] = err.value
+        if len(failing) == 2:
+            assert serial[self.KINDS[0]].estimate != serial[self.KINDS[1]].estimate
+        on_main.clear()
+        with pytest.raises(ConvergenceError) as err:
+            run_verify(one)
+        assert on_main == {self.KINDS[0]: True, self.KINDS[1]: False}
+        assert str(err.value) == str(serial[failing[0]])
+        assert err.value.estimate == serial[failing[0]].estimate
+
+    def test_each_leading_block_is_factored_once_per_degree(self, cfg, monkeypatch):
+        # K = 2: the coarse group at degree d is the basis of degree d - 1,
+        # 3 indices at degree 2 and 6 at degree 3; degree 1's is F0 alone
+        from dataclasses import replace
+
+        band_init = operator._BandCholesky.__init__
+        counts = []
+
+        def counted(self, block, count):
+            counts.append(count)
+            band_init(self, block, count)
+
+        monkeypatch.setattr(operator._BandCholesky, "__init__", counted)
+        table = run_verify(replace(cfg, degrees=(1, 2, 3)))
+        assert len(table.rows) == 3
+        assert counts == [3, 6]
+
+
+DIFFERENTIAL_CONFIGS = 40
+
+
+def differential_config(rng) -> str:
+    """A small random config for the sweep against dense spectra: one of
+    four families (Gegenbauer at gamma -0.3, 0 or 2.5), a 1D mesh of 3-11
+    elements or a 2D q1/p1 mesh of 3x3 to 5x5, a complete basis with a
+    random list of degrees within 1-4 or a tensor one with degrees 1-3, a
+    random nonempty subset of the admissible kinds in random order, and K
+    terms of amplitude below 0.9/K."""
+    family = str(rng.choice(["legendre", "hermite", "chebyshev_u", "gegenbauer"]))
+    if family == "gegenbauer":
+        family += f"\ngamma = {rng.choice([-0.3, 0.0, 2.5])}"
+    nterms = int(rng.integers(1, 4))
+    if rng.random() < 0.5:
+        mesh, variables = f"dim = 1\nelements = {rng.integers(3, 12)}", ("x1",)
+    else:
+        side = rng.integers(3, 6)
+        mesh = f"dim = 2\nelements = {side} {side}\nelement = {rng.choice(['q1', 'p1'])}"
+        variables = ("x1", "x2")
+    if rng.random() < 0.5:
+        degrees = rng.permutation(np.arange(1, 5))[: rng.integers(1, 4)]
+        basis = "basis = complete\ndegree = " + " ".join(str(d) for d in degrees)
+        kinds = ["mean_based", "splitting_complete", "gs2"]
+    else:
+        basis = "basis = tensor\ndegrees = " + " ".join(
+            str(rng.integers(1, 4)) for _ in range(nterms))
+        kinds = ["mean_based", "truncated_tp", "splitting_tp", "gs2"]
+    kinds = rng.permutation(kinds)[: rng.integers(1, len(kinds) + 1)]
+    terms = []
+    for k in range(1, nterms + 1):
+        x = rng.choice(variables)
+        low = rng.uniform(0.0, 0.8)
+        shape = rng.choice([f"sin({rng.integers(1, 4)}*pi*{x})", f"cos({rng.integers(1, 3)}*pi*{x})",
+                            f"chi({low:.3f},{low + 0.2:.3f})", x])
+        terms.append(f"a{k} = {rng.uniform(0.05, 0.9) / nterms:.4f}*{shape}")
+    return "\n".join([
+        "sgp-config v1", "[problem]", mesh, f"family = {family}", basis, f"K = {nterms}",
+        "[coefficients]", "a0 = 1", *terms,
+        "[run]", "preconditioners = " + " ".join(kinds), "kappa_A = false", "tol = 1e-10",
+        "max_iter = 2000", f"seed = {rng.integers(0, 1000)}", ""])
+
+
+def test_run_verify_matches_dense_spectra_on_random_configs():
+    # every row of every kind against the dense pencil (A, M); a config
+    # whose mu the bounds reject counts as a DominanceError, not a failure
+    rng = np.random.default_rng(2030)
+    rejected, concurrent = 0, set()
+    for _ in range(DIFFERENTIAL_CONFIGS):
+        text = differential_config(rng)
+        cfg = parse_config(text)
+        try:
+            table = run_verify(cfg)
+        except DominanceError:
+            rejected += 1
+            continue
+        first, *others = cfg.preconditioners  # the first on this thread, the others on the worker
+        concurrent.update((first, other) for other in others)
+        mesh, field, _mu, _mu_class = mesh_and_field(cfg)
+        for row, degree in enumerate(degree_sweep(cfg)):
+            prob = operator.DiscreteProblem.build(cfg.family, index_set(cfg, degree), mesh, field)
+            for kind in cfg.preconditioners:
+                lo, hi = dense_pencil_extremes(prob, dense_preconditioner_matrix(prob, kind))
+                kappa = table.value(row, _EIG_COLUMN[kind])
+                assert kappa == pytest.approx(hi / lo, rel=1e-7), (text, degree, kind)
+                if kind == operator.MEAN_BASED:
+                    assert table.value(row, "lambda_min") == pytest.approx(lo, rel=1e-7), text
+                    assert table.value(row, "lambda_max") == pytest.approx(hi, rel=1e-7), text
+    assert rejected <= DIFFERENTIAL_CONFIGS // 4
+    # every ordered pair of kinds that share a basis ran side by side
+    assert concurrent == {(a, b) for kinds in (("mean_based", "splitting_complete", "gs2"),
+                                               ("mean_based", "truncated_tp", "splitting_tp", "gs2"))
+                          for a in kinds for b in kinds if a != b}
 
 
 class TestRunSolve:

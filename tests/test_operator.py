@@ -1,8 +1,12 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 from scipy.sparse.linalg import aslinearoperator
 
@@ -348,6 +352,59 @@ class TestPreconditioners:
         assert np.array_equal(first.band, second.band)
         v = np.random.default_rng(5).standard_normal(first.shape[0])
         assert np.array_equal(first.solve(v), second.solve(v))
+
+    @pytest.mark.parametrize("columns", (None, 1, 3), ids=("vector", "column", "columns"))
+    def test_band_solve_is_scipys_dpbtrs_bit_for_bit(self, columns):
+        # the band solve calls LAPACK's dpbtrs through ctypes, without the
+        # GIL; scipy's wrapper of the same routine gives the same bits
+        factor = small_2d_problem(elements=7).factor(6)
+        n = factor.shape[0]
+        shape = (n,) if columns is None else (n, columns)
+        b = np.random.default_rng(7).standard_normal(shape)
+        m = b.size // n
+        node_major = b.reshape(factor.count, -1, m).transpose(2, 1, 0).reshape(m, -1).T
+        x, info = scipy.linalg.lapack.dpbtrs(factor.band, node_major, lower=1)
+        assert info == 0
+        expect = x.T.reshape(m, -1, factor.count).transpose(2, 1, 0).reshape(shape)
+        assert np.array_equal(factor.solve(b), expect)
+
+    def test_band_solve_rejected_by_lapack_raises(self, capfd):
+        factor = small_2d_problem().factor(3)
+        factor.band = factor.band[:0]  # no diagonal row: kd = -1
+        with pytest.raises(ValueError, match="dpbtrs rejected its argument 3"):
+            factor.solve(np.ones(factor.shape[0]))
+        capfd.readouterr()  # LAPACK's own message on standard output
+
+    def test_threads_sharing_the_factors_solve_bit_for_bit(self):
+        # run_verify runs two pencils of one problem at once, and both solve
+        # with its banded factor and with the SuperLU factor of F0
+        prob = small_2d_problem(elements=7)
+        rng = np.random.default_rng(11)
+        rhs = [(factor, rng.standard_normal(factor.shape[0]))
+               for factor in (prob.factor(6), prob.factor(1)) for _ in range(5)]
+        expect = [factor.solve(b) for factor, b in rhs]
+        workers, solves = min((os.cpu_count() or 1) + 1, 8), 200
+        done, wrong = [0] * workers, [0] * workers
+
+        def work(i):
+            for step in range(solves):
+                k = (i + step) % len(rhs)
+                factor, b = rhs[k]
+                wrong[i] += not np.array_equal(factor.solve(b), expect[k])
+                done[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert done == [solves] * workers and wrong == [0] * workers
 
     def test_indefinite_block_is_a_factorization_error(self):
         # no pivoting: the definiteness spot check is the guard

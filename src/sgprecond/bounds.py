@@ -22,7 +22,6 @@ from .basis import MultiIndexSet, assemble_G
 from .errors import DominanceError, SizeError, UsageError
 from .fem import CoefficientField
 from .operator import (
-    GAUSS_SEIDEL_2,
     MEAN_BASED,
     SPLITTING_COMPLETE,
     SPLITTING_OF_BASIS,
@@ -124,7 +123,7 @@ def element_equivalence_oracle(
     the full operator, so they always sit inside the analytic bounds and
     outside the true eigenvalues.
     """
-    if kind == GAUSS_SEIDEL_2:
+    if not check_basis(kind, index_set.kind).block_diagonal:
         raise UsageError("the per-element oracle applies to block-diagonal kinds only")
     if index_set.size > ORACLE_CAP:
         raise SizeError(f"oracle needs a dense basis solve; {index_set.size} > cap {ORACLE_CAP}")

@@ -40,13 +40,7 @@ from . import eigsolve, fem, operator
 from .basis import COMPLETE, MultiIndexSet, check_kind
 from .config import ExperimentConfig
 from .errors import EnclosureError, UsageError
-from .operator import (
-    GAUSS_SEIDEL_2,
-    MEAN_BASED,
-    SPLITTING_COMPLETE,
-    SPLITTING_TP,
-    TRUNCATED_TP,
-)
+from .operator import MEAN_BASED, PRECONDITIONER_KINDS, TRUNCATED_TP
 from .orthopoly import gauss_rule, d_sequence, d_last_via_quadrature
 
 __all__ = ["Cell", "ResultTable", "run_bounds", "run_verify", "run_solve", "quadrature_report"]
@@ -186,9 +180,11 @@ def _analytic_cells(cfg, degree, iset, mu, mu_class):
     under "classical"."""
     cells = {"degree": Cell(float(degree)), "K": Cell(float(cfg.nterms)), "mu": Cell(mu)}
     kinds = list(cfg.preconditioners)
-    split_kind = operator.SPLITTING_OF_BASIS[cfg.basis]
-    if {split_kind, GAUSS_SEIDEL_2} & set(kinds):
-        kinds += [split_kind, GAUSS_SEIDEL_2]  # both write the splitting columns
+    # the two kinds with a coarse group on this basis both write the splitting columns
+    split_kind, gs2 = (name for name, record in PRECONDITIONER_KINDS.items()
+                       if record.coarse and record.basis in (None, cfg.basis))
+    if {split_kind, gs2} & set(kinds):
+        kinds += [split_kind, gs2]
     by_kind = {kind: bnd.bounds_for(kind, cfg.family, iset, mu) for kind in dict.fromkeys(kinds)}
     if MEAN_BASED in by_kind:
         by_kind["classical"] = bnd.bounds_for(MEAN_BASED, cfg.family, iset, mu_class)
@@ -199,12 +195,12 @@ def _analytic_cells(cfg, degree, iset, mu, mu_class):
             cells["c_lower" + tag] = Cell(b.c_lower)
             cells["c_upper" + tag] = Cell(b.c_upper)
             cells["ratio" + tag] = Cell(b.kappa_bound, VACUOUS if b.vacuous else ANALYTIC)
-    if GAUSS_SEIDEL_2 in by_kind:
+    if gs2 in by_kind:
         split = by_kind[split_kind]
         # "ratio" belongs to the mean-based bound whenever both appear
         key = "ratio_SB" if MEAN_BASED in by_kind else "ratio"
         cells[key] = Cell(split.kappa_bound)
-        cells["inv_d_t"] = Cell(by_kind[GAUSS_SEIDEL_2].kappa_bound)
+        cells["inv_d_t"] = Cell(by_kind[gs2].kappa_bound)
         cells["t"] = Cell(float(split.t_arg))
     return cells, by_kind
 
@@ -310,7 +306,7 @@ def _preconditioned_extremes(pencil, previous=None, **lanczos):
     est = eigsolve.extreme_eigs_generalized(pencil, pencil, start=start, **lanczos)
     theta, y = est.lambda_min, est.vector_min
     z = pencil.response(y)
-    if pencil.kind == GAUSS_SEIDEL_2:
+    if not PRECONDITIONER_KINDS[pencil.kind].block_diagonal:
         ends, s = (min(1.0, theta), max(1.0, est.lambda_max)), 1.0
     else:
         sigma = math.sqrt(max(0.0, y @ (pencil.c.T @ z)) / (y @ (pencil.a_ss @ y)))
@@ -329,11 +325,6 @@ def _check_pencil_top(label, top):
         raise EnclosureError(
             f"{label}: the top Ritz value {top:.12g} of its Schur-complement pencil exceeds 1"
         )
-
-
-_EIG_COLUMN = {MEAN_BASED: "kappa_MB", TRUNCATED_TP: "kappa_TR",
-               SPLITTING_TP: "kappa_SB", SPLITTING_COMPLETE: "kappa_SB",
-               GAUSS_SEIDEL_2: "kappa_GS2"}
 
 
 def _chained_kinds(cfg: ExperimentConfig, top: int):
@@ -445,15 +436,14 @@ def _verified_row(cfg, degree, problem, estimates, mu, mu_class, lanczos_tol):
     for kind in cfg.preconditioners:
         est, top = estimates[kind]
         kappa = est.lambda_max / est.lambda_min
-        cells[_EIG_COLUMN[kind]] = Cell(kappa, LANCZOS)
-        if kind == MEAN_BASED:
-            cells["lambda_min"] = Cell(est.lambda_min, LANCZOS)
-            cells["lambda_max"] = Cell(est.lambda_max, LANCZOS)
+        cells[PRECONDITIONER_KINDS[kind].column] = Cell(kappa, LANCZOS)
         b = by_kind[kind]
         if not b.vacuous:
             _check_enclosure(f"{kind} (degree {degree})", b.c_lower, b.c_upper, est)
         _check_pencil_top(f"{kind} (degree {degree})", top)
         if kind == MEAN_BASED:
+            cells["lambda_min"] = Cell(est.lambda_min, LANCZOS)
+            cells["lambda_max"] = Cell(est.lambda_max, LANCZOS)
             cb = by_kind["classical"]
             if not cb.vacuous:
                 if cb.c_lower > b.c_lower + 1e-12 or cb.c_upper < b.c_upper - 1e-12:
@@ -466,7 +456,7 @@ def _verified_row(cfg, degree, problem, estimates, mu, mu_class, lanczos_tol):
     if cfg.oracle:
         # every block-diagonal kind is checked; the columns show the first
         for kind in cfg.preconditioners:
-            if kind == GAUSS_SEIDEL_2:
+            if not PRECONDITIONER_KINDS[kind].block_diagonal:
                 continue
             lo, hi = bnd.element_equivalence_oracle(cfg.family, iset, field, kind)
             _check_oracle(f"{kind} (degree {degree})", by_kind[kind], lo, hi,

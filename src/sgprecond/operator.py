@@ -2,21 +2,19 @@
 the block preconditioners obtained by modifying the stochastic couplings.
 
 With basis functions numbered so that the finite-element index changes
-fastest, the global matrix is sum_k G_k (x) F_k.  It is assembled as one
-sparse matrix the first time a product or a block of it is needed, and every
-later product and block reads that matrix.
+fastest, the global matrix is sum_k G_k (x) F_k, assembled as one sparse
+matrix on the first product or block taken of it.
 
 Every preconditioner is M = diag(A11, I_copies (x) T): an optional coarse
-block A11 followed by one block T repeated along the diagonal.  Both are
-leading blocks of A: the operator on the first so many stochastic indices.
-The two-block Gauss-Seidel variant also keeps the coupling B between the
-two groups.  ``block_layout`` gives each kind's (lead, cut), the
-repeated-block and coarse index counts, and is the one place that says
-which stochastic couplings a kind keeps: ``kept_couplings`` turns it into
-the N_P x N_P mask, so that a block-diagonal M is sum_k (G_k masked) (x)
-F_k.  ``check_basis`` is the one check of a kind name, for ``block_layout``,
-``bounds.bounds_for`` and the config parser alike.  With N_P basis indices,
-s the last tensor order and c the number of complete-basis indices of total
+block A11 followed by one block T repeated along the diagonal, both leading
+blocks of A (the operator on its first so many stochastic indices); gs2
+also keeps the coupling B between the two.  Each kind is one
+``PreconditionerKind`` record in ``PRECONDITIONER_KINDS``, which
+``check_basis``, the one check of a kind name, returns.  ``block_layout``
+reads from it the kind's (lead, cut), the repeated-block and coarse index
+counts, and so the couplings the kind keeps (``kept_couplings``, the
+N_P x N_P mask: a block-diagonal M is sum_k (G_k masked) (x) F_k).  With s
+the last tensor order and c the number of complete-basis indices of total
 degree at most p - 2:
 
     kind                coarse indices  repeated-block indices  copies
@@ -27,37 +25,35 @@ degree at most p - 2:
     gs2                 as for the splitting, with the coupling B
 
 One index gives F0, since G_k[0, 0] = 0 for k >= 1.  ``DiscreteProblem.factor``
-slices every leading block, F0 included, from A and factors it once per
-problem, on first use; its cache, keyed by the index count, holds the
-factors only, and a Preconditioner is built from factors alone.
+slices every leading block from A and factors it once per problem, on first
+use, into a cache of factors keyed by the index count; a Preconditioner is
+built from factors alone.
 
 Every recurrence has alpha_n = 0, so G_k (k >= 1) joins only indices whose
-k-th degree differs by one.  ``coloring`` gives each kind a two-coloring of
-the stochastic indices, in which M (for gs2 its block diagonal D) is block
-diagonal and A - M (A - D) joins only the two colors: the parity of the total degree (mean_based), of the last
-degree (truncated_tp), or coarse against detail (the splittings and gs2).
+k-th degree differs by one.  ``coloring`` two-colors the stochastic indices
+so that M (for gs2 its block diagonal D) is block diagonal and A - M
+(A - D) joins only the two colors: coarse against detail, or the parity of
+the last degree (truncated_tp) or of the total degree (mean_based).
 ``_check_coloring`` asserts this exactly on the G_k.  In color order
-A = [[M1, C^T], [C, M2]], so M^-1 A - I is 2-cyclic and its spectrum is
-1 -+ sigma_i.  ``ColoredPencil`` is the Schur-complement pencil of one
-color, whose eigenvalues are 1 - sigma_i^2; it is sliced from A, and each
-color is solved through a block-diagonal Preconditioner of its own.  Its
-``response`` A_oo^-1 C gives sigma^2 as the Rayleigh quotient of C^T A_oo^-1 C
-and the other color's part of an eigenvector of M^-1 A.
+A = [[M1, C^T], [C, M2]], so the spectrum of M^-1 A is 1 -+ sigma_i.
+``ColoredPencil`` is the Schur-complement pencil of one color, with
+eigenvalues 1 - sigma_i^2, sliced from A and solved on each color by a
+block-diagonal Preconditioner of its own; its ``response`` A_oo^-1 C gives
+sigma^2 and the other color's part of an eigenvector of M^-1 A.
 
-F0 is LU-factored by SuperLU without pivoting, in the multiple-minimum-degree
-order it computes.  Every larger leading block is factored by LAPACK's banded
-Cholesky (dpbtrf) in the node-major numbering, each node's stochastic
-indices together: the uniform meshes number their nodes in a band order, so
-a block of count indices has a band of about count times F0's.  Its solves
-call LAPACK's dpbtrs through a ctypes pointer to the routine scipy links,
-which releases the GIL for the length of the call, as SuperLU's solves do:
-threads that share one problem's factors solve with them at once, each
-with the bits of a solve on its own.
+F0 is LU-factored by SuperLU without pivoting, in its multiple-minimum-degree
+order.  Every larger leading block is factored by LAPACK's banded Cholesky
+(dpbtrf) node-major, each node's stochastic indices together: the meshes
+number nodes in a band order, so a block of count indices has a band about
+count times F0's.  Its solves call dpbtrs through a ctypes pointer to the
+routine scipy links, which releases the GIL: threads sharing one problem's
+factors solve at once, each with the bits of a solve on its own.
 """
 
 from __future__ import annotations
 
 import ctypes
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,6 +71,7 @@ __all__ = [
     "DiscreteProblem",
     "Preconditioner",
     "ColoredPencil",
+    "PreconditionerKind",
     "block_layout",
     "coloring",
     "kept_couplings",
@@ -93,30 +90,52 @@ SPLITTING_TP = "splitting_tp"
 SPLITTING_COMPLETE = "splitting_complete"
 GAUSS_SEIDEL_2 = "gs2"
 
-PRECONDITIONER_KINDS = (
-    MEAN_BASED,
-    TRUNCATED_TP,
-    SPLITTING_TP,
-    SPLITTING_COMPLETE,
-    GAUSS_SEIDEL_2,
-)
 
-# the basis kind a preconditioner kind needs; the kinds not listed take either
-BASIS_OF_KIND = {TRUNCATED_TP: TENSOR, SPLITTING_TP: TENSOR, SPLITTING_COMPLETE: COMPLETE}
+
+@dataclass(frozen=True)
+class PreconditionerKind:
+    """One preconditioner kind: its name, the output ``column`` of its
+    Lanczos condition number and the ``basis`` kind it needs (None: either).
+    ``along_last``: on a tensor basis its groups span the last coordinate,
+    N_P / s indices each, not one index each.  ``coarse``: a coarse group
+    comes first.  ``block_diagonal`` is false for gs2 alone.  Its pencil
+    runs on color ``side`` (None: the smaller, ties going to color 0), and
+    ``colors`` names the two colors of ``coloring`` in messages."""
+
+    name: str
+    column: str
+    basis: str | None
+    along_last: bool
+    coarse: bool
+    block_diagonal: bool = True
+    side: int | None = None
+    colors: tuple[str, str] = ("coarse", "detail")
+
+
+PRECONDITIONER_KINDS = {kind.name: kind for kind in (
+    PreconditionerKind(MEAN_BASED, "kappa_MB", None, False, False,
+                       colors=("even total degree", "odd total degree")),
+    PreconditionerKind(TRUNCATED_TP, "kappa_TR", TENSOR, True, False,
+                       colors=("even last degree", "odd last degree")),
+    PreconditionerKind(SPLITTING_TP, "kappa_SB", TENSOR, True, True, side=0),
+    PreconditionerKind(SPLITTING_COMPLETE, "kappa_SB", COMPLETE, False, True, side=0),
+    PreconditionerKind(GAUSS_SEIDEL_2, "kappa_GS2", None, True, True, block_diagonal=False, side=1),
+)}
 # the two-block splitting of each basis kind
 SPLITTING_OF_BASIS = {TENSOR: SPLITTING_TP, COMPLETE: SPLITTING_COMPLETE}
 
 
-def check_basis(kind: str, basis: str) -> None:
-    """Raise UsageError if ``kind`` is no preconditioner kind or needs
-    another basis kind."""
-    if kind not in PRECONDITIONER_KINDS:
+def check_basis(kind: str, basis: str) -> PreconditionerKind:
+    """The record of preconditioner ``kind``; UsageError if there is no such
+    kind or it needs another basis kind."""
+    record = PRECONDITIONER_KINDS.get(kind)
+    if record is None:
         raise UsageError(
             f"unknown preconditioner {kind!r} (choose from {', '.join(PRECONDITIONER_KINDS)})"
         )
-    need = BASIS_OF_KIND.get(kind)
-    if need not in (None, basis):
-        raise UsageError(f"{kind} requires a {need} basis")
+    if record.basis not in (None, basis):
+        raise UsageError(f"{kind} requires a {record.basis} basis")
+    return record
 
 
 def _vector(v, n: int) -> np.ndarray:
@@ -172,7 +191,7 @@ class DiscreteProblem:
         self.mesh = mesh
         self.field = field
         self.operator = operator
-        self._factors = {}  # leading index count -> LU factors
+        self._factors = {}  # leading index count -> SuperLU's F0 or a _BandCholesky
 
     @classmethod
     def build(
@@ -287,8 +306,8 @@ _dpbtrs = _lapack_function("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, _MATRIX,
 class Preconditioner:
     """M = diag(A11, I_count (x) T) with exact solves from the factors alone.
 
-    T, factored in ``lu``, is repeated ``count`` times along the diagonal;
-    the optional coarse block A11 = A[:cut, :cut], factored in ``lu11``,
+    T, with the factor ``lu``, is repeated ``count`` times along the diagonal;
+    the optional coarse block A11 = A[:cut, :cut], with the factor ``lu11``,
     comes first.  With the ``coupling`` B = A[cut:, :cut], M is the
     symmetric two-block Gauss-Seidel sweep L D^-1 L^T with
     L = [[A11, 0], [B, I (x) T]] and D = diag(A11, I (x) T).
@@ -343,9 +362,7 @@ class ColoredPencil:
     1 - sigma_i^2 and 1.  For gs2 the congruence by
     [[I, 0], [-B A11^-1, I]] takes A to diag(A11, S) and M to diag(A11, D2),
     so the spectrum of M^-1 A is 1 with that of its detail-side pencil
-    (S, D2).  mean_based and truncated_tp run on the smaller color, ties
-    going to color 0, the splittings on the coarse side and gs2 on the
-    detail side.
+    (S, D2).  The pencil runs on the kind's ``side`` color.
 
     A product is one solve on the other color, one product with A_ss and
     two sparse products with C; a solve is one solve on this color.  Each
@@ -366,7 +383,8 @@ class ColoredPencil:
         color = coloring(kind, iset)
         indices = [np.flatnonzero(color == c) for c in (0, 1)]
         self.color_sizes = tuple(idx.size for idx in indices)
-        side = _SIDE.get(kind, int(self.color_sizes[1] < self.color_sizes[0]))
+        side = PRECONDITIONER_KINDS[kind].side
+        side = int(self.color_sizes[1] < self.color_sizes[0]) if side is None else side
         # with a coarse group, color 0 is that group: A11 once
         solvers = [Preconditioner(problem.factor(cut), 1) if cut and c == 0
                    else Preconditioner(problem.factor(lead), size // lead)
@@ -391,26 +409,17 @@ class ColoredPencil:
         return self._m_s.solve(r)
 
 
-# the color each kind's pencil runs on; the others take the smaller color
-_SIDE = {SPLITTING_TP: 0, SPLITTING_COMPLETE: 0, GAUSS_SEIDEL_2: 1}
-# what the two colors of each kind are, for messages
-_COLOR_NAMES = {MEAN_BASED: ("even total degree", "odd total degree"),
-                TRUNCATED_TP: ("even last degree", "odd last degree")}
-
-
 def coloring(kind: str, index_set: MultiIndexSet) -> np.ndarray:
     """Color, 0 or 1, of each stochastic index for preconditioner ``kind``:
-    the parity of the total degree (mean_based), of the group of
-    ``block_layout``, which is the last degree (truncated_tp), or coarse 0
-    against detail 1 (the splittings and gs2).  Every group of the layout
-    lies inside one color, so M is block diagonal over the colors."""
+    coarse 0 against detail 1, or the parity of the last degree, which
+    numbers the groups along the last coordinate (truncated_tp), or of the
+    total degree (mean_based).  Every group of ``block_layout`` lies inside
+    one color, so M is block diagonal over the colors."""
     lead, cut = block_layout(kind, index_set)
-    if kind == MEAN_BASED:
-        return index_set.total_degrees() % 2
-    i = np.arange(index_set.size)
-    if kind == TRUNCATED_TP:
-        return (i // lead) % 2
-    return (i >= cut).astype(int)
+    record, i = PRECONDITIONER_KINDS[kind], np.arange(index_set.size)
+    if record.coarse:
+        return (i >= cut).astype(int)
+    return (i // lead) % 2 if record.along_last else index_set.total_degrees() % 2
 
 
 def _check_coloring(problem: DiscreteProblem, kind: str) -> None:
@@ -442,7 +451,7 @@ def _check_coloring(problem: DiscreteProblem, kind: str) -> None:
         inside = (diff != 0.0) & (color[i] == color[j])
         if inside.any():
             i, j = i[inside][0], j[inside][0]
-            names = _COLOR_NAMES.get(kind, ("coarse", "detail"))
+            names = PRECONDITIONER_KINDS[kind].colors
             raise EnclosureError(
                 f"{kind}: G_{k} on the {names[color[i]]} indices joins {i} and {j} "
                 f"unlike the preconditioner, so A and M differ inside one color"
@@ -455,10 +464,10 @@ def block_layout(kind: str, index_set: MultiIndexSet) -> tuple[int, int]:
     of ``lead`` indices each.  The coarse group of a splitting holds every
     index below the top order of the last coordinate (tensor) or below the
     top total degree (complete)."""
-    check_basis(kind, index_set.kind)
+    record = check_basis(kind, index_set.kind)
     tensor = index_set.kind == TENSOR
-    lead = index_set.size // index_set.orders[-1] if tensor and kind != MEAN_BASED else 1
-    if kind in (MEAN_BASED, TRUNCATED_TP):
+    lead = index_set.size // index_set.orders[-1] if tensor and record.along_last else 1
+    if not record.coarse:
         cut = 0
     elif tensor:
         cut = index_set.size - lead
@@ -487,5 +496,6 @@ def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:
     if cut == 0:
         return Preconditioner(lu, count)
     n11 = cut * problem.operator.n_fe
-    coupling = problem.operator.matrix[n11:, :n11] if kind == GAUSS_SEIDEL_2 else None
+    block_diagonal = PRECONDITIONER_KINDS[kind].block_diagonal
+    coupling = None if block_diagonal else problem.operator.matrix[n11:, :n11]
     return Preconditioner(lu, count, problem.factor(cut), coupling)

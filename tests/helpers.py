@@ -82,6 +82,14 @@ def dense_preconditioner_matrix(problem: DiscreteProblem, kind):
     return sum(np.kron(np.where(keep, g.toarray(), 0.0), f.toarray()) for g, f in zip(a.gs, a.fs))
 
 
+def kinds_on(basis):
+    """The preconditioner kinds admissible on a ``basis`` kind, in the
+    order the package lists them."""
+    if basis == "complete":
+        return ("mean_based", "splitting_complete", "gs2")
+    return ("mean_based", "truncated_tp", "splitting_tp", "gs2")
+
+
 def masked_G(family, index_set, k):
     """G_k with only the couplings that the two-block splitting of the
     basis keeps, without stored zeros: the matrix ``sgp dump-matrix``
@@ -146,6 +154,7 @@ __all__ = [
     "random_instance",
     "dense_pencil_extremes",
     "dense_preconditioner_matrix",
+    "kinds_on",
     "masked_G",
     "dense_gs2_matrix",
     "indefinite_shift",

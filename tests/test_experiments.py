@@ -6,14 +6,18 @@ import pytest
 import scipy.linalg
 
 from conftest import CONFIG_DIR
-from helpers import dense_gs2_matrix, dense_pencil_extremes, dense_preconditioner_matrix
+from helpers import (
+    dense_gs2_matrix,
+    dense_pencil_extremes,
+    dense_preconditioner_matrix,
+    kinds_on,
+)
 from sgprecond import eigsolve, operator
 from sgprecond.basis import MultiIndexSet
 from sgprecond.config import parse_config
 from sgprecond.eigsolve import EigEstimate
 from sgprecond.errors import ConvergenceError, DominanceError, EnclosureError
 from sgprecond.experiments import (
-    _EIG_COLUMN,
     Cell,
     ResultTable,
     _check_enclosure,
@@ -231,12 +235,6 @@ class TestColoredPencilPath:
         MultiIndexSet.complete(3, order) for order in (2, 3, 6)]
 
     @staticmethod
-    def _kinds(iset):
-        split = operator.SPLITTING_OF_BASIS[iset.kind]
-        middle = (operator.TRUNCATED_TP,) if iset.kind == "tensor" else ()
-        return (operator.MEAN_BASED, *middle, split, operator.GAUSS_SEIDEL_2)
-
-    @staticmethod
     def _problem(iset):
         mesh = build_mesh(1, 4)
         exprs = ["1", "0.3*sin(pi*x1)", "0.2*chi(0,1/2)", "0.25*x1"][: iset.nvars + 1]
@@ -246,7 +244,7 @@ class TestColoredPencilPath:
     def test_every_kind_matches_the_dense_spectrum(self, iset):
         prob = self._problem(iset)
         a = prob.operator.matrix.toarray()
-        for kind in self._kinds(iset):
+        for kind in kinds_on(iset.kind):
             w = np.sort(scipy.linalg.eigvals(a, dense_preconditioner_matrix(prob, kind)).real)
             pencil = operator.ColoredPencil(prob, kind)
             est, top = _preconditioned_extremes(pencil, tol=1e-12, max_iter=500, seed=42)
@@ -267,7 +265,7 @@ class TestColoredPencilPath:
             return generalized(a, m, **kwargs)
 
         monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", counted)
-        for kind in self._kinds(iset):
+        for kind in kinds_on(iset.kind):
             pencil = operator.ColoredPencil(prob, kind)
             est, top = _preconditioned_extremes(pencil, tol=1e-10, max_iter=300, seed=42)
             sizes = pencil.color_sizes
@@ -411,7 +409,7 @@ def test_warm_started_rows_match_the_dense_spectrum(name):
         a = prob.operator.matrix.toarray()
         for kind in cfg.preconditioners:
             w = np.sort(scipy.linalg.eigvals(a, dense_preconditioner_matrix(prob, kind)).real)
-            kappa = table.value(row, _EIG_COLUMN[kind])
+            kappa = table.value(row, operator.PRECONDITIONER_KINDS[kind].column)
             assert kappa == pytest.approx(w[-1] / w[0], rel=1e-7), (degree, kind)
 
 
@@ -523,11 +521,11 @@ def differential_config(rng) -> str:
     if rng.random() < 0.5:
         degrees = rng.permutation(np.arange(1, 5))[: rng.integers(1, 4)]
         basis = "basis = complete\ndegree = " + " ".join(str(d) for d in degrees)
-        kinds = ["mean_based", "splitting_complete", "gs2"]
+        kinds = kinds_on("complete")
     else:
         basis = "basis = tensor\ndegrees = " + " ".join(
             str(rng.integers(1, 4)) for _ in range(nterms))
-        kinds = ["mean_based", "truncated_tp", "splitting_tp", "gs2"]
+        kinds = kinds_on("tensor")
     kinds = rng.permutation(kinds)[: rng.integers(1, len(kinds) + 1)]
     terms = []
     for k in range(1, nterms + 1):
@@ -563,16 +561,15 @@ def test_run_verify_matches_dense_spectra_on_random_configs():
             prob = operator.DiscreteProblem.build(cfg.family, index_set(cfg, degree), mesh, field)
             for kind in cfg.preconditioners:
                 lo, hi = dense_pencil_extremes(prob, dense_preconditioner_matrix(prob, kind))
-                kappa = table.value(row, _EIG_COLUMN[kind])
+                kappa = table.value(row, operator.PRECONDITIONER_KINDS[kind].column)
                 assert kappa == pytest.approx(hi / lo, rel=1e-7), (text, degree, kind)
                 if kind == operator.MEAN_BASED:
                     assert table.value(row, "lambda_min") == pytest.approx(lo, rel=1e-7), text
                     assert table.value(row, "lambda_max") == pytest.approx(hi, rel=1e-7), text
     assert rejected <= DIFFERENTIAL_CONFIGS // 4
     # every ordered pair of kinds that share a basis ran side by side
-    assert concurrent == {(a, b) for kinds in (("mean_based", "splitting_complete", "gs2"),
-                                               ("mean_based", "truncated_tp", "splitting_tp", "gs2"))
-                          for a in kinds for b in kinds if a != b}
+    assert concurrent == {(a, b) for basis in ("complete", "tensor")
+                          for a in kinds_on(basis) for b in kinds_on(basis) if a != b}
 
 
 class TestRunSolve:

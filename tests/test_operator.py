@@ -14,11 +14,13 @@ from helpers import (
     dense_gs2_matrix,
     dense_preconditioner_matrix,
     indefinite_shift,
+    kinds_on,
     random_instance,
 )
 from sgprecond import operator
 from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.errors import EnclosureError, FactorizationError, UsageError
+from sgprecond.experiments import Cell, _ordered
 from sgprecond.fem import assemble_F, build_mesh, sample_coefficients
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
@@ -157,8 +159,6 @@ class TestBuild:
 
 
 class TestPreconditioners:
-    KINDS_COMPLETE = (MEAN_BASED, SPLITTING_COMPLETE, GAUSS_SEIDEL_2)
-    KINDS_TENSOR = (MEAN_BASED, TRUNCATED_TP, SPLITTING_TP, GAUSS_SEIDEL_2)
 
     def test_mean_based_is_block_diagonal_f0(self):
         prob = small_problem()
@@ -174,9 +174,9 @@ class TestPreconditioners:
 
     def test_solve_inverts_matvec(self):
         rng = np.random.default_rng(23)
-        for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
+        for basis in ("complete", "tensor"):
             prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
-            for kind in kinds:
+            for kind in kinds_on(basis):
                 m = build_preconditioner(prob, kind)
                 dense = dense_preconditioner_matrix(prob, kind)
                 v = rng.standard_normal(prob.operator.shape[0])
@@ -185,10 +185,10 @@ class TestPreconditioners:
 
     def test_solve_accepts_a_column(self):
         rng = np.random.default_rng(37)
-        for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
+        for basis in ("complete", "tensor"):
             prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
             v = rng.standard_normal(prob.operator.shape[0])
-            for kind in kinds:
+            for kind in kinds_on(basis):
                 m = build_preconditioner(prob, kind)
                 column = m.solve(v[:, None])
                 assert column.shape == (v.size, 1)
@@ -198,9 +198,9 @@ class TestPreconditioners:
 
     def test_solve_is_self_adjoint(self):
         rng = np.random.default_rng(29)
-        for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
+        for basis in ("complete", "tensor"):
             prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=3)
-            for kind in kinds:
+            for kind in kinds_on(basis):
                 m = build_preconditioner(prob, kind)
                 u = rng.standard_normal(prob.operator.shape[0])
                 v = rng.standard_normal(prob.operator.shape[0])
@@ -273,16 +273,16 @@ class TestPreconditioners:
 
         monkeypatch.setattr(operator.spla, "splu", counting)
         monkeypatch.setattr(operator._BandCholesky, "__init__", counting_band)
-        for basis, order, kinds, factors in (
-            ("complete", 3, self.KINDS_COMPLETE, 2),  # F0 and A11
-            ("tensor", 3, self.KINDS_TENSOR, 3),  # F0, the truncated block and A11
-            ("tensor", (3, 2), self.KINDS_TENSOR, 2),  # F0; the truncated block is A11
-            ("tensor", (1, 3), self.KINDS_TENSOR, 2),  # A11; the truncated block is F0
-            ("complete", 2, self.KINDS_COMPLETE, 1),  # A11 is F0: the constant index alone
+        for basis, order, factors in (
+            ("complete", 3, 2),  # F0 and A11
+            ("tensor", 3, 3),  # F0, the truncated block and A11
+            ("tensor", (3, 2), 2),  # F0; the truncated block is A11
+            ("tensor", (1, 3), 2),  # A11; the truncated block is F0
+            ("complete", 2, 1),  # A11 is F0: the constant index alone
         ):
             calls.clear()
             prob = small_problem(basis=basis, exprs=("1", "0.4", "0.3"), n=4, order=order)
-            for kind in kinds:
+            for kind in kinds_on(basis):
                 build_preconditioner(prob, kind)
             assert len(calls) == factors
 
@@ -291,7 +291,7 @@ class TestPreconditioners:
         # the factors of F0 itself
         for prob in (small_problem(basis="tensor", exprs=("1", "0.4", "0.3"), n=4, order=3),
                      small_2d_problem("tensor")):
-            for kind in self.KINDS_TENSOR:
+            for kind in kinds_on("tensor"):
                 m = build_preconditioner(prob, kind)
                 assert m.shape == prob.operator.shape
             n_fe = prob.operator.n_fe
@@ -308,10 +308,10 @@ class TestPreconditioners:
         # the tensor basis adds a truncated block with several stochastic
         # indices per node
         rng = np.random.default_rng(41)
-        for basis, kinds in (("complete", self.KINDS_COMPLETE), ("tensor", self.KINDS_TENSOR)):
+        for basis in ("complete", "tensor"):
             prob = small_2d_problem(basis)
             v = rng.standard_normal(prob.operator.shape[0])
-            for kind in kinds:
+            for kind in kinds_on(basis):
                 m = build_preconditioner(prob, kind)
                 expect = np.linalg.solve(dense_preconditioner_matrix(prob, kind), v)
                 atol = 1e-12 * np.abs(expect).max()
@@ -465,10 +465,36 @@ class TestPreconditioners:
             build_preconditioner(comp, "jacobi")
 
 
-def _kinds_of(iset):
-    if iset.kind == "complete":
-        return (MEAN_BASED, SPLITTING_COMPLETE, GAUSS_SEIDEL_2)
-    return (MEAN_BASED, TRUNCATED_TP, SPLITTING_TP, GAUSS_SEIDEL_2)
+def test_each_kind_has_one_consistent_record():
+    kinds = operator.PRECONDITIONER_KINDS
+    with pytest.raises(UsageError) as err:
+        operator.check_basis("jacobi", "complete")
+    assert str(err.value) == ("unknown preconditioner 'jacobi' (choose from mean_based, "
+                              "truncated_tp, splitting_tp, splitting_complete, gs2)")
+    for name, record in kinds.items():
+        assert record.name == name
+        for basis in ("complete", "tensor"):
+            if record.basis in (None, basis):
+                assert operator.check_basis(name, basis) is record
+            else:
+                with pytest.raises(UsageError) as err:
+                    operator.check_basis(name, basis)
+                assert str(err.value) == f"{name} requires a {record.basis} basis"
+        # a column missing from the output order would render after any other
+        assert list(_ordered({"zz": Cell(0.0), record.column: Cell(1.0)})) == [record.column, "zz"]
+    for basis in ("complete", "tensor"):
+        assert list(kinds_on(basis)) == [name for name, record in kinds.items()
+                                         if record.basis in (None, basis)]
+
+
+# the two colors of each kind, as a coloring fault names them
+COLOR_NAMES = {
+    "mean_based": ("even total degree", "odd total degree"),
+    "truncated_tp": ("even last degree", "odd last degree"),
+    "splitting_tp": ("coarse", "detail"),
+    "splitting_complete": ("coarse", "detail"),
+    "gs2": ("coarse", "detail"),
+}
 
 
 class TestSchurPencil:
@@ -484,7 +510,7 @@ class TestSchurPencil:
         for iset in self.ISETS:
             field = sample_coefficients(["1"] + ["0.1"] * iset.nvars, mesh)
             prob = DiscreteProblem.build(family, iset, mesh, field)
-            for kind in _kinds_of(iset):
+            for kind in kinds_on(iset.kind):
                 operator._check_coloring(prob, kind)
 
     @pytest.mark.parametrize("basis", ("complete", "tensor"))
@@ -547,13 +573,14 @@ class TestSchurPencil:
         g[i, j] = g[j, i] = 0.05
         prob.operator.gs[k] = g.tocsr()
         caught = []
-        for kind in _kinds_of(iset):
+        for kind in kinds_on(iset.kind):
             color = operator.coloring(kind, iset)
             _lead, cut = operator.block_layout(kind, iset)
             if color[i] != color[j] or max(i, j) < cut:
                 operator._check_coloring(prob, kind)  # joins two colors, or is in A11
                 continue
-            with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the .* indices joins"):
+            name = COLOR_NAMES[kind][color[i]]
+            with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the {name} indices joins"):
                 operator._check_coloring(prob, kind)
             caught.append(kind)
         assert caught
@@ -573,7 +600,7 @@ class TestSchurPencil:
                     g = gs[k].tolil()
                     g[i, j] = g[j, i] = rng.choice([0.0, 0.05, g[i, j] + 1e-15])
                     gs[k] = g.tocsr()
-                for kind in _kinds_of(iset):
+                for kind in kinds_on(iset.kind):
                     lead, cut = operator.block_layout(kind, iset)
                     color = operator.coloring(kind, iset)
                     faults = []
@@ -587,8 +614,9 @@ class TestSchurPencil:
                         operator._check_coloring(prob, kind)
                         continue
                     k, i, j = faults[0]
-                    with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the .* indices "
-                                                             f"joins {i} and {j} "):
+                    name = COLOR_NAMES[kind][color[i]]
+                    with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the {name} "
+                                                             f"indices joins {i} and {j} "):
                         operator._check_coloring(prob, kind)
 
     @staticmethod
@@ -613,7 +641,7 @@ class TestSchurPencil:
         k = iset.nvars
         g = assemble_G(legendre(), iset, k)
         dense = g.toarray()
-        for kind in _kinds_of(iset):
+        for kind in kinds_on(iset.kind):
             color = operator.coloring(kind, iset)
             lead, cut = operator.block_layout(kind, iset)
             local = (np.arange(iset.size) - cut) % lead
@@ -624,8 +652,10 @@ class TestSchurPencil:
             i, j, other = moves[0]
             prob = self._faulted(iset, k, [(i, j)], [(i, other)], dense[i, j])
             first, second = sorted((i, other))
+            name = COLOR_NAMES[kind][color[i]]
             with pytest.raises(EnclosureError,
-                               match=f"{kind}: G_{k} on the .* indices joins {first} and {second} "):
+                               match=f"{kind}: G_{k} on the {name} indices joins {first} and "
+                                     f"{second} "):
                 operator._check_coloring(prob, kind)
 
     @pytest.mark.parametrize("iset", (MultiIndexSet.complete(2, 4), MultiIndexSet.tensor((2, 2, 3))),
@@ -634,13 +664,41 @@ class TestSchurPencil:
         # the last repeated group loses one stored entry of its copy of
         # G_k[:lead, :lead], the last G_k that has one
         gs = [assemble_G(legendre(), iset, k) for k in range(iset.nvars + 1)]
-        for kind in _kinds_of(iset):
+        for kind in kinds_on(iset.kind):
             lead, _cut = operator.block_layout(kind, iset)
             k, top = [(k, g[:lead, :lead].tocoo()) for k, g in enumerate(gs)
                       if g[:lead, :lead].count_nonzero()][-1]
             a, b = sorted((top.row[0], top.col[0]))
             start = iset.size - lead
             prob = self._faulted(iset, k, [(start + a, start + b)], [], 0.0)
-            with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the .* indices joins "
+            name = COLOR_NAMES[kind][operator.coloring(kind, iset)[start + a]]
+            with pytest.raises(EnclosureError, match=f"{kind}: G_{k} on the {name} indices joins "
                                                      f"{start + a} and {start + b} "):
                 operator._check_coloring(prob, kind)
+
+    @pytest.mark.parametrize("kind", COLOR_NAMES)
+    def test_a_fault_names_the_color_it_is_in(self, kind):
+        # G_1 gains one coupling off the kept value inside each color, off
+        # the coarse group and off G_1[:lead, :lead], which M copies; a
+        # splitting's coarse color is its coarse group, kept as it is
+        iset = MultiIndexSet.complete(2, 4) if kind == "splitting_complete" else \
+            MultiIndexSet.tensor((2, 2, 3))
+        dense = assemble_G(legendre(), iset, 1).toarray()
+        color = operator.coloring(kind, iset)
+        lead, cut = operator.block_layout(kind, iset)
+        local = (np.arange(iset.size) - cut) % lead
+        kept = np.where(operator.kept_couplings(kind, iset), dense[np.ix_(local, local)], 0.0)
+        named = []
+        for c, name in enumerate(COLOR_NAMES[kind]):
+            free = np.flatnonzero((color == c) & (np.arange(iset.size) >= max(cut, lead)))
+            if free.size < 2:
+                continue
+            i, j = free[:2]
+            prob = self._faulted(iset, 1, [], [(i, j)], kept[i, j] + 0.05)
+            with pytest.raises(EnclosureError) as err:
+                operator._check_coloring(prob, kind)
+            assert str(err.value) == (f"{kind}: G_1 on the {name} indices joins {i} and {j} "
+                                      f"unlike the preconditioner, so A and M differ inside "
+                                      f"one color")
+            named.append(name)
+        assert named == [n for n in COLOR_NAMES[kind] if n != "coarse"]

@@ -11,13 +11,15 @@ differ inside one color of the coloring, if a pencil's top Ritz value
 exceeds 1, or if the splitting and two-block Gauss-Seidel conditions,
 computed on opposite sides of the coloring, break the CBS identity that
 ties them.  On a complete basis A of one degree is the leading block of A
-of the next, and the splitting's coarse group is the whole basis one degree
-below, so the splitting and gs2 run at every degree from 1 up, each Lanczos
-run started from the same kind's eigenvector of M^-1 A one degree below.
-The runs of one degree are concurrent: its pencils are built first, then
-the first kind runs on the calling thread and the others on one worker
-thread, sharing the problem's factors, whose solves release the GIL.  Rows,
-messages and exit codes are those of one loop over the kinds in order.
+of the next, and a kind with a coarse group (``PreconditionerKind.coarse``:
+the splitting and gs2) takes the whole basis one degree below as that group,
+so those kinds run at every degree from 1 up, each Lanczos run started from
+(A x) on its pencil's color, taken from the pencil's own blocks, with x the
+same kind's eigenvector of M^-1 A one degree below.  The runs of one degree
+are concurrent: its pencils are built first, then the first kind runs on the
+calling thread and the others are mapped over one worker thread, sharing the
+problem's factors, whose solves release the GIL.  Rows, messages and exit
+codes are those of one loop over the kinds in order.
 With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
@@ -293,16 +295,17 @@ def _preconditioned_extremes(pencil, previous=None, **lanczos):
     kind (0 when sigma = 0) and s = 1 for gs2.  ``previous``, such a vector
     of a smaller problem whose A is the leading block of this one, starts
     the run: zero-padded to x, its start is (A x) on the pencil's color,
-    which is M_s x_s when x is an eigenvector of M^-1 A.
+    A_ss x_s + C^T x_o from the pencil's blocks, which is M_s x_s when x is
+    an eigenvector of M^-1 A.
     """
     if 0 in pencil.color_sizes:
         return eigsolve.EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0
-    a, (this, other) = pencil.operator, pencil.dofs
+    this, other = pencil.dofs
     start = None
     if previous is not None:
-        x = np.zeros(a.shape[0])
+        x = np.zeros(this.size + other.size)
         x[: previous.size] = previous
-        start = a.matvec(x)[this]
+        start = pencil.a_ss @ x[this] + pencil.c.T @ x[other]  # (A x) on this color
     est = eigsolve.extreme_eigs_generalized(pencil, pencil, start=start, **lanczos)
     theta, y = est.lambda_min, est.vector_min
     z = pencil.response(y)
@@ -312,7 +315,7 @@ def _preconditioned_extremes(pencil, previous=None, **lanczos):
         sigma = math.sqrt(max(0.0, y @ (pencil.c.T @ z)) / (y @ (pencil.a_ss @ y)))
         ends = theta / (1.0 + sigma), 1.0 + sigma  # 1 -+ sigma, without cancellation
         s = 1.0 / sigma if sigma > 0.0 else 0.0
-    vector = np.empty(a.shape[0])
+    vector = np.empty(this.size + other.size)
     vector[this], vector[other] = y, -s * z
     return replace(est, lambda_min=ends[0], lambda_max=ends[1], vector_min=vector), est.lambda_max
 
@@ -327,45 +330,38 @@ def _check_pencil_top(label, top):
         )
 
 
-def _chained_kinds(cfg: ExperimentConfig, top: int):
-    """The kinds of ``cfg`` whose coarse group at degree ``top`` is the
-    whole basis of degree top - 1 (on a complete basis, the splitting and
-    gs2).  Their eigenvector at one degree, zero-padded, is a start vector
-    at the next."""
-    if cfg.basis != COMPLETE:
-        return ()
-    below = index_set(cfg, top - 1).size
-    iset = index_set(cfg, top)
-    return tuple(kind for kind in cfg.preconditioners
-                 if operator.block_layout(kind, iset)[1] == below)
-
-
 def run_verify(cfg: ExperimentConfig) -> ResultTable:
     """Assemble, precondition, estimate true extremes and verify the
     enclosure chain for every degree of the sweep.
 
-    The kinds of ``_chained_kinds`` are estimated at every degree from 1 to
-    the largest listed, in ascending order, each started from its own
-    eigenvector one degree below (degree 1 from the seeded draw), so a row
-    depends only on its own problem whichever degrees are listed.  A degree
-    not listed gives no row, no check and no kappa(A); the rows follow the
-    listed order.  Every other kind, and kappa(A), starts from the seed.
-    A coloring fault names the degree it is found at, like every other
-    enclosure message.  F_0..F_K are assembled with the first degree's
-    problem and shared by every later one.
+    On a complete basis the kinds with a coarse group, which at each degree
+    is the whole basis one degree below (``PreconditionerKind.coarse``), are
+    estimated at every degree from 1 to the largest listed, in ascending
+    order, each started from its own eigenvector one degree below (degree 1
+    from the seeded draw), so a row depends only on its own problem
+    whichever degrees are listed.  A degree not listed gives no row, no
+    check and no kappa(A); the rows follow the listed order.  Every other
+    kind, and kappa(A), starts from the seed.  A largest degree whose basis
+    exceeds the size cap fails before any degree runs.  A coloring fault
+    names the degree it is found at, like every other enclosure message.
+    F_0..F_K are assembled with the first degree's problem and shared by
+    every later one.
 
     With several kinds at a degree, the first kind's Lanczos run goes on
-    this thread and the others, in order, on the single worker of a thread
-    pool held open over the sweep (``_estimates``); a degree with one run
-    starts no thread.  Results and errors are taken in the configured kind
-    order, so the error raised is the one the serial loop would raise.
-    Each run uses the OpenBLAS thread count in effect.
+    this thread and the others are mapped, in order, over the single worker
+    of a thread pool held open over the sweep (``_estimates``); a degree
+    with one run submits nothing and starts no thread.  Results and errors
+    are taken in the configured kind order, so the error raised is the one
+    the serial loop would raise.  Each run uses the OpenBLAS thread count
+    in effect.
     """
     mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
     lanczos = {"tol": lanczos_tol, "max_iter": cfg.max_iter, "seed": cfg.seed}
     listed = degree_sweep(cfg)
-    chained = _chained_kinds(cfg, max(listed))
+    index_set(cfg, max(listed))  # a basis over the size cap fails before any degree runs
+    chained = tuple(kind for kind in cfg.preconditioners
+                    if cfg.basis == COMPLETE and PRECONDITIONER_KINDS[kind].coarse)
     rows, previous, fs = {}, {}, None
     with ThreadPoolExecutor(max_workers=1) as pool:
         for degree in range(1, max(listed) + 1) if chained else listed:
@@ -395,11 +391,13 @@ def _estimates(pool, problem, kinds, previous, lanczos):
 
     Every pencil is built here first, so each factor of ``problem`` is
     taken once, on this thread.  The first kind then runs on this thread
-    and the others, one after another, on ``pool``'s worker; both read the
-    problem's shared factors, whose banded solves release the GIL.  One
-    kind starts no thread.  The error raised is the one a single loop over
+    while ``pool.map`` runs the others, one after another, on the pool's
+    worker; both read the problem's shared factors, whose banded solves
+    release the GIL.  A map over no kinds submits nothing, so one kind
+    starts no thread.  The error raised is the one a single loop over
     ``kinds`` would raise first: a run's error, in kind order, before a
-    coloring fault of a later kind's pencil.
+    coloring fault of a later kind's pencil.  When this thread's run
+    raises, the worker's runs end before ``run_verify``'s pool closes.
     """
     pencils, fault = [], None
     for kind in kinds:
@@ -409,19 +407,11 @@ def _estimates(pool, problem, kinds, previous, lanczos):
             fault = err
             break
 
-    def run(part):
-        return [_preconditioned_extremes(p, previous.get(p.kind), **lanczos) for p in part]
+    def run(pencil):
+        return _preconditioned_extremes(pencil, previous.get(pencil.kind), **lanczos)
 
-    if len(pencils) < 2:
-        results = run(pencils)
-    else:
-        later = pool.submit(run, pencils[1:])
-        try:
-            results = run(pencils[:1])
-        except BaseException:
-            later.exception()  # wait for the worker, whose error would come second
-            raise
-        results += later.result()
+    later = pool.map(run, pencils[1:])  # submits nothing for one kind or none
+    results = [run(pencil) for pencil in pencils[:1]] + list(later)
     if fault is not None:
         raise fault
     return dict(zip(kinds, results))

@@ -42,12 +42,13 @@ block-diagonal Preconditioner of its own; its ``response`` A_oo^-1 C gives
 sigma^2 and the other color's part of an eigenvector of M^-1 A.
 
 F0 is LU-factored by SuperLU without pivoting, in its multiple-minimum-degree
-order.  Every larger leading block is factored by LAPACK's banded Cholesky
-(dpbtrf) node-major, each node's stochastic indices together: the meshes
-number nodes in a band order, so a block of count indices has a band about
-count times F0's.  Its solves call dpbtrs through a ctypes pointer to the
-routine scipy links, which releases the GIL: threads sharing one problem's
-factors solve at once, each with the bits of a solve on its own.
+order; the signs of its pivots test that F0 is positive definite.  Every
+larger leading block is factored by LAPACK's banded Cholesky (dpbtrf)
+node-major, each node's stochastic indices together: the meshes number nodes
+in a band order, so a block of count indices has a band about count times
+F0's.  Its solves call dpbtrs through a ctypes pointer to the routine scipy
+links, which releases the GIL: threads sharing one problem's factors solve
+at once, each with the bits of a solve on its own.
 """
 
 from __future__ import annotations
@@ -228,9 +229,10 @@ class DiscreteProblem:
 
 
 def _factor(block: sp.spmatrix):
-    """LU-factor F0, positive definite by construction, without pivoting in
-    SuperLU's multiple-minimum-degree order, with a cheap definiteness spot
-    check so dominance violations surface here."""
+    """LU-factor F0 without pivoting in SuperLU's multiple-minimum-degree
+    order P.  The pivots test definiteness: with no row interchanged, U's
+    diagonal holds the pivots of the symmetric L D L^T of P F0 P^T, all
+    positive exactly when F0 is positive definite (Sylvester)."""
     try:
         lu = spla.splu(
             block.tocsc(),
@@ -240,11 +242,8 @@ def _factor(block: sp.spmatrix):
         )
     except RuntimeError as exc:
         raise FactorizationError(f"factorization of the mean block failed: {exc}") from None
-    rng = np.random.default_rng(0)
-    for _ in range(2):
-        v = rng.standard_normal(block.shape[0])
-        if float(v @ (block @ v)) <= 0.0:
-            raise FactorizationError("the mean block is not positive definite")
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all()):
+        raise FactorizationError("the mean block is not positive definite")
     return lu
 
 
@@ -370,15 +369,14 @@ class ColoredPencil:
     the coarse group, or T on each of the color's groups.  ``dofs`` holds
     the degrees of freedom of A on this color and on the other, and
     ``response`` the other color's answer A_oo^-1 C y to a vector y on
-    this one, from which an eigenvector of M^-1 A is built.  ``operator``
-    is the GalerkinOperator it is sliced from.
+    this one, from which an eigenvector of M^-1 A is built.  For x over
+    all of A's dofs, A_ss x_s + C^T x_o is (A x) on this color.
     """
 
     def __init__(self, problem: DiscreteProblem, kind: str):
         _check_coloring(problem, kind)
         self.kind = kind
         iset, a = problem.index_set, problem.operator
-        self.operator = a
         lead, cut = block_layout(kind, iset)
         color = coloring(kind, iset)
         indices = [np.flatnonzero(color == c) for c in (0, 1)]

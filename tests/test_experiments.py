@@ -16,7 +16,7 @@ from sgprecond import eigsolve, operator
 from sgprecond.basis import MultiIndexSet
 from sgprecond.config import parse_config
 from sgprecond.eigsolve import EigEstimate
-from sgprecond.errors import ConvergenceError, DominanceError, EnclosureError
+from sgprecond.errors import ConvergenceError, DominanceError, EnclosureError, SizeError
 from sgprecond.experiments import (
     Cell,
     ResultTable,
@@ -341,6 +341,42 @@ class TestWarmStart:
                 assert warm.lambda_min == pytest.approx(seeded.lambda_min, rel=1e-5)
                 previous[kind] = warm.vector_min
 
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_the_start_is_a_x_on_the_pencils_color_bit_for_bit(self, dim, monkeypatch):
+        # x, a vector of the degree below zero-padded, lies on the coarse
+        # color, so the pencil's own blocks sum (A x) on its color as A does
+        mesh = build_mesh(1, 6) if dim == 1 else build_mesh(2, (3, 3), "p1")
+        field = sample_coefficients(["1", "0.3*x1", "0.2*sin(pi*x1)"], mesh)
+        generalized = eigsolve.extreme_eigs_generalized
+        starts = []
+
+        def recorded(a, m, **kwargs):
+            starts.append(kwargs["start"])
+            return generalized(a, m, **kwargs)
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", recorded)
+        lanczos = {"tol": 1e-8, "max_iter": 300, "seed": 42}
+        rng = np.random.default_rng(5)
+        below = {}
+        for degree in range(1, 5):
+            prob = operator.DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, degree + 1),
+                                                  mesh, field)
+            for kind in self.NESTED:
+                pencil = operator.ColoredPencil(prob, kind)
+                previous = below.get(kind)
+                if previous is not None:
+                    this, other = pencil.dofs
+                    for v in (rng.standard_normal(previous.size), previous):
+                        x = np.zeros(prob.operator.shape[0])
+                        x[: v.size] = v
+                        expect = prob.operator.matvec(x)[this]
+                        assert np.array_equal(pencil.a_ss @ x[this] + pencil.c.T @ x[other],
+                                              expect), (degree, kind)
+                starts.clear()
+                below[kind] = _preconditioned_extremes(pencil, previous, **lanczos)[0].vector_min
+                if previous is not None:  # the run started from the last expect
+                    assert np.array_equal(starts[0], expect), (degree, kind)
+
     @pytest.mark.parametrize("listed", ("3", "1 2 3", "3 1"))
     def test_rows_do_not_depend_on_the_listed_degrees(self, listed):
         text = CFG.replace("mean_based splitting_complete gs2", "splitting_complete gs2")
@@ -496,6 +532,39 @@ class TestConcurrentRuns:
         table = run_verify(replace(cfg, degrees=(1, 2, 3)))
         assert len(table.rows) == 3
         assert counts == [3, 6]
+
+    @pytest.mark.parametrize("text", (
+        CFG.replace("mean_based splitting_complete gs2", "mean_based"),
+        CFG.replace("basis = complete\ndegree = 1 2", "basis = tensor\ndegrees = 2 1")
+           .replace("mean_based splitting_complete gs2", "splitting_tp"),
+    ), ids=("mean_based", "tensor"))
+    def test_a_one_kind_degree_starts_no_thread(self, text, monkeypatch):
+        from sgprecond import experiments
+
+        extremes = experiments._preconditioned_extremes
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append((threading.current_thread(), threading.active_count()))
+            return extremes(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_preconditioned_extremes", recorded)
+        before = threading.active_count()
+        run_verify(parse_config(text))
+        assert runs and all(thread is threading.main_thread() for thread, _ in runs)
+        assert {count for _, count in runs} == {before} == {threading.active_count()}
+
+
+def test_a_top_degree_over_the_size_cap_fails_before_any_degree_runs(cfg, monkeypatch):
+    # K = 2 at degree 1999 holds 2001000 indices, over the cap of 2000000
+    from dataclasses import replace
+
+    built = []
+    monkeypatch.setattr(operator.DiscreteProblem, "build", lambda *args: built.append(args))
+    for kinds in (("mean_based",), ("splitting_complete", "gs2")):
+        with pytest.raises(SizeError, match="complete basis size 2001000 exceeds cap"):
+            run_verify(replace(cfg, degrees=(1, 1999), preconditioners=kinds))
+    assert built == []
 
 
 DIFFERENTIAL_CONFIGS = 40

@@ -407,12 +407,25 @@ class TestPreconditioners:
         assert done == [solves] * workers and wrong == [0] * workers
 
     def test_indefinite_block_is_a_factorization_error(self):
-        # no pivoting: the definiteness spot check is the guard
+        # no pivoting: the signs of SuperLU's pivots are the guard
         f0 = small_problem(n=8).operator.fs[0]
         block = indefinite_shift(f0)
         w = np.linalg.eigvalsh(block.toarray())
         assert w[0] < 0.0 < w[-1]
         with pytest.raises(FactorizationError):
+            operator._factor(block)
+
+    def test_one_negative_eigenvalue_of_f0_is_a_factorization_error(self):
+        # F0 shifted midway between its two smallest eigenvalues: random
+        # vectors see a positive quadratic form, the pivots of the symmetric
+        # factorization count the one negative eigenvalue
+        f0 = small_problem(n=8).operator.fs[0]
+        w = np.linalg.eigvalsh(f0.toarray())
+        block = (f0 - 0.5 * (w[0] + w[1]) * scipy.sparse.identity(f0.shape[0])).tocsr()
+        assert np.count_nonzero(np.linalg.eigvalsh(block.toarray()) < 0.0) == 1
+        v = np.random.default_rng(0).standard_normal((2, f0.shape[0]))
+        assert (v * (block @ v.T).T).sum(axis=1).min() > 0.0
+        with pytest.raises(FactorizationError, match="the mean block is not positive definite"):
             operator._factor(block)
 
     def test_barely_indefinite_leading_block_is_a_factorization_error(self):
@@ -485,6 +498,18 @@ def test_each_kind_has_one_consistent_record():
     for basis in ("complete", "tensor"):
         assert list(kinds_on(basis)) == [name for name, record in kinds.items()
                                          if record.basis in (None, basis)]
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+def test_kinds_with_a_coarse_group_chain_across_complete_degrees(nvars):
+    # run_verify warm-starts exactly the kinds with a coarse group: at each
+    # degree that group is the whole complete basis one degree below
+    for degree in range(1, 6):
+        iset = MultiIndexSet.complete(nvars, degree + 1)
+        below = MultiIndexSet.complete(nvars, degree).size
+        for kind in kinds_on("complete"):
+            chained = operator.block_layout(kind, iset)[1] == below
+            assert operator.PRECONDITIONER_KINDS[kind].coarse == chained, (degree, kind)
 
 
 # the two colors of each kind, as a coloring fault names them

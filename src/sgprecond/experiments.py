@@ -2,24 +2,23 @@
 
 ``run_bounds`` evaluates only the analytic quantities (no assembly).
 ``run_verify`` additionally assembles the problem and estimates the true
-extremes of each requested preconditioner from the low end of its
-Schur-complement pencil over the kind's two-coloring, which is sliced from
-A and solved through each color's own block-diagonal preconditioner.  It
-asserts the guaranteed enclosure chain, failing with EnclosureError if any
-computed eigenvalue escapes its bounds beyond a small slack, if A and M
-differ inside one color of the coloring, if a pencil's top Ritz value
-exceeds 1, or if the splitting and two-block Gauss-Seidel conditions,
-computed on opposite sides of the coloring, break the CBS identity that
-ties them.  On a complete basis A of one degree is the leading block of A
-of the next, and a kind with a coarse group (``PreconditionerKind.coarse``:
-the splitting and gs2) takes the whole basis one degree below as that group,
-so those kinds run at every degree from 1 up, each Lanczos run started from
-(A x) on its pencil's color, taken from the pencil's own blocks, with x the
-same kind's eigenvector of M^-1 A one degree below.  The runs of one degree
-are concurrent: its pencils are built first, then the first kind runs on the
-calling thread and the others are mapped over one worker thread, sharing the
-problem's factors, whose solves release the GIL.  Rows, messages and exit
-codes are those of one loop over the kinds in order.
+extremes of each requested preconditioner with ``operator.ColoredPencil``,
+the Schur-complement pencil of the kind's two-coloring.  It asserts the
+guaranteed enclosure chain, failing with EnclosureError if any computed
+eigenvalue escapes its bounds beyond a small slack, if A and M differ
+inside one color of the coloring, if a pencil's top Ritz value exceeds 1,
+or if the splitting and two-block Gauss-Seidel conditions, computed on
+opposite sides of the coloring, break the CBS identity that ties them.  On
+a complete basis A of one degree is the leading block of A of the next, and
+a kind with a coarse group (``PreconditionerKind.coarse``: the splitting
+and gs2) takes the whole basis one degree below as that group, so those
+kinds run at every degree from 1 up, each pencil's Lanczos run started from
+the same kind's eigenvector of M^-1 A one degree below, and each degree's
+problem shares the F_k and the factor of F0 of the one before.  The runs of
+one degree are concurrent: its pencils are built first, then the first kind
+runs on the calling thread and the others are mapped over one worker
+thread, sharing the problem's factors, whose solves release the GIL.  Rows,
+messages and exit codes are those of one loop over the kinds in order.
 With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
@@ -33,7 +32,7 @@ import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,52 +273,6 @@ def _check_oracle(label, b, lo, hi, est):
                              f"({est.lambda_min:.12g}, {est.lambda_max:.12g})")
 
 
-def _preconditioned_extremes(pencil, previous=None, **lanczos):
-    """Lanczos extremes of M^-1 A for the preconditioner of ``pencil``, a
-    ``ColoredPencil``, read off the low end of that Schur-complement pencil,
-    and the pencil's top Ritz value.
-
-    Lanczos iterates only the low end theta_min = 1 - sigma_max^2 to
-    tolerance.  A block-diagonal kind's spectrum is 1 -+ sigma_i, so its
-    extremes are 1 -+ sigma, with sigma^2 = y^T C^T A_oo^-1 C y / y^T A_ss y
-    at the Ritz vector y of theta_min.  That Rayleigh quotient is at most
-    sigma_max^2 and is 0 when C y = 0, where sqrt(1 - theta_min) would read
-    the rounding of theta_min as a sigma near 1e-8.  gs2's spectrum is 1
-    with the pencil's, so its extremes are theta_min and max(1, theta_max).
-    With one color empty, M = A and the spectrum is {1}, with no Lanczos
-    run.  ``lanczos`` goes to ``eigsolve.extreme_eigs_generalized``.
-
-    The estimate's ``vector_min`` is the eigenvector of M^-1 A at
-    lambda_min over all of A's degrees of freedom: y on the pencil's color
-    and -s A_oo^-1 C y on the other, with s = 1/sigma for a block-diagonal
-    kind (0 when sigma = 0) and s = 1 for gs2.  ``previous``, such a vector
-    of a smaller problem whose A is the leading block of this one, starts
-    the run: zero-padded to x, its start is (A x) on the pencil's color,
-    A_ss x_s + C^T x_o from the pencil's blocks, which is M_s x_s when x is
-    an eigenvector of M^-1 A.
-    """
-    if 0 in pencil.color_sizes:
-        return eigsolve.EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0
-    this, other = pencil.dofs
-    start = None
-    if previous is not None:
-        x = np.zeros(this.size + other.size)
-        x[: previous.size] = previous
-        start = pencil.a_ss @ x[this] + pencil.c.T @ x[other]  # (A x) on this color
-    est = eigsolve.extreme_eigs_generalized(pencil, pencil, start=start, **lanczos)
-    theta, y = est.lambda_min, est.vector_min
-    z = pencil.response(y)
-    if not PRECONDITIONER_KINDS[pencil.kind].block_diagonal:
-        ends, s = (min(1.0, theta), max(1.0, est.lambda_max)), 1.0
-    else:
-        sigma = math.sqrt(max(0.0, y @ (pencil.c.T @ z)) / (y @ (pencil.a_ss @ y)))
-        ends = theta / (1.0 + sigma), 1.0 + sigma  # 1 -+ sigma, without cancellation
-        s = 1.0 / sigma if sigma > 0.0 else 0.0
-    vector = np.empty(this.size + other.size)
-    vector[this], vector[other] = y, -s * z
-    return replace(est, lambda_min=ends[0], lambda_max=ends[1], vector_min=vector), est.lambda_max
-
-
 def _check_pencil_top(label, top):
     """A Ritz value never exceeds the largest eigenvalue, and every pencil's
     eigenvalues are 1 - sigma_i^2 <= 1, so a top Ritz value above 1 is a
@@ -344,8 +297,9 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     kind, and kappa(A), starts from the seed.  A largest degree whose basis
     exceeds the size cap fails before any degree runs.  A coloring fault
     names the degree it is found at, like every other enclosure message.
-    F_0..F_K are assembled with the first degree's problem and shared by
-    every later one.
+    Each degree's problem is built ``like`` the one before, so F_0..F_K are
+    assembled and F0 is factored with the first degree's problem, and
+    shared by every later one.
 
     With several kinds at a degree, the first kind's Lanczos run goes on
     this thread and the others are mapped, in order, over the single worker
@@ -362,12 +316,13 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     index_set(cfg, max(listed))  # a basis over the size cap fails before any degree runs
     chained = tuple(kind for kind in cfg.preconditioners
                     if cfg.basis == COMPLETE and PRECONDITIONER_KINDS[kind].coarse)
-    rows, previous, fs = {}, {}, None
+    rows, previous, problem = {}, {}, None
     with ThreadPoolExecutor(max_workers=1) as pool:
         for degree in range(1, max(listed) + 1) if chained else listed:
             iset = index_set(cfg, degree)
-            problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field, fs)
-            fs = problem.operator.fs  # F_0..F_K, assembled once for every degree
+            # F_0..F_K and F0's factor, taken once for every degree
+            problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field,
+                                                     like=problem)
             try:
                 estimates = _estimates(pool, problem, cfg.preconditioners if degree in listed
                                        else chained, previous, lanczos)
@@ -386,7 +341,7 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
 
 def _estimates(pool, problem, kinds, previous, lanczos):
     """kind -> (estimate, the pencil's top Ritz value) of
-    ``_preconditioned_extremes`` for each of ``kinds``, each run started
+    ``ColoredPencil.extremes`` for each of ``kinds``, each run started
     from ``previous.get(kind)``.
 
     Every pencil is built here first, so each factor of ``problem`` is
@@ -408,7 +363,7 @@ def _estimates(pool, problem, kinds, previous, lanczos):
             break
 
     def run(pencil):
-        return _preconditioned_extremes(pencil, previous.get(pencil.kind), **lanczos)
+        return pencil.extremes(previous.get(pencil.kind), **lanczos)
 
     later = pool.map(run, pencils[1:])  # submits nothing for one kind or none
     results = [run(pencil) for pencil in pencils[:1]] + list(later)

@@ -38,8 +38,8 @@ the last degree (truncated_tp) or of the total degree (mean_based).
 A = [[M1, C^T], [C, M2]], so the spectrum of M^-1 A is 1 -+ sigma_i.
 ``ColoredPencil`` is the Schur-complement pencil of one color, with
 eigenvalues 1 - sigma_i^2, sliced from A and solved on each color by a
-block-diagonal Preconditioner of its own; its ``response`` A_oo^-1 C gives
-sigma^2 and the other color's part of an eigenvector of M^-1 A.
+block-diagonal Preconditioner of its own; its ``extremes`` reads the
+extremes of M^-1 A and their eigenvector off the pencil's low end.
 
 F0 is LU-factored by SuperLU without pivoting, in its multiple-minimum-degree
 order; the signs of its pivots test that F0 is positive definite.  Every
@@ -54,7 +54,8 @@ at once, each with the bits of a solve on its own.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -62,6 +63,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cython_lapack, lapack
 
+from . import eigsolve
 from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
 from .errors import EnclosureError, FactorizationError, UsageError
 from .fem import CoefficientField, Mesh, assemble_F
@@ -187,12 +189,12 @@ class GalerkinOperator:
 class DiscreteProblem:
     """A mesh, a coefficient field and a basis, with the operator's terms assembled."""
 
-    def __init__(self, index_set, mesh, field, operator):
+    def __init__(self, index_set, mesh, field, operator, f0=None):
         self.index_set = index_set
         self.mesh = mesh
         self.field = field
         self.operator = operator
-        self._factors = {}  # leading index count -> SuperLU's F0 or a _BandCholesky
+        self._factors = {} if f0 is None else {1: f0}  # count -> SuperLU's F0 or a _BandCholesky
 
     @classmethod
     def build(
@@ -201,21 +203,25 @@ class DiscreteProblem:
         index_set: MultiIndexSet,
         mesh: Mesh,
         field: CoefficientField,
-        fs: list | None = None,
+        like: "DiscreteProblem | None" = None,
     ) -> "DiscreteProblem":
         """The problem of ``index_set`` on ``mesh`` and ``field``, with its
-        terms G_0..G_K and F_0..F_K assembled.  The F_k depend on the mesh
-        and the field alone: ``fs``, the ``operator.fs`` of an earlier
-        problem on the same mesh and field, is taken as they are and shared
-        with it; None assembles them."""
+        terms G_0..G_K and F_0..F_K assembled.  The F_k, and so F0 and its
+        factor, depend on the mesh and the field alone: ``like``, an earlier
+        problem on an equal mesh and field (UsageError otherwise), lends its
+        F_k and its factor ``f0`` of F0, which are shared with it; None
+        assembles the F_k.  Larger blocks are factored anew."""
         if field.nterms != index_set.nvars:
             raise UsageError(
                 f"field has {field.nterms} fluctuation terms, basis has {index_set.nvars} variables"
             )
         gs = [assemble_G(family, index_set, k) for k in range(field.nterms + 1)]
-        if fs is None:
+        if like is None:
             fs = [assemble_F(mesh, field, k) for k in range(field.nterms + 1)]
-        return cls(index_set, mesh, field, GalerkinOperator(gs, fs))
+            return cls(index_set, mesh, field, GalerkinOperator(gs, fs))
+        if like.mesh != mesh or not np.array_equal(like.field.values, field.values):
+            raise UsageError("like is a problem on another mesh or coefficient field")
+        return cls(index_set, mesh, field, GalerkinOperator(gs, like.operator.fs), like.factor(1))
 
     def factor(self, count: int):
         """Factors of A[:n, :n], n = count * n_fe: A on its first ``count``
@@ -366,11 +372,8 @@ class ColoredPencil:
     A product is one solve on the other color, one product with A_ss and
     two sparse products with C; a solve is one solve on this color.  Each
     color is solved through a block-diagonal Preconditioner: A11 alone on
-    the coarse group, or T on each of the color's groups.  ``dofs`` holds
-    the degrees of freedom of A on this color and on the other, and
-    ``response`` the other color's answer A_oo^-1 C y to a vector y on
-    this one, from which an eigenvector of M^-1 A is built.  For x over
-    all of A's dofs, A_ss x_s + C^T x_o is (A x) on this color.
+    the coarse group, or T on each of the color's groups.  ``extremes``
+    gives the extremes of M^-1 A from the pencil's low end.
     """
 
     def __init__(self, problem: DiscreteProblem, kind: str):
@@ -380,31 +383,72 @@ class ColoredPencil:
         lead, cut = block_layout(kind, iset)
         color = coloring(kind, iset)
         indices = [np.flatnonzero(color == c) for c in (0, 1)]
-        self.color_sizes = tuple(idx.size for idx in indices)
+        sizes = [idx.size for idx in indices]
         side = PRECONDITIONER_KINDS[kind].side
-        side = int(self.color_sizes[1] < self.color_sizes[0]) if side is None else side
+        side = int(sizes[1] < sizes[0]) if side is None else side
         # with a coarse group, color 0 is that group: A11 once
         solvers = [Preconditioner(problem.factor(cut), 1) if cut and c == 0
                    else Preconditioner(problem.factor(lead), size // lead)
-                   for c, size in enumerate(self.color_sizes)]
+                   for c, size in enumerate(sizes)]
         self._m_s, self._m_o = solvers[side], solvers[1 - side]
         dofs = [(idx[:, None] * a.n_fe + np.arange(a.n_fe)).ravel() for idx in indices]
-        this, other = self.dofs = dofs[side], dofs[1 - side]
-        self.a_ss = a.matrix[this][:, this]
-        self.c = a.matrix[other][:, this]
-        self.shape = self.a_ss.shape
+        this, other = self._dofs = dofs[side], dofs[1 - side]
+        self._a_ss = a.matrix[this][:, this]
+        self._c = a.matrix[other][:, this]
+        self.shape = self._a_ss.shape
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """(A_ss - C^T A_oo^-1 C) v for a vector."""
-        return self.a_ss @ v - self.c.T @ self.response(v)
-
-    def response(self, v: np.ndarray) -> np.ndarray:
-        """A_oo^-1 C v for a vector on this color: a vector on the other."""
-        return self._m_o.solve(self.c @ v)
+        return self._a_ss @ v - self._c.T @ self._m_o.solve(self._c @ v)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """A_ss^-1 r for a vector."""
         return self._m_s.solve(r)
+
+    def extremes(self, previous=None, **lanczos):
+        """Lanczos extremes of M^-1 A, read off the low end of this pencil,
+        and the pencil's top Ritz value.
+
+        Lanczos iterates only the low end theta_min = 1 - sigma_max^2 to
+        tolerance.  A block-diagonal kind's spectrum is 1 -+ sigma_i, so its
+        extremes are 1 -+ sigma, with sigma^2 = y^T C^T A_oo^-1 C y / y^T A_ss y
+        at the Ritz vector y of theta_min.  That Rayleigh quotient is at most
+        sigma_max^2 and is 0 when C y = 0, where sqrt(1 - theta_min) would
+        read the rounding of theta_min as a sigma near 1e-8.  gs2's spectrum
+        is 1 with the pencil's, so its extremes are theta_min and
+        max(1, theta_max).  With one color empty, M = A and the spectrum is
+        {1}, with no Lanczos run.  ``lanczos`` goes to
+        ``eigsolve.extreme_eigs_generalized``.
+
+        The estimate's ``vector_min`` is the eigenvector of M^-1 A at
+        lambda_min over all of A's degrees of freedom: y on this color and
+        -s A_oo^-1 C y on the other, with s = 1/sigma for a block-diagonal
+        kind (0 when sigma = 0) and s = 1 for gs2.  ``previous``, such a
+        vector of a smaller problem whose A is the leading block of this
+        one, starts the run: zero-padded to x, its start is (A x) on this
+        color, A_ss x_s + C^T x_o, which is M_s x_s when x is an
+        eigenvector of M^-1 A.
+        """
+        this, other = self._dofs
+        if 0 in (this.size, other.size):
+            return eigsolve.EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0
+        start = None
+        if previous is not None:
+            x = np.zeros(this.size + other.size)
+            x[: previous.size] = previous
+            start = self._a_ss @ x[this] + self._c.T @ x[other]  # (A x) on this color
+        est = eigsolve.extreme_eigs_generalized(self, self, start=start, **lanczos)
+        theta, y = est.lambda_min, est.vector_min
+        z = self._m_o.solve(self._c @ y)
+        if not PRECONDITIONER_KINDS[self.kind].block_diagonal:
+            ends, s = (min(1.0, theta), max(1.0, est.lambda_max)), 1.0
+        else:
+            sigma = math.sqrt(max(0.0, y @ (self._c.T @ z)) / (y @ (self._a_ss @ y)))
+            ends = theta / (1.0 + sigma), 1.0 + sigma  # 1 -+ sigma, without cancellation
+            s = 1.0 / sigma if sigma > 0.0 else 0.0
+        vector = np.empty(this.size + other.size)
+        vector[this], vector[other] = y, -s * z
+        return replace(est, lambda_min=ends[0], lambda_max=ends[1], vector_min=vector), est.lambda_max
 
 
 def coloring(kind: str, index_set: MultiIndexSet) -> np.ndarray:

@@ -21,7 +21,6 @@ from sgprecond.experiments import (
     Cell,
     ResultTable,
     _check_enclosure,
-    _preconditioned_extremes,
     degree_sweep,
     index_set,
     mesh_and_field,
@@ -213,7 +212,7 @@ class TestGs2SchurPath:
         a = prob.operator.matrix.toarray()
         w = scipy.linalg.eigh(a, dense_gs2_matrix(a, m.split_index), eigvals_only=True)
         pencil = operator.ColoredPencil(prob, operator.GAUSS_SEIDEL_2)
-        est, _top = _preconditioned_extremes(pencil, tol=1e-10, max_iter=300, seed=42)
+        est, _top = pencil.extremes(tol=1e-10, max_iter=300, seed=42)
         assert est.lambda_min == pytest.approx(w[0], rel=1e-8)
         assert est.lambda_max == pytest.approx(w[-1], rel=1e-12)
 
@@ -245,12 +244,17 @@ class TestColoredPencilPath:
         prob = self._problem(iset)
         a = prob.operator.matrix.toarray()
         for kind in kinds_on(iset.kind):
-            w = np.sort(scipy.linalg.eigvals(a, dense_preconditioner_matrix(prob, kind)).real)
+            m = dense_preconditioner_matrix(prob, kind)
+            w = np.sort(scipy.linalg.eigvals(a, m).real)
             pencil = operator.ColoredPencil(prob, kind)
-            est, top = _preconditioned_extremes(pencil, tol=1e-12, max_iter=500, seed=42)
+            est, top = pencil.extremes(tol=1e-12, max_iter=500, seed=42)
             assert est.lambda_min == pytest.approx(w[0], rel=1e-8), kind
             assert est.lambda_max == pytest.approx(w[-1], rel=1e-8), kind
             assert top <= 1.0 + 1e-12
+            # vector_min is the eigenvector of M^-1 A at lambda_min, on every dof
+            mv = m @ est.vector_min
+            residual = np.linalg.norm(a @ est.vector_min - est.lambda_min * mv)
+            assert residual <= 1e-10 * np.linalg.norm(mv), kind
 
     @pytest.mark.parametrize("iset", (MultiIndexSet.tensor((2, 2, 1)), MultiIndexSet.tensor((1,)),
                                       MultiIndexSet.complete(2, 1)),
@@ -267,8 +271,8 @@ class TestColoredPencilPath:
         monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", counted)
         for kind in kinds_on(iset.kind):
             pencil = operator.ColoredPencil(prob, kind)
-            est, top = _preconditioned_extremes(pencil, tol=1e-10, max_iter=300, seed=42)
-            sizes = pencil.color_sizes
+            est, top = pencil.extremes(tol=1e-10, max_iter=300, seed=42)
+            sizes = np.bincount(operator.coloring(kind, iset), minlength=2)
             if 0 in sizes:
                 assert (est.lambda_min, est.lambda_max, est.iterations, top) == (1.0, 1.0, 0, 1.0)
                 assert kind not in runs
@@ -309,8 +313,8 @@ class TestWarmStart:
                 w = np.sort(scipy.linalg.eigvals(a, m).real)
                 start = previous.get(kind)
                 assert (start is None) == (order == 2 or kind == operator.MEAN_BASED)
-                est, top = _preconditioned_extremes(operator.ColoredPencil(prob, kind), start,
-                                                    tol=1e-12, max_iter=500, seed=42)
+                est, top = operator.ColoredPencil(prob, kind).extremes(
+                    start, tol=1e-12, max_iter=500, seed=42)
                 assert est.lambda_min == pytest.approx(w[0], rel=1e-8), (order, kind)
                 assert est.lambda_max == pytest.approx(w[-1], rel=1e-8), (order, kind)
                 assert top <= 1.0 + 1e-12
@@ -331,9 +335,8 @@ class TestWarmStart:
             prob = operator.DiscreteProblem.build(cfg.family, index_set(cfg, degree), mesh, field)
             for kind in self.NESTED:
                 pencil = operator.ColoredPencil(prob, kind)
-                seeded, _ = _preconditioned_extremes(pencil, tol=1e-6, max_iter=400, seed=42)
-                warm, _ = _preconditioned_extremes(pencil, previous.get(kind), tol=1e-6,
-                                                   max_iter=400, seed=42)
+                seeded, _ = pencil.extremes(tol=1e-6, max_iter=400, seed=42)
+                warm, _ = pencil.extremes(previous.get(kind), tol=1e-6, max_iter=400, seed=42)
                 if degree == 1:
                     assert warm == seeded
                 elif degree >= 3:
@@ -344,7 +347,9 @@ class TestWarmStart:
     @pytest.mark.parametrize("dim", (1, 2))
     def test_the_start_is_a_x_on_the_pencils_color_bit_for_bit(self, dim, monkeypatch):
         # x, a vector of the degree below zero-padded, lies on the coarse
-        # color, so the pencil's own blocks sum (A x) on its color as A does
+        # color, so the pencil's own blocks sum (A x) on its color as A does:
+        # for a random x and for the eigenvector of the degree below, the
+        # start the run passes to Lanczos is A x on the record's side
         mesh = build_mesh(1, 6) if dim == 1 else build_mesh(2, (3, 3), "p1")
         field = sample_coefficients(["1", "0.3*x1", "0.2*sin(pi*x1)"], mesh)
         generalized = eigsolve.extreme_eigs_generalized
@@ -361,21 +366,24 @@ class TestWarmStart:
         for degree in range(1, 5):
             prob = operator.DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, degree + 1),
                                                   mesh, field)
+            n_fe = prob.operator.n_fe
             for kind in self.NESTED:
                 pencil = operator.ColoredPencil(prob, kind)
                 previous = below.get(kind)
                 if previous is not None:
-                    this, other = pencil.dofs
+                    side = operator.PRECONDITIONER_KINDS[kind].side
+                    color = np.flatnonzero(operator.coloring(kind, prob.index_set) == side)
+                    this = (color[:, None] * n_fe + np.arange(n_fe)).ravel()
                     for v in (rng.standard_normal(previous.size), previous):
                         x = np.zeros(prob.operator.shape[0])
                         x[: v.size] = v
-                        expect = prob.operator.matvec(x)[this]
-                        assert np.array_equal(pencil.a_ss @ x[this] + pencil.c.T @ x[other],
-                                              expect), (degree, kind)
-                starts.clear()
-                below[kind] = _preconditioned_extremes(pencil, previous, **lanczos)[0].vector_min
-                if previous is not None:  # the run started from the last expect
-                    assert np.array_equal(starts[0], expect), (degree, kind)
+                        starts.clear()
+                        est, _top = pencil.extremes(v, **lanczos)
+                        assert np.array_equal(starts[0], prob.operator.matvec(x)[this]), (
+                            degree, kind)
+                else:
+                    est, _top = pencil.extremes(**lanczos)
+                below[kind] = est.vector_min  # the run from the degree below's eigenvector
 
     @pytest.mark.parametrize("listed", ("3", "1 2 3", "3 1"))
     def test_rows_do_not_depend_on_the_listed_degrees(self, listed):
@@ -456,7 +464,6 @@ def test_each_f_is_assembled_once_per_config(name, rows, monkeypatch):
     # the problems but build none, are stubbed with the spectrum {1}.
     from dataclasses import replace
 
-    from sgprecond import experiments
     from sgprecond.config import load_config
 
     assemble = operator.assemble_F
@@ -467,7 +474,7 @@ def test_each_f_is_assembled_once_per_config(name, rows, monkeypatch):
         return assemble(mesh, field, k)
 
     monkeypatch.setattr(operator, "assemble_F", counted)
-    monkeypatch.setattr(experiments, "_preconditioned_extremes",
+    monkeypatch.setattr(operator.ColoredPencil, "extremes",
                         lambda *args, **kwargs: (EigEstimate(1.0, 1.0, (0.0, 0.0), 0), 1.0))
     cfg = load_config(CONFIG_DIR / f"{name}.cfg")
     assert len(run_verify(replace(cfg, kappa_a=False)).rows) == rows
@@ -504,8 +511,7 @@ class TestConcurrentRuns:
         serial = {}
         for kind in failing:
             with pytest.raises(ConvergenceError) as err:
-                _preconditioned_extremes(operator.ColoredPencil(prob, kind), tol=1e-8,
-                                         max_iter=300, seed=42)
+                operator.ColoredPencil(prob, kind).extremes(tol=1e-8, max_iter=300, seed=42)
             serial[kind] = err.value
         if len(failing) == 2:
             assert serial[self.KINDS[0]].estimate != serial[self.KINDS[1]].estimate
@@ -518,20 +524,28 @@ class TestConcurrentRuns:
 
     def test_each_leading_block_is_factored_once_per_degree(self, cfg, monkeypatch):
         # K = 2: the coarse group at degree d is the basis of degree d - 1,
-        # 3 indices at degree 2 and 6 at degree 3; degree 1's is F0 alone
+        # 3 indices at degree 2 and 6 at degree 3; degree 1's is F0 alone.
+        # Each degree's problem is built like the one before and takes its
+        # factor of F0, which every kind and kappa(A) use: once per sweep
         from dataclasses import replace
 
-        band_init = operator._BandCholesky.__init__
-        counts = []
+        factor, band_init = operator._factor, operator._BandCholesky.__init__
+        blocks, counts = [], []
+
+        def factored(block):
+            blocks.append(block.shape)
+            return factor(block)
 
         def counted(self, block, count):
             counts.append(count)
             band_init(self, block, count)
 
+        monkeypatch.setattr(operator, "_factor", factored)
         monkeypatch.setattr(operator._BandCholesky, "__init__", counted)
         table = run_verify(replace(cfg, degrees=(1, 2, 3)))
-        assert len(table.rows) == 3
+        assert cfg.kappa_a and len(table.rows) == 3
         assert counts == [3, 6]
+        assert blocks == [(9, 9)]  # F0 on the 9 interior nodes of 10 elements
 
     @pytest.mark.parametrize("text", (
         CFG.replace("mean_based splitting_complete gs2", "mean_based"),
@@ -539,16 +553,14 @@ class TestConcurrentRuns:
            .replace("mean_based splitting_complete gs2", "splitting_tp"),
     ), ids=("mean_based", "tensor"))
     def test_a_one_kind_degree_starts_no_thread(self, text, monkeypatch):
-        from sgprecond import experiments
-
-        extremes = experiments._preconditioned_extremes
+        extremes = operator.ColoredPencil.extremes
         runs = []
 
         def recorded(*args, **kwargs):
             runs.append((threading.current_thread(), threading.active_count()))
             return extremes(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_preconditioned_extremes", recorded)
+        monkeypatch.setattr(operator.ColoredPencil, "extremes", recorded)
         before = threading.active_count()
         run_verify(parse_config(text))
         assert runs and all(thread is threading.main_thread() for thread, _ in runs)

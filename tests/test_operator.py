@@ -147,15 +147,38 @@ class TestBuild:
         alone = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 3), mesh, field)
         assert calls == [0, 1, 2] * 2
         shared = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 3), mesh, field,
-                                       first.operator.fs)
+                                       like=first)
         assert calls == [0, 1, 2] * 2
         for f, g in zip(first.operator.fs, shared.operator.fs):
             assert np.shares_memory(f.data, g.data)
+        assert shared.factor(1) is first.factor(1)
         for a, b in ((alone, shared), (first, alone)):
             for f, g in zip(a.operator.fs, b.operator.fs):
                 assert (f != g).nnz == 0
         difference = alone.operator.matrix != shared.operator.matrix
         assert difference.nnz == 0
+
+    def test_like_must_be_on_an_equal_mesh_and_field(self):
+        exprs = ["1", "0.4*x1", "0.3*sin(pi*x2)"]
+        mesh = build_mesh(2, (4, 4), "p1")
+        first = DiscreteProblem.build(legendre(), MultiIndexSet.complete(2, 2), mesh,
+                                      sample_coefficients(exprs, mesh))
+        iset = MultiIndexSet.complete(2, 3)
+        other_field = sample_coefficients(["1", "0.4*x1", "0.2*sin(pi*x2)"], mesh)
+        # q1 on the same 4 x 4 squares takes the same field, with other F_k
+        for other in ((build_mesh(2, (4, 4), "q1"), first.field), (mesh, other_field)):
+            with pytest.raises(UsageError, match="like is a problem on another mesh"):
+                DiscreteProblem.build(legendre(), iset, *other, like=first)
+        # an equal but distinct mesh and field are accepted, and shared
+        twin_mesh = build_mesh(2, (4, 4), "p1")
+        twin_field = sample_coefficients(exprs, twin_mesh)
+        assert twin_mesh is not mesh and twin_field is not first.field
+        twin = DiscreteProblem.build(legendre(), iset, twin_mesh, twin_field, like=first)
+        for f, g in zip(first.operator.fs, twin.operator.fs):
+            assert np.shares_memory(f.data, g.data)
+        assert twin.factor(1) is first.factor(1)
+        alone = DiscreteProblem.build(legendre(), iset, twin_mesh, twin_field)
+        assert (alone.operator.matrix != twin.operator.matrix).nnz == 0
 
 
 class TestPreconditioners:
@@ -554,6 +577,11 @@ class TestSchurPencil:
             assert pencil.shape == schur.shape
             assert np.allclose(pencil.matvec(v), schur @ v, atol=1e-12)
             assert np.allclose(a[side, side] @ pencil.solve(v), v, atol=1e-10)
+
+    def test_the_pencil_shows_its_kind_shape_and_three_methods(self):
+        pencil = operator.ColoredPencil(small_problem(), MEAN_BASED)
+        public = {name for name in dir(pencil) if not name.startswith("_")}
+        assert public == {"kind", "shape", "matvec", "solve", "extremes"}
 
     @pytest.mark.parametrize("orders", ((3, 2, 4), (2, 3, 3)))
     def test_block_diagonal_pencils_are_on_the_smaller_color(self, orders):

@@ -25,7 +25,7 @@ from sgprecond import (
     legendre,
     sample_coefficients,
 )
-from sgprecond.operator import kept_couplings
+from sgprecond.operator import kept_blocks
 
 mesh = build_mesh(1, 30)
 exprs = ["1", "0.5*chi(0,1/3)", "0.3*chi(1/3,2/3)", "0.1*chi(2/3,1)"]
@@ -43,10 +43,9 @@ for degree in (1, 2, 4):
     oracle_lo, oracle_hi = element_equivalence_oracle(legendre(), iset, field, "mean_based")
 
     # M = sum_k kron(G_k on the couplings mean_based keeps, F_k) = I (x) F0
-    keep = kept_couplings("mean_based", iset)
     op = problem.operator
     a = op.matrix.toarray()
-    m_dense = sum(np.kron(np.where(keep, g.toarray(), 0.0), f.toarray())
+    m_dense = sum(np.kron(kept_blocks("mean_based", iset, g).toarray(), f.toarray())
                   for g, f in zip(op.gs, op.fs))
     w = scipy.linalg.eigh(a, m_dense, eigvals_only=True)
 

@@ -17,7 +17,7 @@ from sgprecond import (
     sample_coefficients,
 )
 from sgprecond.cli import coordinate_text
-from sgprecond.operator import block_layout, kept_couplings
+from sgprecond.operator import block_layout, kept_blocks
 
 
 def pattern(mat, cut=None):
@@ -37,10 +37,10 @@ print("tensor basis with orders (3, 3): first coordinate changes fastest")
 tset = MultiIndexSet.tensor((3, 3))
 print(f"  indices: {[tuple(r) for r in tset.indices.tolist()]}")
 print("\ncoupling matrix of the second coordinate:")
-g2 = assemble_G(fam, tset, 2).toarray()
-print(pattern(g2))
+g2 = assemble_G(fam, tset, 2)
+print(pattern(g2.toarray()))
 print("\nits annihilated variant drops the top-order coupling:")
-print(pattern(np.where(kept_couplings("splitting_tp", tset), g2, 0.0)))
+print(pattern(kept_blocks("splitting_tp", tset, g2).toarray()))
 
 print("\ncomplete basis with total order 3 groups indices by degree:")
 cset = MultiIndexSet.complete(2, 3)
@@ -49,7 +49,7 @@ g1 = assemble_G(fam, cset, 1)
 print("\ncoupling matrix of the first coordinate and its annihilated variant:")
 print(pattern(g1.toarray()))
 print()
-print(pattern(np.where(kept_couplings("splitting_complete", cset), g1.toarray(), 0.0)))
+print(pattern(kept_blocks("splitting_complete", cset, g1).toarray()))
 
 mesh = build_mesh(1, 4)
 field = sample_coefficients(["1", "0.4", "0.25"], mesh)
@@ -62,8 +62,8 @@ print(f"\nassembled operator: {a.shape[0]} unknowns "
 for kind in ("mean_based", "splitting_complete", "gs2"):
     # D = sum_k kron(G_k on the kept couplings, F_k); gs2 is L D^-1 L^T with
     # L = D plus the dropped couplings below the diagonal
-    keep = kept_couplings(kind, cset)
-    d = sum(np.kron(np.where(keep, g.toarray(), 0.0), f.toarray()) for g, f in zip(op.gs, op.fs))
+    d = sum(np.kron(kept_blocks(kind, cset, g).toarray(), f.toarray())
+            for g, f in zip(op.gs, op.fs))
     lower = d + np.tril(a - d)
     mat = lower @ np.linalg.solve(d, lower.T) if kind == "gs2" else d
     print(f"\n{kind} preconditioner pattern:")

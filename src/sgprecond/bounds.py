@@ -28,7 +28,7 @@ from .operator import (
     SPLITTING_TP,
     TRUNCATED_TP,
     check_basis,
-    kept_couplings,
+    kept_blocks,
 )
 from .orthopoly import RecurrenceFamily, check_mu, d_sequence, max_root
 
@@ -117,8 +117,8 @@ def element_equivalence_oracle(
     """Sharp per-element equivalence constants for a concrete field.
 
     For every element, solves the dense generalized eigenproblem between the
-    element's coupling combination and the same combination restricted to
-    the couplings the preconditioner keeps (``operator.kept_couplings``),
+    element's coupling combination sum_k a_k G_k and the same combination
+    of what the preconditioner keeps of each G_k (``operator.kept_blocks``),
     and returns the global (min, max).  These constants are what lifts to
     the full operator, so they always sit inside the analytic bounds and
     outside the true eigenvalues.
@@ -129,14 +129,15 @@ def element_equivalence_oracle(
         raise SizeError(f"oracle needs a dense basis solve; {index_set.size} > cap {ORACLE_CAP}")
     if field.nterms != index_set.nvars:
         raise UsageError("field and basis disagree on the number of variables")
-    gs = [assemble_G(family, index_set, k).toarray() for k in range(index_set.nvars + 1)]
-    keep = kept_couplings(kind, index_set)
+    gs = [assemble_G(family, index_set, k) for k in range(index_set.nvars + 1)]
+    kept = [kept_blocks(kind, index_set, g).toarray() for g in gs]
+    gs = [g.toarray() for g in gs]
     lo = math.inf
     hi = -math.inf
     for j in range(field.n_elements):
         values = field.values[:, j]
         lhs = sum(values[k] * gs[k] for k in range(len(gs)))
-        rhs = np.where(keep, lhs, 0.0)
+        rhs = sum(values[k] * kept[k] for k in range(len(kept)))
         try:
             np.linalg.cholesky(rhs)
         except np.linalg.LinAlgError:

@@ -31,7 +31,7 @@ from .errors import (
     SgprecondError,
 )
 from .fem import assemble_F
-from .operator import SPLITTING_OF_BASIS, kept_couplings
+from .operator import SPLITTING_OF_BASIS, kept_blocks
 from .orthopoly import family_from_name
 
 EXIT_OK = 0
@@ -148,8 +148,7 @@ def _dump_matrix(args) -> str:
     if kind == "G":
         return coordinate_text(assemble_G(cfg.family, iset, k))
     if kind == "Gt":
-        keep = kept_couplings(SPLITTING_OF_BASIS[iset.kind], iset)
-        gt = assemble_G(cfg.family, iset, k).multiply(keep).tocsr()
+        gt = kept_blocks(SPLITTING_OF_BASIS[iset.kind], iset, assemble_G(cfg.family, iset, k))
         gt.eliminate_zeros()
         return coordinate_text(gt)
     mesh, field, _mu, _mu_class = experiments.mesh_and_field(cfg)

@@ -215,6 +215,8 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         if "degrees" not in problem:
             raise ConfigError("tensor basis requires 'degrees' (one per variable)")
+        if "degree" in problem:
+            raise ConfigError("'degree' applies to complete bases only", line=where("problem", "degree"))
         no = where("problem", "degrees")
         degrees = tuple(_to_int(p, no, "degrees") for p in problem["degrees"].split())
         if len(degrees) != nterms:

@@ -12,10 +12,10 @@ also keeps the coupling B between the two.  Each kind is one
 ``PreconditionerKind`` record in ``PRECONDITIONER_KINDS``, which
 ``check_basis``, the one check of a kind name, returns.  ``block_layout``
 reads from it the kind's (lead, cut), the repeated-block and coarse index
-counts, and so the couplings the kind keeps (``kept_couplings``, the
-N_P x N_P mask: a block-diagonal M is sum_k (G_k masked) (x) F_k).  With s
-the last tensor order and c the number of complete-basis indices of total
-degree at most p - 2:
+counts, and ``kept_blocks`` what the kind keeps of a coupling G_k, sparse and
+laid out as M's factors hold it: a block-diagonal M is
+sum_k kept_blocks(G_k) (x) F_k.  With s the last tensor order and c the
+number of complete-basis indices of total degree at most p - 2:
 
     kind                coarse indices  repeated-block indices  copies
     mean_based          none            1 (F0)                  N_P
@@ -34,7 +34,8 @@ k-th degree differs by one.  ``coloring`` two-colors the stochastic indices
 so that M (for gs2 its block diagonal D) is block diagonal and A - M
 (A - D) joins only the two colors: coarse against detail, or the parity of
 the last degree (truncated_tp) or of the total degree (mean_based).
-``_check_coloring`` asserts this exactly on the G_k.  In color order
+``_check_coloring`` asserts this exactly on the G_k: G_k - kept_blocks(G_k)
+has no stored nonzero inside one color.  In color order
 A = [[M1, C^T], [C, M2]], so the spectrum of M^-1 A is 1 -+ sigma_i.
 ``ColoredPencil`` is the Schur-complement pencil of one color, with
 eigenvalues 1 - sigma_i^2, sliced from A and solved on each color by a
@@ -77,7 +78,7 @@ __all__ = [
     "PreconditionerKind",
     "block_layout",
     "coloring",
-    "kept_couplings",
+    "kept_blocks",
     "build_preconditioner",
     "MEAN_BASED",
     "TRUNCATED_TP",
@@ -124,8 +125,9 @@ PRECONDITIONER_KINDS = {kind.name: kind for kind in (
     PreconditionerKind(SPLITTING_COMPLETE, "kappa_SB", COMPLETE, False, True, side=0),
     PreconditionerKind(GAUSS_SEIDEL_2, "kappa_GS2", None, True, True, block_diagonal=False, side=1),
 )}
-# the two-block splitting of each basis kind
-SPLITTING_OF_BASIS = {TENSOR: SPLITTING_TP, COMPLETE: SPLITTING_COMPLETE}
+# the two-block splitting of each basis kind: its block-diagonal kind with a coarse group
+SPLITTING_OF_BASIS = {kind.basis: kind.name for kind in PRECONDITIONER_KINDS.values()
+                      if kind.coarse and kind.block_diagonal}
 
 
 def check_basis(kind: str, basis: str) -> PreconditionerKind:
@@ -466,33 +468,19 @@ def coloring(kind: str, index_set: MultiIndexSet) -> np.ndarray:
 
 def _check_coloring(problem: DiscreteProblem, kind: str) -> None:
     """Raise EnclosureError unless A and M agree inside each color of
-    ``coloring``: on the stochastic indices of one color, every G_k equals
-    what the preconditioner keeps of it, G_k[:cut, :cut] on the coarse group
-    and G_k[:lead, :lead] on every repeated group.  So every coupling that
+    ``coloring``: G_k - ``kept_blocks`` of it has no stored nonzero joining
+    two indices of one color, for every G_k.  So every coupling that
     ``kind`` drops joins two colors, and every coupling inside a color is
     kept exactly.  Every recurrence has alpha_n = 0, so this holds for the
-    assembled G_k.  The check is exact and reads only the stored entries of
-    G_k and of the kept copies of its leading block; the coarse group is
-    kept as it is.  A fault is reported at its first (i, j) in row-major
-    order."""
+    assembled G_k.  The check is exact, and a fault is reported at its
+    first (i, j) in row-major order."""
     iset = problem.index_set
-    lead, cut = block_layout(kind, iset)
     color = coloring(kind, iset)
-    starts = cut + lead * np.arange((iset.size - cut) // lead, dtype=np.int64)[:, None]
     for k, g in enumerate(problem.operator.gs):
-        g = g.tocoo()
-        row, col = g.row.astype(np.int64), g.col.astype(np.int64)
-        own = (row >= cut) | (col >= cut)
-        top = (row < lead) & (col < lead)
-        keys = np.concatenate([row[own] * iset.size + col[own],
-                               ((starts + row[top]) * iset.size + starts + col[top]).ravel()])
-        keys, where = np.unique(keys, return_inverse=True)
-        kept = np.tile(-g.data[top], starts.size)
-        diff = np.bincount(where, weights=np.concatenate([g.data[own], kept]))
-        i, j = np.divmod(keys, iset.size)
-        inside = (diff != 0.0) & (color[i] == color[j])
+        i, j = (g - kept_blocks(kind, iset, g)).nonzero()
+        inside = color[i] == color[j]
         if inside.any():
-            i, j = i[inside][0], j[inside][0]
+            i, j = min(zip(i[inside].tolist(), j[inside].tolist()))
             names = PRECONDITIONER_KINDS[kind].colors
             raise EnclosureError(
                 f"{kind}: G_{k} on the {names[color[i]]} indices joins {i} and {j} "
@@ -503,9 +491,10 @@ def _check_coloring(problem: DiscreteProblem, kind: str) -> None:
 def block_layout(kind: str, index_set: MultiIndexSet) -> tuple[int, int]:
     """(lead, cut) of preconditioner ``kind``: the first ``cut`` stochastic
     indices form the coarse group, and the rest fall into consecutive groups
-    of ``lead`` indices each.  The coarse group of a splitting holds every
-    index below the top order of the last coordinate (tensor) or below the
-    top total degree (complete)."""
+    of ``lead`` indices each, on which M repeats A's leading block of
+    ``lead`` indices (``kept_blocks``).  The coarse group of a splitting
+    holds every index below the top order of the last coordinate (tensor)
+    or below the top total degree (complete)."""
     record = check_basis(kind, index_set.kind)
     tensor = index_set.kind == TENSOR
     lead = index_set.size // index_set.orders[-1] if tensor and record.along_last else 1
@@ -518,15 +507,21 @@ def block_layout(kind: str, index_set: MultiIndexSet) -> tuple[int, int]:
     return lead, cut
 
 
-def kept_couplings(kind: str, index_set: MultiIndexSet) -> np.ndarray:
-    """Boolean matrix of the stochastic couplings (i, j) that preconditioner
-    ``kind`` keeps: i and j in one group of its ``block_layout``.  A
-    block-diagonal kind is M = sum_k (G_k masked by it) (x) F_k; gs2 keeps
-    these couplings in D and adds B through L D^-1 L^T."""
+def kept_blocks(kind: str, index_set: MultiIndexSet, g: sp.spmatrix) -> sp.csr_matrix:
+    """What preconditioner ``kind`` keeps of the N_P x N_P coupling ``g``,
+    in the layout of ``block_layout``: g[:cut, :cut] on the coarse group and
+    g[:lead, :lead] on every repeated group, as M's factors hold them.  A
+    block-diagonal kind is M = sum_k kept_blocks(G_k) (x) F_k; gs2 keeps
+    these blocks in D and adds B through L D^-1 L^T."""
     lead, cut = block_layout(kind, index_set)
-    i = np.arange(index_set.size)
-    label = np.where(i < cut, -1, (i - cut) // lead)
-    return label[:, None] == label[None, :]
+    g = g.tocoo()
+    coarse = (g.row < cut) & (g.col < cut)
+    top = (g.row < lead) & (g.col < lead)
+    starts = cut + lead * np.arange((index_set.size - cut) // lead)[:, None]
+    row = np.concatenate([g.row[coarse], (starts + g.row[top]).ravel()])
+    col = np.concatenate([g.col[coarse], (starts + g.col[top]).ravel()])
+    data = np.concatenate([g.data[coarse], np.tile(g.data[top], starts.size)])
+    return sp.csr_matrix((data, (row, col)), shape=g.shape)
 
 
 def build_preconditioner(problem: DiscreteProblem, kind: str) -> Preconditioner:

@@ -12,10 +12,13 @@ from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.fem import MU_REFINE, CoefficientField, build_mesh, compute_mu
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
-    SPLITTING_OF_BASIS,
+    MEAN_BASED,
+    SPLITTING_COMPLETE,
+    SPLITTING_TP,
+    TRUNCATED_TP,
     DiscreteProblem,
     block_layout,
-    kept_couplings,
+    coloring,
 )
 from sgprecond.orthopoly import jacobi_matrix
 
@@ -78,7 +81,7 @@ def dense_preconditioner_matrix(problem: DiscreteProblem, kind):
     if kind == GAUSS_SEIDEL_2:
         _lead, cut = block_layout(kind, problem.index_set)
         return dense_gs2_matrix(a.matrix.toarray(), cut * a.n_fe)
-    keep = kept_couplings(kind, problem.index_set)
+    keep = kept_mask(kind, problem.index_set)
     return sum(np.kron(np.where(keep, g.toarray(), 0.0), f.toarray()) for g, f in zip(a.gs, a.fs))
 
 
@@ -90,14 +93,53 @@ def kinds_on(basis):
     return ("mean_based", "truncated_tp", "splitting_tp", "gs2")
 
 
+def kept_mask(kind, index_set):
+    """The paper's N_P x N_P mask of the couplings (i, j) that ``kind``
+    keeps, read off the multi-indices alone: i = j (mean_based); equal last
+    degrees (truncated_tp); both below the top order of the last coordinate
+    or both at it (splitting_tp); both of total degree below the top one,
+    or i = j (splitting_complete).  gs2 keeps what its basis's splitting
+    keeps, in D."""
+    i = np.arange(index_set.size)
+    last = index_set.indices[:, -1]
+    if kind == MEAN_BASED:
+        label = i
+    elif kind == TRUNCATED_TP:
+        label = last
+    elif kind == SPLITTING_TP or (kind == GAUSS_SEIDEL_2 and index_set.kind == "tensor"):
+        label = last == index_set.orders[-1] - 1
+    else:
+        label = np.where(index_set.total_degrees() <= index_set.order - 2, -1, i)
+    return label[:, None] == label[None, :]
+
+
 def masked_G(family, index_set, k):
     """G_k with only the couplings that the two-block splitting of the
     basis keeps, without stored zeros: the matrix ``sgp dump-matrix``
     writes for Gt<k>."""
-    keep = kept_couplings(SPLITTING_OF_BASIS[index_set.kind], index_set)
-    mat = assemble_G(family, index_set, k).multiply(keep).tocsr()
+    splitting = SPLITTING_TP if index_set.kind == "tensor" else SPLITTING_COMPLETE
+    mat = assemble_G(family, index_set, k).multiply(kept_mask(splitting, index_set)).tocsr()
     mat.eliminate_zeros()
     return mat
+
+
+def first_coloring_fault(kind, index_set, gs):
+    """(k, i, j) of the first G_k, and its first (i, j) in row-major order,
+    where G_k differs from what M keeps of it inside one color of ``kind``,
+    or None.  Formed densely: inside the ``kept_mask`` the kept value is
+    that of G_k's coarse block, or of its leading block of ``lead`` indices
+    at the index's place in its group; outside it, 0."""
+    lead, cut = block_layout(kind, index_set)
+    color = coloring(kind, index_set)
+    i = np.arange(index_set.size)
+    local = np.where(i < cut, i, (i - cut) % lead)
+    keep, same = kept_mask(kind, index_set), color[:, None] == color[None, :]
+    for k, g in enumerate(gs):
+        d = g.toarray()
+        rows, cols = np.nonzero((d != np.where(keep, d[np.ix_(local, local)], 0.0)) & same)
+        if rows.size:
+            return k, int(rows[0]), int(cols[0])
+    return None
 
 
 def dense_gs2_matrix(a, cut):
@@ -155,7 +197,9 @@ __all__ = [
     "dense_pencil_extremes",
     "dense_preconditioner_matrix",
     "kinds_on",
+    "kept_mask",
     "masked_G",
+    "first_coloring_fault",
     "dense_gs2_matrix",
     "indefinite_shift",
     "raises_before_allocating",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import dense_h_matrix, random_field, raises_before_allocating
+from helpers import dense_h_matrix, kept_mask, random_field, raises_before_allocating
 from sgprecond import bounds
 from sgprecond.basis import MultiIndexSet, assemble_G
 from sgprecond.bounds import SpectralBounds, bounds_for, element_equivalence_oracle
@@ -19,7 +19,6 @@ from sgprecond.operator import (
     TRUNCATED_TP,
     DiscreteProblem,
     build_preconditioner,
-    kept_couplings,
 )
 from sgprecond.orthopoly import d_last_via_quadrature, d_sequence, max_root
 from sgprecond.orthopoly import chebyshev_u, gegenbauer, hermite, legendre
@@ -311,7 +310,7 @@ class TestElementOracle:
         mesh = build_mesh(1, 5)
         field = random_field(np.random.default_rng(3), 2, mesh.n_elements, 0.6)
         problem = DiscreteProblem.build(fam, iset, mesh, field)
-        keep = kept_couplings(kind, iset)
+        keep = kept_mask(kind, iset)
         dense = sum(
             np.kron(assemble_G(fam, iset, k).toarray() * keep, f.toarray())
             for k, f in enumerate(problem.operator.fs)

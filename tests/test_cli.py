@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,24 @@ class TestDumpMatrix:
         # orders (3, 3): one coupling between orders 1 and 2 of x2 per order of x1
         assert nnz["Gt2"] == nnz["G2"] - 2 * 3
         assert main(["dump-matrix", "--config", str(path), "--matrix", "Gt3"]) == 2
+
+
+    def test_annihilated_dump_takes_no_n_p_squared_memory(self, tmp_path):
+        # degrees 99 99: N_P = 10000, so an N_P x N_P mask alone would take
+        # 95 MiB; the kept blocks are held sparse, as G1 is (4.4 MiB)
+        text = SMALL.replace("basis = complete\ndegree = 2", "basis = tensor\ndegrees = 99 99")
+        path = tmp_path / "tensor.cfg"
+        path.write_text(text.replace("splitting_complete", "splitting_tp"))
+        out = tmp_path / "dump.txt"
+        tracemalloc.start()
+        try:
+            assert main(["dump-matrix", "--config", str(path), "--matrix", "Gt1",
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().startswith("10000 10000 ")
+        assert peak < 16 << 20, f"{peak / 2**20:.1f} MiB traced at the peak"
 
 
 class TestExitCodes:

@@ -79,6 +79,8 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as err:
             ce.parse("1+tan(x1)")
         assert "tan" in str(err.value)
+        with pytest.raises(ExprSyntaxError, match="unknown identifier 'foo'"):
+            ce.parse("1+foo")
 
     def test_parser_warnings_stay_inside(self):
         with warnings.catch_warnings(record=True) as seen:

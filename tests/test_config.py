@@ -208,6 +208,64 @@ class TestParse:
             parse_config(GOOD.replace("seed = 7", "seed = 7\nmax_iter = 0"))
 
 
+TENSOR_GOOD = GOOD.replace("basis = complete", "basis = tensor").replace("degree = 1 2",
+                                                                          "degrees = 1 1 1")
+
+# each input the parser itself rejects: the text, the start of the message,
+# and the line the error names (None: the whole file)
+REJECTED = {
+    "no '='": (GOOD.replace("dim = 1", "dim = 1\ndim 1"), "expected 'key = value'", "dim 1"),
+    "key outside any section": (GOOD.replace("sgp-config v1\n", "sgp-config v1\nx = 1\n"),
+                                "key outside any section", "x = 1"),
+    "empty text": ("", "missing header line 'sgp-config v1'", None),
+    "dim not an integer": (GOOD.replace("dim = 1", "dim = one"), "dim must be an integer",
+                           "dim = one"),
+    "tol not a number": (GOOD.replace("tol = 1e-6", "tol = small"), "tol must be a number",
+                         "tol = small"),
+    "oracle not a bool": (GOOD + "oracle = maybe\n", "oracle must be true or false",
+                          "oracle = maybe"),
+    "duplicate key": (GOOD + "seed = 8\n", "duplicate key 'seed'", "seed = 8"),
+    "no K": (GOOD.replace("K = 3\n", ""), "[problem] is missing 'K'", None),
+    "K = 0": (GOOD.replace("K = 3", "K = 0"), "K must be >= 1", "K = 0"),
+    "complete without degree": (GOOD.replace("degree = 1 2\n", ""),
+                                "complete basis requires 'degree'", None),
+    "degree 0": (GOOD.replace("degree = 1 2", "degree = 0 2"), "degree entries must be >= 1",
+                 "degree = 0 2"),
+    "empty degree": (GOOD.replace("degree = 1 2", "degree ="), "degree entries must be >= 1",
+                     "degree ="),
+    "degrees on a complete basis": (GOOD.replace("K = 3", "K = 3\ndegrees = 1 1 1"),
+                                    "'degrees' applies to tensor bases only", "degrees = 1 1 1"),
+    "degree on a tensor basis": (TENSOR_GOOD.replace("K = 3", "K = 3\ndegree = 2"),
+                                 "'degree' applies to complete bases only", "degree = 2"),
+    "two tensor degrees for K = 3": (TENSOR_GOOD.replace("degrees = 1 1 1", "degrees = 2 2"),
+                                     "need 3 per-variable degrees", "degrees = 2 2"),
+    "negative tensor degree": (TENSOR_GOOD.replace("degrees = 1 1 1", "degrees = 2 -1 2"),
+                               "degrees must be >= 0", "degrees = 2 -1 2"),
+}
+
+
+@pytest.mark.parametrize("text, message, bad", REJECTED.values(), ids=list(REJECTED))
+def test_parser_rejection_names_its_line(text, message, bad):
+    line = None if bad is None else text.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(message if line is None else f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("text, written", (
+    (GOOD.replace("family = legendre", "family = gegenbauer\ngamma = 1.5"), "gamma = 1.5"),
+    (TENSOR_GOOD, "degrees = 1 1 1"),
+    (GOOD.replace("a0 = 1\na1 = 0.3/1*sin(1*pi*x1)\na2 = 0.3/4*sin(2*pi*x1)\n"
+                  "a3 = 0.3/9*sin(3*pi*x1)", "table = coeffs.txt"), "table = coeffs.txt"),
+), ids=("gamma", "tensor degrees", "table"))
+def test_optional_keys_round_trip(text, written):
+    cfg = parse_config(text)
+    out = serialize_config(cfg)
+    assert written in out.splitlines()
+    assert parse_config(out) == cfg and serialize_config(parse_config(out)) == out
+
+
 # each input a module rejects: the edits of GOOD, the key whose line the
 # error names, and the owner call that states the rule
 OWNED = {

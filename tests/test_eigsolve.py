@@ -141,6 +141,15 @@ class TestGeneralizedLanczos:
         with pytest.raises(ConvergenceError):
             extreme_eigs_generalized(_DenseOp(a), _NoSolve(), tol=1e-8)
 
+    def test_negative_definite_m_degenerates_the_start_vector(self):
+        # a solve that returns -r makes M negative definite at every start
+        class _Negated:
+            def solve(self, r):
+                return -np.asarray(r, dtype=float)
+
+        with pytest.raises(ConvergenceError, match="Lanczos start vector degenerated"):
+            extreme_eigs_generalized(_DenseOp(np.eye(8)), _Negated(), tol=1e-8)
+
 
 class TestExtremeEigs:
     @staticmethod
@@ -395,6 +404,15 @@ class TestPcg:
         pcg(prob.operator, m, b, tol=1e-12, callback=iterates.append)
         errs = [np.sqrt((x_star - x) @ (a @ (x_star - x))) for x in iterates]
         assert all(e1 <= e0 * (1 + 1e-12) for e0, e1 in zip(errs, errs[1:]))
+
+    def test_indefinite_operator_is_a_convergence_failure(self):
+        # A = diag(1, -1) with b = (1, 1): the first direction b has zero
+        # curvature, so CG stops before dividing by it
+        a = _DenseOp(np.diag([1.0, -1.0]))
+        with pytest.raises(ConvergenceError,
+                           match="nonpositive curvature direction") as err:
+            pcg(a, _NoSolve(), np.ones(2))
+        assert err.value.history == []
 
     def test_max_iter_error_carries_history(self):
         prob = make_problem(["1", "0.3"], n=30, order=3)

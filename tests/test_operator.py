@@ -13,7 +13,9 @@ from scipy.sparse.linalg import aslinearoperator
 from helpers import (
     dense_gs2_matrix,
     dense_preconditioner_matrix,
+    first_coloring_fault,
     indefinite_shift,
+    kept_mask,
     kinds_on,
     random_instance,
 )
@@ -438,6 +440,14 @@ class TestPreconditioners:
         with pytest.raises(FactorizationError):
             operator._factor(block)
 
+    def test_singular_mean_block_is_a_factorization_error(self):
+        # SuperLU's own RuntimeError on an exactly singular F0 becomes the
+        # error class that the command line maps to exit 3
+        block = scipy.sparse.csr_matrix(np.ones((3, 3)))
+        with pytest.raises(FactorizationError,
+                           match="factorization of the mean block failed: .*singular"):
+            operator._factor(block)
+
     def test_one_negative_eigenvalue_of_f0_is_a_factorization_error(self):
         # F0 shifted midway between its two smallest eigenvalues: random
         # vectors see a positive quadratic form, the pivots of the symmetric
@@ -672,6 +682,51 @@ class TestSchurPencil:
                                                              f"indices joins {i} and {j} "):
                         operator._check_coloring(prob, kind)
 
+    def test_seeded_faults_are_reported_as_the_dense_reference_finds_them(self):
+        # one G_k entry changed inside a color, or dropped from a repeated
+        # group's copy of G_k[:lead, :lead], for every kind on both bases;
+        # the check reports the dense reference's first fault, or none
+        rng = np.random.default_rng(37)
+        mesh = build_mesh(1, 2)
+        caught = dict.fromkeys(COLOR_NAMES, 0)
+        for iset in self.ISETS:
+            field = sample_coefficients(["1"] + ["0.1"] * iset.nvars, mesh)
+            kinds = kinds_on(iset.kind)
+            for trial in range(12):
+                prob = DiscreteProblem.build(legendre(), iset, mesh, field)
+                gs = prob.operator.gs
+                kind = kinds[trial % len(kinds)]
+                lead, cut = operator.block_layout(kind, iset)
+                tops = [k for k, g in enumerate(gs) if g[:lead, :lead].nnz]
+                if trial % 2 and tops:  # drop one entry of a repeated group
+                    k = int(rng.choice(tops))
+                    top = gs[k][:lead, :lead].tocoo()
+                    e = rng.integers(top.nnz)
+                    start = cut + lead * rng.integers((iset.size - cut) // lead)
+                    (i, j), value = start + np.array([top.row[e], top.col[e]]), 0.0
+                else:  # change one entry inside a color
+                    color = operator.coloring(kind, iset)
+                    k = int(rng.integers(len(gs)))
+                    i, j = rng.choice(np.flatnonzero(color == color[rng.integers(iset.size)]), 2)
+                    value = gs[k][i, j] + rng.choice([0.05, -0.25])
+                g = gs[k].tolil()
+                g[i, j] = g[j, i] = value
+                gs[k] = g.tocsr()
+                for other in kinds:
+                    fault = first_coloring_fault(other, iset, gs)
+                    if fault is None:
+                        operator._check_coloring(prob, other)
+                        continue
+                    k, i, j = fault
+                    name = COLOR_NAMES[other][operator.coloring(other, iset)[i]]
+                    with pytest.raises(EnclosureError) as err:
+                        operator._check_coloring(prob, other)
+                    assert str(err.value) == (f"{other}: G_{k} on the {name} indices joins {i} "
+                                              f"and {j} unlike the preconditioner, so A and M "
+                                              f"differ inside one color")
+                    caught[other] += 1
+        assert min(caught.values()) > 0, caught
+
     @staticmethod
     def _faulted(iset, k, drop, add, value):
         """A problem whose G_k loses the symmetric pairs ``drop`` and gains
@@ -698,7 +753,7 @@ class TestSchurPencil:
             color = operator.coloring(kind, iset)
             lead, cut = operator.block_layout(kind, iset)
             local = (np.arange(iset.size) - cut) % lead
-            kept = np.where(operator.kept_couplings(kind, iset), dense[np.ix_(local, local)], 0.0)
+            kept = np.where(kept_mask(kind, iset), dense[np.ix_(local, local)], 0.0)
             moves = [(i, j, other) for i, j in zip(*g.nonzero()) if color[i] != color[j]
                      for other in range(iset.size) if other != i and color[other] == color[i]
                      and max(i, other) >= max(cut, lead) and kept[i, other] != dense[i, j]]
@@ -740,7 +795,7 @@ class TestSchurPencil:
         color = operator.coloring(kind, iset)
         lead, cut = operator.block_layout(kind, iset)
         local = (np.arange(iset.size) - cut) % lead
-        kept = np.where(operator.kept_couplings(kind, iset), dense[np.ix_(local, local)], 0.0)
+        kept = np.where(kept_mask(kind, iset), dense[np.ix_(local, local)], 0.0)
         named = []
         for c, name in enumerate(COLOR_NAMES[kind]):
             free = np.flatnonzero((color == c) & (np.arange(iset.size) >= max(cut, lead)))

@@ -18,17 +18,17 @@ quick = "--quick" in sys.argv
 for setting in (1, 2, 3):
     table = run_verify(load_config(CONFIGS / f"table3_setting{setting}.cfg"))
     print(f"\n1D mean-based preconditioning, setting {setting}:")
-    print(table.to_markdown())
+    print(table.render("md"))
 
 if quick:
     print("\n(--quick: skipping the 2D sweeps)")
     sys.exit(0)
 
 print("\n2D splitting / two-block Gauss-Seidel, degree sweep:")
-print(run_verify(load_config(CONFIGS / "table4.cfg")).to_markdown())
+print(run_verify(load_config(CONFIGS / "table4.cfg")).render("md"))
 
 merged = ResultTable()
 for k in range(1, 8):
     merged.add_row(run_verify(load_config(CONFIGS / f"table5_K{k}.cfg")).rows[0])
 print("\n2D splitting / two-block Gauss-Seidel, expansion-length sweep:")
-print(merged.to_markdown())
+print(merged.render("md"))

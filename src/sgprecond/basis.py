@@ -66,12 +66,12 @@ class MultiIndexSet:
         size = prod(orders)
         if size > SIZE_CAP:
             raise SizeError(f"tensor basis size {size} exceeds cap {SIZE_CAP}")
+        # first coordinate fastest: the rows, viewed with the reversed orders
+        # as axes, take coordinate j from axis d - 1 - j
         rows = np.empty((size, len(orders)), dtype=np.int64)
-        pos = 0
-        # first coordinate fastest
-        for tail in np.ndindex(*orders[::-1]):
-            rows[pos] = tail[::-1]
-            pos += 1
+        grid = rows.reshape(*orders[::-1], len(orders))
+        for j, axis in enumerate(np.indices(orders[::-1], sparse=True)[::-1]):
+            grid[..., j] = axis
         return cls(TENSOR, rows, orders=orders)
 
     @classmethod

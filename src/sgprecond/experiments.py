@@ -41,7 +41,8 @@ from . import eigsolve, fem, operator
 from .basis import COMPLETE, MultiIndexSet, check_kind
 from .config import ExperimentConfig
 from .errors import EnclosureError, UsageError
-from .operator import MEAN_BASED, PRECONDITIONER_KINDS, TRUNCATED_TP
+from .operator import (GAUSS_SEIDEL_2, MEAN_BASED, PRECONDITIONER_KINDS, SPLITTING_OF_BASIS,
+                       TRUNCATED_TP)
 from .orthopoly import gauss_rule, d_sequence, d_last_via_quadrature
 
 __all__ = ["Cell", "ResultTable", "run_bounds", "run_verify", "run_solve", "quadrature_report"]
@@ -54,8 +55,22 @@ CG = "cg"
 DENSE = "dense"
 VACUOUS = "vacuous"
 
-_INT_COLUMNS = {"degree", "K", "t", "iterations", "N"}
-_SCI_COLUMNS = {"residual", "seconds"}
+# csv/md formats of a table's numbers; raw prints every non-integer one with .17g
+_INT, _SCI, _FIXED = ".0f", ".2e", ".2f"
+
+# every column a runner writes, in output order, with its format; a string
+# cell (every "preconditioner" cell) prints as it is, whatever the format
+_COLUMNS = {
+    "preconditioner": _FIXED, "degree": _INT, "K": _INT, "N": _INT, "kappa_A": _FIXED,
+    "c_lower_class": _FIXED, "c_lower": _FIXED, "lambda_min": _FIXED, "lambda_max": _FIXED,
+    "c_upper": _FIXED, "c_upper_class": _FIXED,
+    "ratio": _FIXED, "ratio_SB": _FIXED, "ratio_class": _FIXED,
+    "kappa_SB": _FIXED, "kappa_GS2": _FIXED, "inv_d_t": _FIXED, "t": _INT,
+    "c_lower_tr": _FIXED, "c_upper_tr": _FIXED, "ratio_tr": _FIXED, "kappa_TR": _FIXED,
+    "kappa_MB": _FIXED, "oracle_min": _FIXED, "oracle_max": _FIXED,
+    "mu": _FIXED, "mu_class": _FIXED,
+    "iterations": _INT, "residual": _SCI, "seconds": _SCI, "kappa_bound": _FIXED,
+}
 
 
 @dataclass(frozen=True)
@@ -65,78 +80,59 @@ class Cell:
 
 
 class ResultTable:
-    """Rows of named cells; column order follows first appearance."""
+    """Rows of named cells.  The columns are those of the rows: the
+    declared ones in ``_COLUMNS`` order, then any other in order of first
+    appearance.  ``render`` writes csv, aligned md, or raw: csv with every
+    non-integer number to 17 significant digits and each column followed
+    by its ``<column>_src``."""
 
     def __init__(self):
-        self.columns = []
         self.rows = []
 
+    @property
+    def columns(self):
+        present = dict.fromkeys(name for row in self.rows for name in row)
+        return [c for c in _COLUMNS if c in present] + [c for c in present if c not in _COLUMNS]
+
     def add_row(self, cells: dict):
-        for name in cells:
-            if name not in self.columns:
-                self.columns.append(name)
         self.rows.append(cells)
 
     def value(self, row: int, column: str):
         cell = self.rows[row].get(column)
         return None if cell is None else cell.value
 
-    def _format(self, cell, column, raw):
-        if cell is None:
-            return ""
-        if isinstance(cell.value, str):
-            return cell.value
-        if cell.source == VACUOUS or cell.value is None or math.isinf(cell.value):
-            return "-"
-        if column in _INT_COLUMNS:
-            return str(int(round(cell.value)))
-        if raw:
-            return f"{cell.value:.17g}"
-        if column in _SCI_COLUMNS:
-            return f"{cell.value:.2e}"
-        return f"{cell.value:.2f}"
-
-    def to_csv(self, raw=False) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        if raw:
-            header = []
-            for c in self.columns:
-                header += [c, c + "_src"]
-            writer.writerow(header)
-            for row in self.rows:
-                out = []
-                for c in self.columns:
-                    cell = row.get(c)
-                    out.append(self._format(cell, c, True))
-                    out.append("" if cell is None else cell.source)
-                writer.writerow(out)
-        else:
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([self._format(row.get(c), c, False) for c in self.columns])
-        return buf.getvalue()
-
-    def to_markdown(self) -> str:
-        cells = [[self._format(row.get(c), c, False) for c in self.columns] for row in self.rows]
-        widths = [
-            max(len(c), *(len(r[i]) for r in cells)) if cells else len(c)
-            for i, c in enumerate(self.columns)
-        ]
-        def fmt(values):
-            return "| " + " | ".join(v.rjust(w) for v, w in zip(values, widths)) + " |"
-        lines = [fmt(self.columns), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-        lines += [fmt(r) for r in cells]
-        return "\n".join(lines) + "\n"
-
     def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv(raw=False)
-        if fmt == "raw":
-            return self.to_csv(raw=True)
+        if fmt not in ("csv", "raw", "md"):
+            raise UsageError(f"unknown output format {fmt!r}")
+        raw = fmt == "raw"
+        header, body = [], [[] for _ in self.rows]
+        for column in self.columns:
+            spec = _COLUMNS.get(column, _FIXED)
+            if raw and spec != _INT:
+                spec = ".17g"
+            header += [column, column + "_src"] if raw else [column]
+            for row, out in zip(self.rows, body):
+                cell = row.get(column)
+                if cell is None:
+                    text = ""
+                elif isinstance(cell.value, str):
+                    text = cell.value
+                elif cell.source == VACUOUS or cell.value is None or math.isinf(cell.value):
+                    text = "-"
+                else:
+                    text = format(cell.value, spec)
+                out += [text, "" if cell is None else cell.source] if raw else [text]
         if fmt == "md":
-            return self.to_markdown()
-        raise UsageError(f"unknown output format {fmt!r}")
+            widths = [max(map(len, texts)) for texts in zip(header, *body)]
+
+            def line(texts):
+                return "| " + " | ".join(t.rjust(w) for t, w in zip(texts, widths)) + " |\n"
+
+            rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|\n"
+            return line(header) + rule + "".join(map(line, body))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *body])
+        return buf.getvalue()
 
 
 def index_set(cfg: ExperimentConfig, degree):
@@ -181,11 +177,10 @@ def _analytic_cells(cfg, degree, iset, mu, mu_class):
     under "classical"."""
     cells = {"degree": Cell(float(degree)), "K": Cell(float(cfg.nterms)), "mu": Cell(mu)}
     kinds = list(cfg.preconditioners)
-    # the two kinds with a coarse group on this basis both write the splitting columns
-    split_kind, gs2 = (name for name, record in PRECONDITIONER_KINDS.items()
-                       if record.coarse and record.basis in (None, cfg.basis))
-    if {split_kind, gs2} & set(kinds):
-        kinds += [split_kind, gs2]
+    # the basis's splitting and gs2 both write the splitting columns
+    split_kind = SPLITTING_OF_BASIS[cfg.basis]
+    if {split_kind, GAUSS_SEIDEL_2} & set(kinds):
+        kinds += [split_kind, GAUSS_SEIDEL_2]
     by_kind = {kind: bnd.bounds_for(kind, cfg.family, iset, mu) for kind in dict.fromkeys(kinds)}
     if MEAN_BASED in by_kind:
         by_kind["classical"] = bnd.bounds_for(MEAN_BASED, cfg.family, iset, mu_class)
@@ -196,31 +191,14 @@ def _analytic_cells(cfg, degree, iset, mu, mu_class):
             cells["c_lower" + tag] = Cell(b.c_lower)
             cells["c_upper" + tag] = Cell(b.c_upper)
             cells["ratio" + tag] = Cell(b.kappa_bound, VACUOUS if b.vacuous else ANALYTIC)
-    if gs2 in by_kind:
+    if GAUSS_SEIDEL_2 in by_kind:
         split = by_kind[split_kind]
         # "ratio" belongs to the mean-based bound whenever both appear
         key = "ratio_SB" if MEAN_BASED in by_kind else "ratio"
         cells[key] = Cell(split.kappa_bound)
-        cells["inv_d_t"] = Cell(by_kind[gs2].kappa_bound)
+        cells["inv_d_t"] = Cell(by_kind[GAUSS_SEIDEL_2].kappa_bound)
         cells["t"] = Cell(float(split.t_arg))
     return cells, by_kind
-
-
-def _ordered(cells: dict) -> dict:
-    order = [
-        "degree", "K", "N", "kappa_A",
-        "c_lower_class", "c_lower", "lambda_min", "lambda_max", "c_upper", "c_upper_class",
-        "ratio", "ratio_SB", "ratio_class",
-        "kappa_SB", "kappa_GS2", "inv_d_t", "t",
-        "c_lower_tr", "c_upper_tr", "ratio_tr", "kappa_TR", "kappa_MB",
-        "oracle_min", "oracle_max",
-        "mu", "mu_class",
-    ]
-    out = {k: cells[k] for k in order if k in cells}
-    for k, v in cells.items():
-        if k not in out:
-            out[k] = v
-    return out
 
 
 def run_bounds(cfg: ExperimentConfig) -> ResultTable:
@@ -230,7 +208,7 @@ def run_bounds(cfg: ExperimentConfig) -> ResultTable:
     for degree in degree_sweep(cfg):
         iset = index_set(cfg, degree)
         cells, _ = _analytic_cells(cfg, degree, iset, mu, mu_class)
-        table.add_row(_ordered(cells))
+        table.add_row(cells)
     return table
 
 
@@ -414,7 +392,7 @@ def _verified_row(cfg, degree, problem, estimates, mu, mu_class, lanczos_tol):
             problem.operator, accel, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
         )
         cells["kappa_A"] = Cell(est_a.lambda_max / est_a.lambda_min, LANCZOS)
-    return _ordered(cells)
+    return cells
 
 
 def run_solve(cfg: ExperimentConfig) -> ResultTable:

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import record_criterion
+from conftest import CONFIG_DIR, GOLDEN_DIR, record_criterion
 from helpers import dense_h_matrix, dense_preconditioner_matrix, random_instance
 from sgprecond.basis import MultiIndexSet
 from sgprecond.bounds import bounds_for, element_equivalence_oracle
+from sgprecond.config import load_config
 from sgprecond.eigsolve import pcg
+from sgprecond.experiments import run_bounds
 from sgprecond.fem import build_mesh, compute_mu, load_vector, sample_coefficients
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
@@ -358,17 +360,32 @@ class TestCriterion9Parser:
             suite.test_benchmark_setting_expressions_parse_and_evaluate()
 
 
-class TestGoldenTables:
-    def test_csv_outputs_match_goldens(self, table3_results, table4_result, table5_result):
-        from conftest import GOLDEN_DIR
+def _match_goldens(tables, fmt):
+    for name, table in tables.items():
+        stored = (GOLDEN_DIR / f"{name}.{fmt}").read_text()
+        assert table.render(fmt) == stored, f"{name}.{fmt} drifted from its golden copy"
 
-        produced = {
-            "table3_setting1.csv": table3_results[1].render("csv"),
-            "table3_setting2.csv": table3_results[2].render("csv"),
-            "table3_setting3.csv": table3_results[3].render("csv"),
-            "table4.csv": table4_result.render("csv"),
-            "table5.csv": table5_result.render("csv"),
+
+class TestGoldenTables:
+    @pytest.fixture
+    def tables(self, table3_results, table4_result, table5_result):
+        return {
+            "table3_setting1": table3_results[1],
+            "table3_setting2": table3_results[2],
+            "table3_setting3": table3_results[3],
+            "table4": table4_result,
+            "table5": table5_result,
         }
-        for name, text in produced.items():
-            stored = (GOLDEN_DIR / name).read_text()
-            assert text == stored, f"{name} drifted from its golden copy"
+
+    def test_csv_outputs_match_goldens(self, tables):
+        _match_goldens(tables, "csv")
+
+    def test_md_outputs_match_goldens(self, tables):
+        _match_goldens(tables, "md")
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
+    def test_bounds_match_goldens(self, name):
+        # the bounds-only rows carry no kappa or lambda columns
+        table = run_bounds(load_config(CONFIG_DIR / f"{name}.cfg"))
+        for fmt in ("csv", "md"):
+            _match_goldens({f"bounds_{name}": table}, fmt)

@@ -22,6 +22,11 @@ class TestIndexSets:
         assert s.indices[0].tolist() == [0, 0]
         assert s.indices[1].tolist() == [1, 0]
         assert s.indices[3].tolist() == [0, 1]
+        # reference: np.ndindex over the reversed orders, each tail reversed
+        for orders in ((1,), (4,), (3, 3), (2, 1, 3), (2, 4, 3, 2)):
+            rows = MultiIndexSet.tensor(orders).indices
+            assert rows.tolist() == [list(tail[::-1]) for tail in np.ndindex(*orders[::-1])]
+            assert rows.dtype == np.int64 and rows.flags.c_contiguous
 
     def test_complete_ordering_by_degree(self):
         s = MultiIndexSet.complete(2, 3)

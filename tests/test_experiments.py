@@ -1,3 +1,4 @@
+import re
 import threading
 import time
 
@@ -18,6 +19,7 @@ from sgprecond.config import parse_config
 from sgprecond.eigsolve import EigEstimate
 from sgprecond.errors import ConvergenceError, DominanceError, EnclosureError, SizeError
 from sgprecond.experiments import (
+    _COLUMNS,
     Cell,
     ResultTable,
     _check_enclosure,
@@ -71,7 +73,7 @@ class TestResultTable:
         t = ResultTable()
         t.add_row({"degree": Cell(2.0), "x": Cell(1.23456), "bad": Cell(float("inf"), "vacuous")})
         t.add_row({"degree": Cell(3.0), "extra": Cell(0.5)})
-        csv_text = t.to_csv()
+        csv_text = t.render("csv")
         lines = csv_text.strip().splitlines()
         assert lines[0] == "degree,x,bad,extra"
         assert lines[1] == "2,1.23,-,"
@@ -80,17 +82,45 @@ class TestResultTable:
     def test_raw_mode_carries_sources(self):
         t = ResultTable()
         t.add_row({"x": Cell(1.0 / 3.0, "lanczos")})
-        raw = t.to_csv(raw=True)
+        raw = t.render("raw")
         assert "x,x_src" in raw
         assert "0.33333333333333331,lanczos" in raw
 
     def test_markdown_alignment(self):
         t = ResultTable()
         t.add_row({"alpha": Cell(1.0), "b": Cell(2.0)})
-        md = t.to_markdown()
+        md = t.render("md")
         lines = md.strip().splitlines()
         assert lines[0].startswith("| alpha |")
         assert set(lines[1]) <= {"|", "-"}
+
+
+    def test_every_written_column_is_declared_in_output_order(self):
+        # the complete and the tensor basis with every kind of each, the
+        # oracle and kappa(A): between them the runners write every column
+        tensor = CFG.replace("basis = complete\ndegree = 1 2", "basis = tensor\ndegrees = 2 1")
+        tensor = tensor.replace("mean_based splitting_complete gs2",
+                                "mean_based truncated_tp splitting_tp gs2")
+        headers = [run(parse_config(text.replace("kappa_A = true", "kappa_A = true\noracle = true")))
+                   .render("csv").splitlines()[0].split(",")
+                   for run in (run_bounds, run_verify, run_solve) for text in (CFG, tensor)]
+        bounds = ["degree", "K", "c_lower_class", "c_lower", "c_upper", "c_upper_class",
+                  "ratio", "ratio_SB", "ratio_class", "inv_d_t", "t"]
+        tr = ["c_lower_tr", "c_upper_tr", "ratio_tr"]
+        verify = ["degree", "K", "N", "kappa_A", "c_lower_class", "c_lower", "lambda_min",
+                  "lambda_max", "c_upper", "c_upper_class", "ratio", "ratio_SB", "ratio_class",
+                  "kappa_SB", "kappa_GS2", "inv_d_t", "t"]
+        oracle = ["oracle_min", "oracle_max", "mu", "mu_class"]
+        solve = ["preconditioner", "degree", "N", "iterations", "residual", "seconds", "kappa_bound"]
+        assert headers == [
+            bounds + ["mu", "mu_class"],
+            bounds + tr + ["mu", "mu_class"],
+            verify + ["kappa_MB"] + oracle,
+            verify + tr + ["kappa_TR", "kappa_MB"] + oracle,
+            solve,
+            solve,
+        ]
+        assert {c for header in headers for c in header} == set(_COLUMNS)
 
 
 class TestRunBounds:
@@ -665,6 +695,12 @@ class TestRunSolve:
         # tighter conditioning never needs more iterations up to noise
         its = {n: t.value(i, "iterations") for i, n in enumerate(names)}
         assert its["gs2"] <= its["mean_based"] + 2
+        # iterations print as integers, residual and seconds with .2e
+        for line in t.render("csv").splitlines()[1:]:
+            iterations, residual, seconds = line.split(",")[3:6]
+            assert re.fullmatch(r"\d+", iterations)
+            assert re.fullmatch(r"\d\.\d\de-\d\d", residual)
+            assert re.fullmatch(r"\d\.\d\de[-+]\d\d", seconds)
 
 
 class TestCoefficientTableConfigs:

@@ -17,8 +17,12 @@ the same kind's eigenvector of M^-1 A one degree below, and each degree's
 problem shares the F_k and the factor of F0 of the one before.  The runs of
 one degree are concurrent: its pencils are built first, then the first kind
 runs on the calling thread and the others are mapped over one worker
-thread, sharing the problem's factors, whose solves release the GIL.  Rows,
-messages and exit codes are those of one loop over the kinds in order.
+thread, sharing the problem's factors, whose solves release the GIL.  At a
+listed degree with several kinds whose pencils factor a band (a leading
+block of more than one index), kappa(A) goes to the worker first, ahead of
+those runs, while the calling thread factors the band, whose dpbtrf also
+releases the GIL.  Rows, messages and exit codes are those of one loop over
+the kinds in order, with kappa(A) last.
 With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
@@ -282,10 +286,19 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     With several kinds at a degree, the first kind's Lanczos run goes on
     this thread and the others are mapped, in order, over the single worker
     of a thread pool held open over the sweep (``_estimates``); a degree
-    with one run submits nothing and starts no thread.  Results and errors
-    are taken in the configured kind order, so the error raised is the one
-    the serial loop would raise.  Each run uses the OpenBLAS thread count
-    in effect.
+    with one run submits nothing and starts no thread.  kappa(A) goes to
+    that worker at a listed degree with kappa(A) on, two or more kinds and
+    a leading block of more than one index among the kinds' blocks: its
+    mean-based preconditioner is built here and its run submitted before
+    the pencils are built, so it runs while this thread factors the band
+    and ahead of the worker's Lanczos runs.  Only there has it GIL-free
+    work to overlap.  Elsewhere (every Table-3 row, every degree 1, every
+    one-kind degree) it would only contend for the GIL with Python-bound
+    Lanczos loops, which measured slower, so it runs here, after the
+    checks.  Results and errors are taken in the configured kind order,
+    and kappa(A)'s in its place after the checks, so the error raised is
+    the one the serial loop would raise.  Each run uses the OpenBLAS thread
+    count in effect.
     """
     mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
@@ -301,16 +314,20 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
             # F_0..F_K and F0's factor, taken once for every degree
             problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field,
                                                      like=problem)
+            kinds = cfg.preconditioners if degree in listed else chained
+            # kappa(A) goes ahead of the worker's runs while this thread factors a band
+            ahead = (cfg.kappa_a and degree in listed and len(kinds) > 1
+                     and max(max(operator.block_layout(kind, iset)) for kind in kinds) > 1)
+            kappa_a = _kappa_a(cfg, problem, pool if ahead else None)
             try:
-                estimates = _estimates(pool, problem, cfg.preconditioners if degree in listed
-                                       else chained, previous, lanczos)
+                estimates = _estimates(pool, problem, kinds, previous, lanczos)
             except EnclosureError as err:  # a coloring fault, possibly at a degree with no row
                 raise EnclosureError(f"degree {degree}: {err}") from None
             previous.update((kind, estimates[kind][0].vector_min) for kind in chained)
             if degree not in listed:
                 continue
             rows[degree] = _verified_row(cfg, degree, problem, estimates, mu, mu_class,
-                                         lanczos_tol)
+                                         lanczos_tol, kappa_a)
     table = ResultTable()
     for degree in listed:
         table.add_row(rows[degree])
@@ -323,13 +340,14 @@ def _estimates(pool, problem, kinds, previous, lanczos):
     from ``previous.get(kind)``.
 
     Every pencil is built here first, so each factor of ``problem`` is
-    taken once, on this thread.  The first kind then runs on this thread
+    taken once, on this thread, while the worker may already run a kappa(A)
+    submitted by ``run_verify``.  The first kind then runs on this thread
     while ``pool.map`` runs the others, one after another, on the pool's
-    worker; both read the problem's shared factors, whose banded solves
-    release the GIL.  A map over no kinds submits nothing, so one kind
-    starts no thread.  The error raised is the one a single loop over
-    ``kinds`` would raise first: a run's error, in kind order, before a
-    coloring fault of a later kind's pencil.  When this thread's run
+    worker, after that kappa(A); both read the problem's shared factors,
+    whose banded solves release the GIL.  A map over no kinds submits
+    nothing, so one kind starts no thread.  The error raised is the one a
+    single loop over ``kinds`` would raise first: a run's error, in kind
+    order, before a coloring fault of a later kind's pencil.  When this thread's run
     raises, the worker's runs end before ``run_verify``'s pool closes.
     """
     pencils, fault = [], None
@@ -350,9 +368,28 @@ def _estimates(pool, problem, kinds, previous, lanczos):
     return dict(zip(kinds, results))
 
 
-def _verified_row(cfg, degree, problem, estimates, mu, mu_class, lanczos_tol):
+def _kappa_a(cfg, problem, pool=None):
+    """A function that returns kappa(A)'s estimate, ``eigsolve.extreme_eigs``
+    of A with the mean-based preconditioner.  Without ``pool`` the function
+    builds the preconditioner and runs it.  With ``pool`` the preconditioner
+    is built and the run submitted now, from this thread, and the function
+    waits for the run's result or error."""
+    options = {"tol": cfg.tol, "max_iter": cfg.max_iter, "seed": cfg.seed}
+    if pool is None:
+        def run():
+            accel = operator.build_preconditioner(problem, MEAN_BASED)
+            return eigsolve.extreme_eigs(problem.operator, accel, **options)
+
+        return run
+    accel = operator.build_preconditioner(problem, MEAN_BASED)
+    problem.operator.matrix  # assembled on this thread, before the worker's products need it
+    return pool.submit(eigsolve.extreme_eigs, problem.operator, accel, **options).result
+
+
+def _verified_row(cfg, degree, problem, estimates, mu, mu_class, lanczos_tol, kappa_a):
     """The row of a listed degree from its estimates, with every check of
-    the enclosure chain, the oracle when asked for, and kappa(A)."""
+    the enclosure chain, the oracle when asked for, and kappa(A) from the
+    function ``kappa_a`` of ``_kappa_a``."""
     iset, field = problem.index_set, problem.field
     cells, by_kind = _analytic_cells(cfg, degree, iset, mu, mu_class)
     cells["N"] = Cell(float(problem.operator.shape[0]))
@@ -387,10 +424,7 @@ def _verified_row(cfg, degree, problem, estimates, mu, mu_class, lanczos_tol):
             cells.setdefault("oracle_min", Cell(lo, DENSE))
             cells.setdefault("oracle_max", Cell(hi, DENSE))
     if cfg.kappa_a:
-        accel = operator.build_preconditioner(problem, MEAN_BASED)
-        est_a = eigsolve.extreme_eigs(
-            problem.operator, accel, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
-        )
+        est_a = kappa_a()
         cells["kappa_A"] = Cell(est_a.lambda_max / est_a.lambda_min, LANCZOS)
     return cells
 

@@ -27,7 +27,8 @@ number of complete-basis indices of total degree at most p - 2:
 One index gives F0, since G_k[0, 0] = 0 for k >= 1.  ``DiscreteProblem.factor``
 slices every leading block from A and factors it once per problem, on first
 use, into a cache of factors keyed by the index count; a Preconditioner is
-built from factors alone.
+built from factors alone.  The cache takes no lock: ``factor`` is called
+from one thread, and other threads only solve with what it returned.
 
 Every recurrence has alpha_n = 0, so G_k (k >= 1) joins only indices whose
 k-th degree differs by one.  ``coloring`` two-colors the stochastic indices
@@ -47,9 +48,10 @@ order; the signs of its pivots test that F0 is positive definite.  Every
 larger leading block is factored by LAPACK's banded Cholesky (dpbtrf)
 node-major, each node's stochastic indices together: the meshes number nodes
 in a band order, so a block of count indices has a band about count times
-F0's.  Its solves call dpbtrs through a ctypes pointer to the routine scipy
-links, which releases the GIL: threads sharing one problem's factors solve
-at once, each with the bits of a solve on its own.
+F0's.  Both band calls, dpbtrf and dpbtrs, go through ctypes pointers to
+the routines scipy links, which release the GIL: another thread runs while
+a band is factored, and threads sharing one problem's factors solve at once,
+each with the bits of a solve on its own.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import cython_lapack
 
 from . import eigsolve
 from .basis import COMPLETE, TENSOR, MultiIndexSet, assemble_G
@@ -261,7 +263,9 @@ class _BandCholesky:
     p*n_fe + i, stochastic index p at node i, is factored as i*count + p.
     The factorization itself is the definiteness check.  ``solve`` applies
     the block's inverse to a vector or to each column of a matrix, in the
-    block's own numbering, without holding the GIL during dpbtrs."""
+    block's own numbering.  dpbtrf and dpbtrs are called through ctypes,
+    without holding the GIL; the band is that of scipy's dpbtrf wrapper,
+    bit for bit."""
 
     def __init__(self, block: sp.spmatrix, count: int):
         self.count, self.shape = count, block.shape
@@ -270,10 +274,12 @@ class _BandCholesky:
         row, col = ((i % n_fe) * count + i // n_fe for i in (coo.row, coo.col))
         lower = row >= col
         offset, col = row[lower] - col[lower], col[lower]
-        band = np.zeros((offset.max(initial=0) + 1, block.shape[0]), order="F")
-        band[offset, col] = coo.data[lower]
-        self.band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-        if info != 0:
+        self.band = np.zeros((offset.max(initial=0) + 1, block.shape[0]), order="F")
+        self.band[offset, col] = coo.data[lower]
+        n, rows = ctypes.c_int(self.shape[0]), ctypes.c_int(self.band.shape[0])
+        kd, info = ctypes.c_int(rows.value - 1), ctypes.c_int(0)
+        _dpbtrf(b"L", n, kd, self.band, rows, info)
+        if info.value != 0:
             raise FactorizationError(
                 f"the leading block of {count} stochastic indices is not positive definite")
 
@@ -304,6 +310,9 @@ def _lapack_function(name: str, *argtypes):
 
 _INT = ctypes.POINTER(ctypes.c_int)
 _MATRIX = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+# dpbtrf(uplo, n, kd, ab, ldab, info): LAPACK's banded Cholesky
+# factorization, in place on the band ab
+_dpbtrf = _lapack_function("dpbtrf", ctypes.c_char_p, _INT, _INT, _MATRIX, _INT, _INT)
 # dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info): the banded Cholesky
 # solve of LAPACK, on the band of dpbtrf and on b in place
 _dpbtrs = _lapack_function("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, _MATRIX, _INT,

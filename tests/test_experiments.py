@@ -1,6 +1,7 @@
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from helpers import (
     dense_preconditioner_matrix,
     kinds_on,
 )
-from sgprecond import eigsolve, operator
+from sgprecond import eigsolve, experiments, operator
 from sgprecond.basis import MultiIndexSet
 from sgprecond.config import parse_config
 from sgprecond.eigsolve import EigEstimate
@@ -576,6 +577,89 @@ class TestConcurrentRuns:
         assert cfg.kappa_a and len(table.rows) == 3
         assert counts == [3, 6]
         assert blocks == [(9, 9)]  # F0 on the 9 interior nodes of 10 elements
+
+    def test_kappa_a_runs_on_the_worker_while_the_band_is_factored(self, cfg, monkeypatch):
+        # K = 2: degree 1 (3 indices) factors F0 alone, so its kappa(A) runs
+        # on this thread; degree 2 (6 indices) factors the band of its 3
+        # coarse indices, and its kappa(A) is submitted to the worker first.
+        # Every factor and each degree's A are taken on this thread
+        extreme_eigs, factor = eigsolve.extreme_eigs, operator._factor
+        band_init, submit = operator._BandCholesky.__init__, ThreadPoolExecutor.submit
+        assemble = operator.GalerkinOperator.assemble_sparse
+        caller, events, kappa = threading.current_thread(), [], {}
+
+        def eigs(a, accel, **kwargs):
+            kappa[a.n_p] = threading.current_thread()
+            return extreme_eigs(a, accel, **kwargs)
+
+        def submitted(pool, fn, *args, **kwargs):
+            events.append(("submit", fn is eigs, threading.current_thread()))
+            return submit(pool, fn, *args, **kwargs)
+
+        def factored(block):
+            events.append(("factor", 1, threading.current_thread()))
+            return factor(block)
+
+        def banded(band, block, count):
+            events.append(("factor", count, threading.current_thread()))
+            band_init(band, block, count)
+
+        def assembled(a):
+            events.append(("assemble", a.n_p, threading.current_thread()))
+            return assemble(a)
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs", eigs)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submitted)
+        monkeypatch.setattr(operator, "_factor", factored)
+        monkeypatch.setattr(operator._BandCholesky, "__init__", banded)
+        monkeypatch.setattr(operator.GalerkinOperator, "assemble_sparse", assembled)
+        table = run_verify(cfg)
+        assert kappa[3] is caller and kappa[6] is not caller
+        assert all(thread is caller for _, _, thread in events)
+        steps = [event[:2] for event in events]
+        assert steps.count(("submit", True)) == 1
+        assert steps.index(("submit", True)) < steps.index(("factor", 3))
+        assert [count for step, count in steps if step == "factor"] == [1, 3]
+        assert [n_p for step, n_p in steps if step == "assemble"] == [3, 6]
+        mesh, field, _mu, _mu_class = mesh_and_field(cfg)
+        for row, degree in enumerate(degree_sweep(cfg)):
+            prob = operator.DiscreteProblem.build(cfg.family, index_set(cfg, degree), mesh, field)
+            accel = operator.build_preconditioner(prob, operator.MEAN_BASED)
+            est = extreme_eigs(prob.operator, accel, tol=cfg.tol, max_iter=cfg.max_iter,
+                               seed=cfg.seed)
+            assert table.value(row, "kappa_A") == est.lambda_max / est.lambda_min
+
+    @pytest.mark.parametrize("enclosure", (False, True), ids=("kappa_A", "enclosure"))
+    def test_a_kappa_a_error_on_the_worker_is_raised_where_the_loop_raised_it(
+            self, cfg, monkeypatch, enclosure):
+        # degree 2's kappa(A) fails on the worker; a check of the row ahead
+        # of kappa(A), forced to fail, wins as in the serial loop
+        extreme_eigs, cbs = eigsolve.extreme_eigs, experiments._check_cbs_identity
+        failure = ConvergenceError("kappa(A) failed at degree 2")
+        fault = EnclosureError("degree 2: forced CBS fault")
+        failed_on = []
+
+        def failing(a, accel, **kwargs):
+            if a.n_p == 6:
+                failed_on.append(threading.current_thread())
+                raise failure
+            return extreme_eigs(a, accel, **kwargs)
+
+        def check(degree, *args):
+            if degree == 2:
+                raise fault
+            cbs(degree, *args)
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs", failing)
+        if enclosure:
+            monkeypatch.setattr(experiments, "_check_cbs_identity", check)
+        before = threading.active_count()
+        with pytest.raises((EnclosureError, ConvergenceError)) as err:
+            run_verify(cfg)
+        assert err.value is (fault if enclosure else failure)
+        assert str(err.value) == str(fault if enclosure else failure)
+        assert failed_on and failed_on[0] is not threading.current_thread()
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("text", (
         CFG.replace("mean_based splitting_complete gs2", "mean_based"),

@@ -393,6 +393,25 @@ class TestPreconditioners:
         expect = x.T.reshape(m, -1, factor.count).transpose(2, 1, 0).reshape(shape)
         assert np.array_equal(factor.solve(b), expect)
 
+    @pytest.mark.parametrize("count", (3, 6))
+    def test_band_factor_is_scipys_dpbtrf_bit_for_bit(self, count):
+        # the band factorization calls LAPACK's dpbtrf through ctypes,
+        # without the GIL; scipy's wrapper of the same routine, on the same
+        # node-major band, gives the same bits
+        prob = small_2d_problem()
+        n_fe = prob.operator.n_fe
+        n = count * n_fe
+        node_major = np.arange(n)
+        block_order = (node_major % count) * n_fe + node_major // count
+        dense = prob.operator.matrix[:n, :n].toarray()[np.ix_(block_order, block_order)]
+        rows, cols = np.nonzero(np.tril(dense))
+        band = np.zeros(((rows - cols).max() + 1, n), order="F")
+        for offset in range(band.shape[0]):
+            band[offset, : n - offset] = np.diagonal(dense, -offset)
+        expect, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+        assert info == 0
+        assert np.array_equal(prob.factor(count).band, expect)
+
     def test_band_solve_rejected_by_lapack_raises(self, capfd):
         factor = small_2d_problem().factor(3)
         factor.band = factor.band[:0]  # no diagonal row: kd = -1

@@ -15,18 +15,19 @@ and gs2) takes the whole basis one degree below as that group, so those
 kinds run at every degree from 1 up, each pencil's Lanczos run started from
 the same kind's eigenvector of M^-1 A one degree below, and each degree's
 problem shares the F_k and the factor of F0 of the one before.  The runs of
-one degree are concurrent: its pencils are built first, then the first kind
-runs on the calling thread and the others are mapped over one worker
-thread, sharing the problem's factors, whose solves release the GIL.  At a
-listed degree with several kinds whose pencils factor a band (a leading
-block of more than one index), kappa(A) goes to the worker first, ahead of
-those runs, while the calling thread factors the band, whose dpbtrf also
-releases the GIL.  Rows, messages and exit codes are those of one loop over
+one degree are concurrent (``_in_kind_order``): its pencils are built
+first, then the first kind runs on the calling thread and the others are
+mapped over one worker thread, sharing the problem's factors, whose solves
+release the GIL.  At a listed degree with several kinds whose pencils
+factor a band (a leading block of more than one index), kappa(A) goes to
+the worker first, ahead of those runs, while the calling thread factors the
+band, whose dpbtrf also releases the GIL.  Rows, messages and exit codes are those of one loop over
 the kinds in order, with kappa(A) last.
 With ``oracle`` set it also fails if the per-element constants of a
 block-diagonal kind do not sit between its bounds and its extremes.
 ``run_solve`` compares conjugate gradient iteration counts across
-preconditioners.
+preconditioners at the largest listed degree, its solves concurrent in the
+same way, after every preconditioner is built.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from . import bounds as bnd
 from . import eigsolve, fem, operator
 from .basis import COMPLETE, MultiIndexSet, check_kind
 from .config import ExperimentConfig
-from .errors import EnclosureError, UsageError
+from .errors import EnclosureError, SgprecondError, UsageError
 from .operator import (GAUSS_SEIDEL_2, MEAN_BASED, PRECONDITIONER_KINDS, SPLITTING_OF_BASIS,
                        TRUNCATED_TP)
 from .orthopoly import gauss_rule, d_sequence, d_last_via_quadrature
@@ -285,20 +286,20 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
 
     With several kinds at a degree, the first kind's Lanczos run goes on
     this thread and the others are mapped, in order, over the single worker
-    of a thread pool held open over the sweep (``_estimates``); a degree
-    with one run submits nothing and starts no thread.  kappa(A) goes to
-    that worker at a listed degree with kappa(A) on, two or more kinds and
-    a leading block of more than one index among the kinds' blocks: its
-    mean-based preconditioner is built here and its run submitted before
-    the pencils are built, so it runs while this thread factors the band
-    and ahead of the worker's Lanczos runs.  Only there has it GIL-free
-    work to overlap.  Elsewhere (every Table-3 row, every degree 1, every
-    one-kind degree) it would only contend for the GIL with Python-bound
-    Lanczos loops, which measured slower, so it runs here, after the
-    checks.  Results and errors are taken in the configured kind order,
-    and kappa(A)'s in its place after the checks, so the error raised is
-    the one the serial loop would raise.  Each run uses the OpenBLAS thread
-    count in effect.
+    of a thread pool held open over the sweep (``_in_kind_order``); a
+    degree with one run submits nothing and starts no thread.  kappa(A)
+    goes to that worker at a listed degree with kappa(A) on, two or more
+    kinds and a leading block of more than one index among the kinds'
+    blocks: its mean-based preconditioner is built here and its run
+    submitted before the pencils are built, so it runs while this thread
+    factors the band and ahead of the worker's Lanczos runs.  Only there
+    has it GIL-free work to overlap.  Elsewhere (every Table-3 row, every
+    degree 1, every one-kind degree) it would only contend for the GIL with
+    Python-bound Lanczos loops, which measured slower, so it runs here,
+    after the checks.  Results and errors are taken in the configured kind
+    order, and kappa(A)'s in its place after the checks, so the error
+    raised is the one the serial loop would raise.  Each run uses the
+    OpenBLAS thread count in effect.
     """
     mesh, field, mu, mu_class = mesh_and_field(cfg)
     lanczos_tol = min(cfg.tol, 1e-6)
@@ -320,9 +321,12 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
                      and max(max(operator.block_layout(kind, iset)) for kind in kinds) > 1)
             kappa_a = _kappa_a(cfg, problem, pool if ahead else None)
             try:
-                estimates = _estimates(pool, problem, kinds, previous, lanczos)
+                results = _in_kind_order(
+                    pool, kinds, lambda kind: operator.ColoredPencil(problem, kind),
+                    lambda pencil: pencil.extremes(previous.get(pencil.kind), **lanczos))
             except EnclosureError as err:  # a coloring fault, possibly at a degree with no row
                 raise EnclosureError(f"degree {degree}: {err}") from None
+            estimates = dict(zip(kinds, results))
             previous.update((kind, estimates[kind][0].vector_min) for kind in chained)
             if degree not in listed:
                 continue
@@ -334,38 +338,33 @@ def run_verify(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _estimates(pool, problem, kinds, previous, lanczos):
-    """kind -> (estimate, the pencil's top Ritz value) of
-    ``ColoredPencil.extremes`` for each of ``kinds``, each run started
-    from ``previous.get(kind)``.
+def _in_kind_order(pool, kinds, build, run):
+    """``run(build(kind))`` for each of ``kinds``, in kind order, with the
+    error that one loop over ``kinds`` would raise first.
 
-    Every pencil is built here first, so each factor of ``problem`` is
-    taken once, on this thread, while the worker may already run a kappa(A)
-    submitted by ``run_verify``.  The first kind then runs on this thread
-    while ``pool.map`` runs the others, one after another, on the pool's
-    worker, after that kappa(A); both read the problem's shared factors,
-    whose banded solves release the GIL.  A map over no kinds submits
-    nothing, so one kind starts no thread.  The error raised is the one a
-    single loop over ``kinds`` would raise first: a run's error, in kind
-    order, before a coloring fault of a later kind's pencil.  When this thread's run
-    raises, the worker's runs end before ``run_verify``'s pool closes.
+    Every object is built here first, in kind order, so each factor a build
+    takes is taken once and on this thread: ``DiscreteProblem.factor`` takes
+    no lock.  The first kind then runs on this thread while ``pool.map``
+    runs the others, one after another, on the pool's worker, behind
+    whatever is already queued there; the runs share the problem's factors,
+    whose banded solves release the GIL.  A map over no objects submits
+    nothing, so one kind starts no thread.  A package error of a build
+    stops the builds and is raised after the runs of the kinds before it,
+    whose errors come first, in kind order.  When this thread's run raises,
+    the worker's runs end before the caller's pool closes.
     """
-    pencils, fault = [], None
+    built, fault = [], None
     for kind in kinds:
         try:
-            pencils.append(operator.ColoredPencil(problem, kind))
-        except EnclosureError as err:
+            built.append(build(kind))
+        except SgprecondError as err:
             fault = err
             break
-
-    def run(pencil):
-        return pencil.extremes(previous.get(pencil.kind), **lanczos)
-
-    later = pool.map(run, pencils[1:])  # submits nothing for one kind or none
-    results = [run(pencil) for pencil in pencils[:1]] + list(later)
+    later = pool.map(run, built[1:])
+    results = [run(item) for item in built[:1]] + list(later)
     if fault is not None:
         raise fault
-    return dict(zip(kinds, results))
+    return results
 
 
 def _kappa_a(cfg, problem, pool=None):
@@ -430,30 +429,43 @@ def _verified_row(cfg, degree, problem, estimates, mu, mu_class, lanczos_tol, ka
 
 
 def run_solve(cfg: ExperimentConfig) -> ResultTable:
-    """Conjugate gradient comparison across the configured preconditioners."""
+    """Conjugate gradient comparison across the configured preconditioners,
+    one row per kind in the configured order, at the largest listed degree.
+
+    Every preconditioner is built first, on this thread, then the first
+    kind's ``eigsolve.pcg`` runs on this thread and the others on the one
+    worker of a pool opened here (``_in_kind_order``); one kind starts no
+    thread.  Each row's ``seconds`` is that solve's own wall time, so with
+    the solves overlapping they do not add up to the run's.  Rows, messages
+    and exit codes are those of one loop over the kinds in order."""
     mesh, field, mu, _mu_class = mesh_and_field(cfg)
-    table = ResultTable()
-    degree = degree_sweep(cfg)[-1]
+    degree = max(degree_sweep(cfg))
     iset = index_set(cfg, degree)
     problem = operator.DiscreteProblem.build(cfg.family, iset, mesh, field)
     f_fe = fem.load_vector(mesh, cfg.rhs)
     rhs = np.zeros(problem.operator.shape[0])
     rhs[: f_fe.size] = f_fe  # constant-polynomial block only
     by_kind = {kind: bnd.bounds_for(kind, cfg.family, iset, mu) for kind in cfg.preconditioners}
-    for kind in cfg.preconditioners:
-        m = operator.build_preconditioner(problem, kind)
+
+    def solve(m):
         start = time.perf_counter()
         _x, iterations, history = eigsolve.pcg(
             problem.operator, m, rhs, tol=cfg.tol, max_iter=cfg.max_iter * 10
         )
-        elapsed = time.perf_counter() - start
+        return iterations, history[-1], time.perf_counter() - start
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        solves = _in_kind_order(pool, cfg.preconditioners,
+                                lambda kind: operator.build_preconditioner(problem, kind), solve)
+    table = ResultTable()
+    for kind, (iterations, residual, elapsed) in zip(cfg.preconditioners, solves):
         bound = by_kind[kind].kappa_bound
         row = {
             "preconditioner": Cell(kind),
             "degree": Cell(float(degree)),
             "N": Cell(float(problem.operator.shape[0])),
             "iterations": Cell(float(iterations), CG),
-            "residual": Cell(history[-1], CG),
+            "residual": Cell(residual, CG),
             "seconds": Cell(elapsed, CG),
             "kappa_bound": Cell(bound, VACUOUS if math.isinf(bound) else ANALYTIC),
         }

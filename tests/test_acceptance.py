@@ -21,7 +21,7 @@ from sgprecond.basis import MultiIndexSet
 from sgprecond.bounds import bounds_for, element_equivalence_oracle
 from sgprecond.config import load_config
 from sgprecond.eigsolve import pcg
-from sgprecond.experiments import run_bounds
+from sgprecond.experiments import run_bounds, run_solve
 from sgprecond.fem import build_mesh, compute_mu, load_vector, sample_coefficients
 from sgprecond.operator import (
     GAUSS_SEIDEL_2,
@@ -389,3 +389,11 @@ class TestGoldenTables:
         table = run_bounds(load_config(CONFIG_DIR / f"{name}.cfg"))
         for fmt in ("csv", "md"):
             _match_goldens({f"bounds_{name}": table}, fmt)
+
+    @pytest.mark.parametrize("name", ("table4", "table3_setting2"))
+    def test_solve_matches_goldens(self, name):
+        # every raw cell but each solve's wall time, which varies from run to run
+        table = run_solve(load_config(CONFIG_DIR / f"{name}.cfg"))
+        for row in table.rows:
+            del row["seconds"]
+        assert table.render("raw") == (GOLDEN_DIR / f"solve_{name}.csv").read_text()

@@ -1,3 +1,4 @@
+import math
 import re
 import threading
 import time
@@ -18,7 +19,8 @@ from sgprecond import eigsolve, experiments, operator
 from sgprecond.basis import MultiIndexSet
 from sgprecond.config import parse_config
 from sgprecond.eigsolve import EigEstimate
-from sgprecond.errors import ConvergenceError, DominanceError, EnclosureError, SizeError
+from sgprecond.errors import (ConvergenceError, DominanceError, EnclosureError,
+                               FactorizationError, SizeError)
 from sgprecond.experiments import (
     _COLUMNS,
     Cell,
@@ -553,6 +555,37 @@ class TestConcurrentRuns:
         assert str(err.value) == str(serial[failing[0]])
         assert err.value.estimate == serial[failing[0]].estimate
 
+    @pytest.mark.parametrize("capped", (True, False), ids=("run", "build"))
+    def test_a_later_kinds_build_error_waits_for_the_earlier_runs(self, cfg, monkeypatch,
+                                                                 capped):
+        # at degree 2 the splitting's pencil factors the band of its 3 coarse
+        # indices, forced to fail, after the mean_based pencil is built; the
+        # mean_based run, capped at 3 steps, fails first in the serial loop
+        from dataclasses import replace
+
+        generalized = eigsolve.extreme_eigs_generalized
+        fault = FactorizationError("forced: the band is not positive definite")
+
+        def capped_run(a, m, **kwargs):
+            if capped and m.kind == operator.MEAN_BASED:
+                kwargs["max_iter"] = 3
+            return generalized(a, m, **kwargs)
+
+        def indefinite(band, block, count):
+            raise fault
+
+        monkeypatch.setattr(eigsolve, "extreme_eigs_generalized", capped_run)
+        monkeypatch.setattr(operator._BandCholesky, "__init__", indefinite)
+        two = replace(cfg, preconditioners=(operator.MEAN_BASED, self.KINDS[0]), degrees=(2,),
+                      kappa_a=False)
+        with pytest.raises((ConvergenceError, FactorizationError)) as err:
+            run_verify(two)
+        if capped:
+            assert isinstance(err.value, ConvergenceError)
+            assert str(err.value) == "Lanczos did not reach tolerance 1e-08 in 3 iterations"
+        else:
+            assert err.value is fault
+
     def test_each_leading_block_is_factored_once_per_degree(self, cfg, monkeypatch):
         # K = 2: the coarse group at degree d is the basis of degree d - 1,
         # 3 indices at degree 2 and 6 at degree 3; degree 1's is F0 alone.
@@ -785,6 +818,109 @@ class TestRunSolve:
             assert re.fullmatch(r"\d+", iterations)
             assert re.fullmatch(r"\d\.\d\de-\d\d", residual)
             assert re.fullmatch(r"\d\.\d\de[-+]\d\d", seconds)
+
+
+    def test_solves_at_the_largest_listed_degree(self, cfg):
+        # K = 2 at degree 2: C(4, 2) = 6 indices on the 9 interior nodes
+        from dataclasses import replace
+
+        t = run_solve(replace(cfg, degrees=(2, 1), preconditioners=("mean_based",)))
+        mesh = mesh_and_field(cfg)[0]
+        assert t.value(0, "degree") == 2
+        assert t.value(0, "N") == math.comb(cfg.nterms + 2, 2) * mesh.n_interior == 54
+
+
+class TestConcurrentSolves:
+    """The preconditioners are built on the calling thread, then the first
+    kind's CG solve runs there and the others on one worker."""
+
+    def test_the_first_solve_runs_here_and_the_others_on_one_worker(self, cfg, monkeypatch):
+        pcg, build = eigsolve.pcg, operator.build_preconditioner
+        factor, band_init = operator._factor, operator._BandCholesky.__init__
+        caller, kinds, solves, events = threading.current_thread(), {}, [], []
+
+        def built(problem, kind):
+            events.append(("build", threading.current_thread()))
+            m = build(problem, kind)
+            kinds[id(m)] = kind
+            return m
+
+        def factored(block):
+            events.append(("factor", threading.current_thread()))
+            return factor(block)
+
+        def banded(band, block, count):
+            events.append(("factor", threading.current_thread()))
+            band_init(band, block, count)
+
+        def solved(a, m, b, **kwargs):
+            solves.append((kinds[id(m)], threading.current_thread()))
+            return pcg(a, m, b, **kwargs)
+
+        monkeypatch.setattr(operator, "build_preconditioner", built)
+        monkeypatch.setattr(operator, "_factor", factored)
+        monkeypatch.setattr(operator._BandCholesky, "__init__", banded)
+        monkeypatch.setattr(eigsolve, "pcg", solved)
+        table = run_solve(cfg)
+        assert [row["preconditioner"].value for row in table.rows] == list(cfg.preconditioners)
+        threads = dict(solves)
+        assert set(threads) == set(cfg.preconditioners)
+        first, *others = cfg.preconditioners
+        assert threads[first] is caller
+        assert len({threads[kind] for kind in others}) == 1
+        assert threads[others[0]] is not caller
+        steps = [step for step, _ in events]
+        assert steps.count("build") == 3 and steps.count("factor") == 2  # F0 and one band
+        assert all(thread is caller for _, thread in events)
+
+    def test_one_kind_starts_no_thread(self, cfg, monkeypatch):
+        from dataclasses import replace
+
+        pcg = eigsolve.pcg
+        solves = []
+
+        def solved(*args, **kwargs):
+            solves.append((threading.current_thread(), threading.active_count()))
+            return pcg(*args, **kwargs)
+
+        monkeypatch.setattr(eigsolve, "pcg", solved)
+        before = threading.active_count()
+        run_solve(replace(cfg, preconditioners=("mean_based",)))
+        assert [thread for thread, _ in solves] == [threading.main_thread()]
+        assert {count for _, count in solves} == {before} == {threading.active_count()}
+
+    def test_the_error_raised_is_the_first_kinds(self, cfg, monkeypatch):
+        # the first kind's solve, held back and capped at 2 iterations, fails
+        # after the worker's, capped at 3; the serial loop raises the first
+        from dataclasses import replace
+
+        pcg, build = eigsolve.pcg, operator.build_preconditioner
+        two = replace(cfg, preconditioners=("splitting_complete", "gs2"))
+        kinds, failed = {}, []
+
+        def built(problem, kind):
+            m = build(problem, kind)
+            kinds[id(m)] = kind
+            return m
+
+        def capped(a, m, b, **kwargs):
+            first = kinds[id(m)] == two.preconditioners[0]
+            if first:
+                time.sleep(0.05)
+            try:
+                return pcg(a, m, b, **dict(kwargs, max_iter=2 if first else 3))
+            except ConvergenceError:
+                failed.append(kinds[id(m)])
+                raise
+
+        monkeypatch.setattr(operator, "build_preconditioner", built)
+        monkeypatch.setattr(eigsolve, "pcg", capped)
+        before = threading.active_count()
+        with pytest.raises(ConvergenceError) as err:
+            run_solve(two)
+        assert failed == ["gs2", "splitting_complete"]
+        assert str(err.value) == "conjugate gradients did not reach 1e-08 in 2 iterations"
+        assert threading.active_count() == before
 
 
 class TestCoefficientTableConfigs:
